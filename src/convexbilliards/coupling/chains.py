@@ -26,8 +26,8 @@ import math
 
 import numpy as np
 
-from ..dynamics import chain_step, make_chain_state, transition_density_row, \
-    transition_matrix
+from ..dynamics import chain_step, guarded_angles, landing_density, \
+    make_chain_state, transition_density_row, transition_matrix
 from ..errors import ResidualSamplingError
 from ..geometry import ConvexBody, Disc, TWO_PI
 from ..rates import RateCertificate
@@ -177,7 +177,7 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
 
     while step < n_max:
         if coupled:
-            th = _sample_block(law, 1, rng)
+            th = guarded_angles(law, rng, 1)
             phi_a = (phi_a + math.pi + 2.0 * th[0]) % TWO_PI
             phi_b = phi_a
             out_a.append(phi_a)
@@ -214,12 +214,12 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
         step += n0
     # top up to exactly n_max bounces when a block would not fit
     while step < n_max:
-        th = _sample_block(law, 1, rng)
+        th = guarded_angles(law, rng, 1)
         phi_a = (phi_a + math.pi + 2.0 * th[0]) % TWO_PI
         if coupled:
             phi_b = phi_a
         else:
-            tb = _sample_block(law, 1, rng)
+            tb = guarded_angles(law, rng, 1)
             phi_b = (phi_b + math.pi + 2.0 * tb[0]) % TWO_PI
         out_a.append(phi_a)
         out_b.append(phi_b)
@@ -231,12 +231,6 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
         traj_a=np.asarray(out_a) * r, traj_b=np.asarray(out_b) * r)
 
 
-def _sample_block(law, n0, rng):
-    th = np.atleast_1d(law.sample(rng, n0))
-    np.clip(th, -(0.5 * math.pi - 1e-9), 0.5 * math.pi - 1e-9, out=th)
-    return th
-
-
 def _wrap_pi(x):
     return math.remainder(x, TWO_PI)
 
@@ -244,7 +238,7 @@ def _wrap_pi(x):
 def _disc_residual_block(phi, n0, law, tables: _BlockTables, level, overlap,
                          out, rng) -> float:
     for _ in range(MAX_REJECTS):
-        thetas = _sample_block(law, n0, rng)
+        thetas = guarded_angles(law, rng, n0)
         landing = (phi + n0 * math.pi + 2.0 * float(np.sum(thetas))) % TWO_PI
         if overlap.contains(landing):
             dens = tables.circular_density(n0, _wrap_pi(landing - phi - n0 * math.pi))
@@ -306,19 +300,10 @@ class _ConvexKernelTables:
 
     def _target_column(self, target_s, steps_left) -> np.ndarray:
         """Density of reaching target_s in steps_left bounces, per node."""
-        target = self.body.point_at(target_s)
-        pos = self.body.position_at(self.nodes)
-        tan = self.body.tangent_at(self.nodes)
-        nrm = np.stack([-tan[:, 1], tan[:, 0]], axis=-1)
-        d = target.position[None, :] - pos
-        dist = np.hypot(d[:, 0], d[:, 1])
-        dist = np.where(dist > self.body.tol_geom, dist, np.inf)
-        l = d / dist[:, None]
-        cosv = l[:, 0] * nrm[:, 0] + l[:, 1] * nrm[:, 1]
-        sinv = nrm[:, 0] * l[:, 1] - nrm[:, 1] * l[:, 0]
-        cos_land = -(l[:, 0] * target.normal[0] + l[:, 1] * target.normal[1])
-        col = self.law.density(np.arctan2(sinv, cosv)) \
-            * np.maximum(cos_land, 0.0) / dist
+        body = self.body
+        col = landing_density(body, self.law,
+                              body.frame(body.to_native(self.nodes)),
+                              body.point_at(target_s).frame)
         for _ in range(steps_left - 1):
             col = (self.M * self.ds) @ col
         return col
@@ -347,10 +332,10 @@ def _reach_window(body, law, width, s, n0, eps) -> Window:
     half = 0.5 * min(width, math.pi - 1e-6)
     lo_u = hi_u = float(s)
     for k in range(n0):
-        pt_lo = body.point_at(lo_u)
-        pt_hi = body.point_at(hi_u)
-        lo_hit = body.exit_ray(pt_lo.position, _rotate(pt_lo.normal, -half))[1].s
-        hi_hit = body.exit_ray(pt_hi.position, _rotate(pt_hi.normal, half))[1].s
+        lo_hit = float(body.to_arc(
+            body.bounce(body.to_native(lo_u), -half)[0]))
+        hi_hit = float(body.to_arc(
+            body.bounce(body.to_native(hi_u), half)[0]))
         # unwrap: the landing arc from angle -half to +half runs ccw
         lo_new = lo_u + np.mod(lo_hit - lo_u, P)
         hi_new = hi_u + np.mod(hi_hit - hi_u, P)
@@ -366,11 +351,6 @@ def _reach_window(body, law, width, s, n0, eps) -> Window:
         return Window(pieces=(), period=P)
     return Window(pieces=((lo_u % P, lo_u % P + min(hi_u - lo_u, P)),),
                   period=P)
-
-
-def _rotate(vec, angle):
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([c * vec[0] - s * vec[1], s * vec[0] + c * vec[1]])
 
 
 def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):

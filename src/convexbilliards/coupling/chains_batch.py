@@ -5,8 +5,10 @@ perimeter after a single bounce).  All replicas advance in lockstep: each
 step every uncoupled pair attempts a plateau coupling of the next landing
 position, with the plateau level taken from the certificate (the landing
 density per unit arc length dominates it on the reachable arc).  Residual
-draws are one real geometric bounce thinned by a single pointwise density
-evaluation, so the whole step is a handful of array operations.
+draws are one bounce of the body's kernel thinned by one
+``landing_density`` evaluation, so the whole step is a handful of array
+operations on any body.  Each chain carries both its arc length (windows
+and outputs) and the body's native coordinate (bounces and frames).
 
 Used for the large-replica marginal-preservation and survival checks;
 the scalar engine in ``chains`` remains the reference implementation and
@@ -21,12 +23,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from ..errors import InvalidParams
-from ..geometry import ConvexBody, Disc, Ellipse, TWO_PI
+from ..dynamics import guarded_angles, landing_density
+from ..errors import InvalidParams, ResidualSamplingError
+from ..geometry import ConvexBody
 from ..rates import RateCertificate
 from ..reflection import ReflectionLaw
 
-_GUARD = 1e-9
+# extreme launch angle of the reachable arc, clear of the tangency guard
+_REACH_LIMIT = 0.5 * math.pi - 1e-6
 
 
 @dataclass
@@ -37,94 +41,6 @@ class BatchChainResult:
     final_b: np.ndarray
     attempts: int = 0
     successes: int = 0
-
-
-# -- vectorised body kernels -------------------------------------------------
-
-class _DiscOps:
-    def __init__(self, body: Disc):
-        self.r = body.r
-        self.P = body.perimeter
-
-    def bounce(self, s, theta):
-        return np.mod(s + self.r * (math.pi + 2.0 * theta), self.P)
-
-    def reach(self, s, half_width):
-        # landing offset is pi + 2*theta for theta in [-hw, hw]
-        lo = s + self.r * (math.pi - 2.0 * half_width)
-        hi = s + self.r * (math.pi + 2.0 * half_width)
-        return lo, hi
-
-    def landing_density(self, s_from, s_to, law):
-        # angle of the bounce realising the landing: theta = (offset - pi)/2
-        off = np.mod(s_to - s_from, self.P) / self.r
-        theta = 0.5 * (off - math.pi)
-        return law.density(theta) / (2.0 * self.r)
-
-
-class _EllipseOps:
-    def __init__(self, body: Ellipse):
-        self.body = body
-        self.P = body.perimeter
-
-    def _frame(self, s):
-        body = self.body
-        t = body._t_of_s(s)
-        ct, st = np.cos(t), np.sin(t)
-        speed = np.sqrt((body.a * st) ** 2 + (body.b * ct) ** 2)
-        nx, ny = -body.b * ct / speed, -body.a * st / speed
-        return ct, st, nx, ny
-
-    def _exit(self, ct, st, nx, ny, theta):
-        body = self.body
-        c, s_ = np.cos(theta), np.sin(theta)
-        dx, dy = c * nx - s_ * ny, s_ * nx + c * ny
-        ux, uy = dx / body.a, dy / body.b
-        A = ux * ux + uy * uy
-        B = ct * ux + st * uy
-        tau = -2.0 * B / A
-        qx, qy = ct + tau * ux, st + tau * uy
-        t_new = np.arctan2(qy, qx) % TWO_PI
-        return np.asarray(body._s_spline(t_new))
-
-    def bounce(self, s, theta):
-        ct, st, nx, ny = self._frame(s)
-        return self._exit(ct, st, nx, ny, theta)
-
-    def reach(self, s, half_width):
-        ct, st, nx, ny = self._frame(s)
-        hw = min(half_width, 0.5 * math.pi - 1e-6)
-        lo_hit = self._exit(ct, st, nx, ny, np.full_like(s, -hw))
-        hi_hit = self._exit(ct, st, nx, ny, np.full_like(s, hw))
-        lo = s + np.mod(lo_hit - s, self.P)
-        hi = s + np.mod(hi_hit - s, self.P)
-        hi = np.where(hi < lo, hi + self.P, hi)
-        return lo, hi
-
-    def landing_density(self, s_from, s_to, law):
-        body = self.body
-        pf = body.position_at(s_from)
-        pt_ = body.position_at(s_to)
-        tanf = body.tangent_at(s_from)
-        tant = body.tangent_at(s_to)
-        nf = np.stack([-tanf[..., 1], tanf[..., 0]], axis=-1)
-        nt = np.stack([-tant[..., 1], tant[..., 0]], axis=-1)
-        d = pt_ - pf
-        dist = np.hypot(d[..., 0], d[..., 1])
-        dist = np.maximum(dist, 1e-300)
-        l = d / dist[..., None]
-        psi = np.arctan2(nf[..., 0] * l[..., 1] - nf[..., 1] * l[..., 0],
-                         l[..., 0] * nf[..., 0] + l[..., 1] * nf[..., 1])
-        cos_land = -(nt[..., 0] * l[..., 0] + nt[..., 1] * l[..., 1])
-        return law.density(psi) * np.maximum(cos_land, 0.0) / dist
-
-
-def _ops_for(body):
-    if isinstance(body, Disc):
-        return _DiscOps(body)
-    if isinstance(body, Ellipse):
-        return _EllipseOps(body)
-    raise InvalidParams("batch chain coupling supports discs and ellipses")
 
 
 def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
@@ -144,40 +60,39 @@ def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
         level = 0.5 * floor / body.r   # per unit arc length
     else:
         level = cert.constants["q_min"]
-    ops = _ops_for(body)
     P = body.perimeter
-    half = 0.5 * width
+    half = min(0.5 * width, _REACH_LIMIT)
 
     R = int(n_replicas)
     out = BatchChainResult(
         coupled=np.zeros(R, dtype=bool),
         coupling_index=np.full(R, -1, dtype=np.int64),
         final_a=np.empty(R), final_b=np.empty(R))
+    starts = body.wrap(np.array([float(s0), float(s0_b)]))
     for lo, hi, gen in rngmod.chunk_streams(seed, "chain-batch", R):
         sl = slice(lo, hi)
         n = hi - lo
-        sa = np.full(n, float(body.wrap(s0)))
-        sb = np.full(n, float(body.wrap(s0_b)))
+        # row 0 is the first chain, row 1 the second
+        s = np.repeat(starts[:, None], n, axis=1)
+        u = body.to_native(s)
         coupled = np.zeros(n, dtype=bool)
         cidx = np.full(n, -1, dtype=np.int64)
         att = suc = 0
         for step in range(1, n_steps + 1):
             j = np.flatnonzero(coupled)
             if j.size:
-                th = _angles(law, gen, j.size)
-                landed = ops.bounce(sa[j], th)
-                sa[j] = landed
-                sb[j] = landed
+                th = guarded_angles(law, gen, j.size)
+                u[:, j] = body.bounce(u[0, j], th)[0]
+                s[:, j] = body.to_arc(u[0, j])
             i = np.flatnonzero(~coupled)
             if i.size == 0:
                 continue
-            lo_a, hi_a = ops.reach(sa[i], half)
-            lo_b, hi_b = ops.reach(sb[i], half)
+            lo_a, hi_a = _reach(body, s[0, i], u[0, i], half)
+            lo_b, hi_b = _reach(body, s[1, i], u[1, i], half)
             p_lo, p_len, q_lo, q_len = _arc_intersections(
                 lo_a, hi_a, lo_b, hi_b, P)
             mass = level * (p_len + q_len)
-            u = gen.random(i.size)
-            hit = u < mass
+            hit = gen.random(i.size) < mass
             att += i.size
             suc += int(hit.sum())
             j2 = i[hit]
@@ -186,31 +101,32 @@ def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
                 in1 = pick < p_len[hit]
                 y = np.where(in1, p_lo[hit] + pick,
                              q_lo[hit] + (pick - p_len[hit]))
-                y = np.mod(y, P)
-                sa[j2] = y
-                sb[j2] = y
+                s[:, j2] = np.mod(y, P)
+                u[:, j2] = body.to_native(s[0, j2])
                 coupled[j2] = True
                 cidx[j2] = step
             k = i[~hit]
             if k.size:
-                sub = ~hit
-                for arr in (sa, sb):
-                    _residual_bounce(arr, k, ops, law, level,
-                                     p_lo[sub], p_len[sub], q_lo[sub],
-                                     q_len[sub], P, gen)
+                miss = ~hit
+                for c in (0, 1):
+                    _residual_bounce(body, law, level, s[c], u[c], k,
+                                     p_lo[miss], p_len[miss], q_lo[miss],
+                                     q_len[miss], gen)
         out.coupled[sl] = coupled
         out.coupling_index[sl] = cidx
-        out.final_a[sl] = sa
-        out.final_b[sl] = sb
+        out.final_a[sl] = s[0]
+        out.final_b[sl] = s[1]
         out.attempts += att
         out.successes += suc
     return out
 
 
-def _angles(law, rng, size):
-    th = np.atleast_1d(law.sample(rng, size))
-    np.clip(th, -(0.5 * math.pi - _GUARD), 0.5 * math.pi - _GUARD, out=th)
-    return th
+def _reach(body, s, u, half):
+    """Unwrapped arc [lo, hi) reachable from s with angles in [-half, half]."""
+    P = body.perimeter
+    lo = s + np.mod(body.to_arc(body.bounce(u, -half)[0]) - s, P)
+    hi = s + np.mod(body.to_arc(body.bounce(u, half)[0]) - s, P)
+    return lo, np.where(hi < lo, hi + P, hi)
 
 
 def _arc_intersections(lo_a, hi_a, lo_b, hi_b, P):
@@ -235,25 +151,35 @@ def _arc_intersections(lo_a, hi_a, lo_b, hi_b, P):
     return (lo_a + p1_lo, p1_len, lo_a + p2_lo, p2_len)
 
 
-def _residual_bounce(arr, idx, ops, law, level, p_lo, p_len, q_lo, q_len,
-                     P, rng):
+def _residual_bounce(body, law, level, s, u, idx, p_lo, p_len, q_lo, q_len,
+                     rng):
+    """Residual landing of the chains ``idx`` (arc ``s``, native ``u``).
+
+    Bounces are thinned by level / landing density where they land inside
+    the plateau pieces.
+    """
+    P = body.perimeter
     pend = np.arange(idx.size)
     for _ in range(10_000):
         if pend.size == 0:
             return
         sel = idx[pend]
-        th = _angles(law, rng, pend.size)
-        landed = ops.bounce(arr[sel], th)
-        member = _in_piece(landed, p_lo[pend], p_len[pend], P) \
-            | _in_piece(landed, q_lo[pend], q_len[pend], P)
-        dens = ops.landing_density(arr[sel], landed, law)
+        th = guarded_angles(law, rng, pend.size)
+        landed = body.bounce(u[sel], th)[0]
+        s_land = body.to_arc(landed)
+        member = _in_piece(s_land, p_lo[pend], p_len[pend], P) \
+            | _in_piece(s_land, q_lo[pend], q_len[pend], P)
+        dens = landing_density(body, law, body.frame(u[sel]),
+                               body.frame(landed))
         reject = np.where(member,
                           np.minimum(level / np.maximum(dens, 1e-300), 1.0),
                           0.0)
         acc = rng.random(pend.size) >= reject
-        arr[sel[acc]] = landed[acc]
+        s[sel[acc]] = s_land[acc]
+        u[sel[acc]] = landed[acc]
         pend = pend[~acc]
-    raise RuntimeError("batch residual bounce failed to terminate")
+    raise ResidualSamplingError("batch residual bounce exceeded its rejection"
+                                " cap")
 
 
 def _in_piece(x, lo, length, P):

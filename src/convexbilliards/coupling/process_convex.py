@@ -39,10 +39,8 @@ from ..rates import (
     _path_time_dds,
     bisector_window_geometry,
 )
-from ..reflection import ReflectionLaw, reflect
+from ..reflection import ReflectionLaw
 from .base import AttemptRecord, CouplingOutcome, MAX_REJECTS
-
-_GUARD = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -91,15 +89,15 @@ def _slice_conditional_times(total: float, n: int, w: float,
 # chord-time inversion at one boundary point
 # ---------------------------------------------------------------------------
 
-def _chord_time(body, pt, theta: float) -> float:
-    return body.exit_ray(pt.position, reflect(pt, theta))[0]
+def _chord_time(body, pt, theta):
+    return body.bounce(body.to_native(pt.s), theta)[1]
 
 
 def _chord_branches(body, law, pt, tau: float, n_scan: int = 129):
     """Angles whose chord time equals tau, with weights f(theta)/|tau'|."""
     lim = 0.5 * math.pi - 1e-7
     grid = np.linspace(-lim, lim, n_scan)
-    vals = np.array([_chord_time(body, pt, th) for th in grid]) - tau
+    vals = _chord_time(body, pt, grid) - tau
     roots = []
     for i in range(n_scan - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
@@ -255,10 +253,9 @@ def _realise_block_time(proc, rng, law, body, total, n0, w_box):
         weights = np.array([w for _, w in branches])
         theta = branches[int(rng.choice(len(branches),
                                         p=weights / weights.sum()))][0]
-        velocity = reflect(proc.state.point, theta)
-        t_hit, hit = body.exit_ray(proc.state.point.position, velocity)
-        proc.state = make_chain_state(body, hit.s)
-        proc.clock += t_hit
+        u_hit, t_hit = body.bounce(proc.state.u, theta)
+        proc.state = make_chain_state(body, float(body.to_arc(u_hit)))
+        proc.clock += float(t_hit)
         proc.log_s.append(proc.state.s)
         proc.log_t.append(proc.clock)
 

@@ -26,13 +26,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from ..errors import HypothesisViolated, OutsideBody, TangentRay
+from ..dynamics import guarded_angles
+from ..errors import (
+    HorizonExceeded,
+    HypothesisViolated,
+    OutsideBody,
+    ResidualSamplingError,
+    TangentRay,
+)
 from ..geometry import TWO_PI
 from ..rates import RateCertificate, disc_pair_profile
 from ..reflection import ReflectionLaw
 from .base import AttemptRecord, CouplingOutcome
 
-_GUARD = 1e-9
 _T_GRID = 2049
 _U_GRID = 192
 
@@ -273,7 +279,7 @@ def _run_chunk(n, rng, r, law, tables, delta, prof2, width, eta,
         cursor[idx] += 1
 
     def bounce(idx, phi_arr, clock_arr, do_record):
-        th = _angles(law, rng, idx.size)
+        th = guarded_angles(law, rng, idx.size)
         phi_arr[idx] = np.mod(phi_arr[idx] + math.pi + 2.0 * th, TWO_PI)
         clock_arr[idx] += 2.0 * r * np.cos(th)
         if do_record:
@@ -309,7 +315,8 @@ def _run_chunk(n, rng, r, law, tables, delta, prof2, width, eta,
         finished = active & (coupled | (np.minimum(c, ct) > t_max))
         active &= ~finished
     else:
-        raise RuntimeError("coupling state machine exceeded its tick budget")
+        raise HorizonExceeded("coupling state machine exceeded its tick"
+                              " budget")
 
     if bounces is not None:
         _fill_plain_chain(bounces, cursor, phi, law, rng)
@@ -325,12 +332,6 @@ def _run_chunk(n, rng, r, law, tables, delta, prof2, width, eta,
     }
 
 
-def _angles(law, rng, size):
-    th = np.atleast_1d(law.sample(rng, size))
-    np.clip(th, -(0.5 * math.pi - _GUARD), 0.5 * math.pi - _GUARD, out=th)
-    return th
-
-
 def _fill_plain_chain(bounces, cursor, phi, law, rng):
     k_max = bounces.shape[1]
     phi = phi.copy()
@@ -338,7 +339,7 @@ def _fill_plain_chain(bounces, cursor, phi, law, rng):
         idx = np.flatnonzero(cursor < k_max)
         if idx.size == 0:
             break
-        th = _angles(law, rng, idx.size)
+        th = guarded_angles(law, rng, idx.size)
         phi[idx] = np.mod(phi[idx] + math.pi + 2.0 * th, TWO_PI)
         bounces[idx, cursor[idx]] = phi[idx]
         cursor[idx] += 1
@@ -390,8 +391,8 @@ def _residual_two_bounce(k, rng, r, law, tables, delta, lo, hi,
         if pend.size == 0:
             return
         idx = k[pend]
-        th1 = _angles(law, rng, pend.size)
-        th2 = _angles(law, rng, pend.size)
+        th1 = guarded_angles(law, rng, pend.size)
+        th2 = guarded_angles(law, rng, pend.size)
         T = 2.0 * r * (np.cos(th1) + np.cos(th2))
         S = clock_arr[idx] + T
         inw = (S >= lo[pend]) & (S <= hi[pend])
@@ -409,7 +410,8 @@ def _residual_two_bounce(k, rng, r, law, tables, delta, lo, hi,
             phi_arr[sel] = fin
             clock_arr[sel] += T[acc]
         pend = pend[~acc]
-    raise RuntimeError("two-bounce residual sampler failed to terminate")
+    raise ResidualSamplingError("two-bounce residual exceeded its rejection"
+                                " cap")
 
 
 def _wrap_pi(x):
@@ -481,8 +483,8 @@ def _residual_pair(k, rng, r, law, level2, a1, b1, p2lo, len2, phiA_snap,
         if pend.size == 0:
             return
         idx = k[pend]
-        th1 = _angles(law, rng, pend.size)
-        th2 = _angles(law, rng, pend.size)
+        th1 = guarded_angles(law, rng, pend.size)
+        th2 = guarded_angles(law, rng, pend.size)
         T = 2.0 * r * (np.cos(th1) + np.cos(th2))
         phip = np.mod(phi_arr[idx] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
         tin = (T >= B_lo) & (T <= B_hi)
@@ -509,7 +511,7 @@ def _residual_pair(k, rng, r, law, level2, a1, b1, p2lo, len2, phiA_snap,
             phi_arr[sel] = phip[acc]
             clock_arr[sel] += T[acc]
         pend = pend[~acc]
-    raise RuntimeError("pair residual sampler failed to terminate")
+    raise ResidualSamplingError("pair residual exceeded its rejection cap")
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,22 @@ boundary hit with a random angle from the reflection law.  The boundary hit
 points form a Markov chain; the continuous-time process interpolates the
 chords affinely (time and length coincide at unit speed).
 
-The module provides
+Every step of the chain is one call of the body's bounce kernel
+(``ConvexBody.bounce``) on a guarded reflection angle, and every density of
+the chain is one ``landing_density`` on boundary frames.  The module
+provides
 
-* single-trajectory simulation through the exact geometric engine
-  (``chain_step`` / ``run_chain``),
-* the closed-form polar recursion on discs (``disc_step_exact``), which is
-  both a fast path and an independent oracle for the geometric engine,
-* vectorised ensemble simulation across replicas (``run_chain_ensemble``),
-* the one-step transition density of the chain with respect to arc length
-  (``transition_density``) and its row integral / discretised matrix.
+* the tangency guard (``guarded_angles``), the one policy for reflection
+  angles at +-pi/2,
+* single-trajectory simulation (``chain_step`` / ``run_chain``) and
+  ensembles across replicas (``run_chain_ensemble``), both carrying the
+  body's native boundary coordinate between bounces,
+* chord flight times from one boundary point (``chord_times``),
+* the closed-form polar recursion on discs (``disc_step_exact``), an
+  independent oracle for the disc kernel and for ``exit_ray``,
+* the one-step landing density, the transition density built on it
+  (``transition_density`` / ``transition_density_row``) and its row
+  integral and discretised matrix.
 """
 
 from __future__ import annotations
@@ -25,21 +32,34 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import BeyondHorizon, CoincidentPoints, TangentRay
-from .geometry import BoundaryPoint, ConvexBody, Disc, Ellipse, TWO_PI
-from .reflection import ReflectionLaw, reflect
+from .errors import BeyondHorizon, CoincidentPoints
+from .geometry import BoundaryPoint, ConvexBody, Disc, TWO_PI
+from .reflection import ReflectionLaw
 
-# reflection angles this close to +-pi/2 are resampled once, then rejected;
-# the event has probability zero but floating point can reach it
 TANGENCY_GUARD = 1e-9
+
+
+def guarded_angles(law: ReflectionLaw, rng: np.random.Generator, size=None):
+    """Reflection angles drawn from ``law``, kept off tangency.
+
+    The package's one tangency policy: an angle within TANGENCY_GUARD of
+    +-pi/2 is clipped to +-(pi/2 - TANGENCY_GUARD).  Nothing is redrawn, so
+    the random stream is the same whether or not the guard fires, and every
+    guarded angle launches a chord of positive length.  The event has
+    probability zero, but floating point can reach it.
+    """
+    lim = 0.5 * math.pi - TANGENCY_GUARD
+    return np.clip(law.sample(rng, size), -lim, lim)
 
 
 @dataclass(frozen=True)
 class ChainState:
-    """Boundary chain state: arc length plus, on discs, the polar angle."""
+    """Boundary chain state: arc length, boundary point and the body's
+    native coordinate ``u``; on discs ``phi`` is the polar angle."""
 
     s: float
     point: BoundaryPoint
+    u: float
     phi: float | None = None
 
 
@@ -75,28 +95,25 @@ class Trajectory:
 
 
 def make_chain_state(body: ConvexBody, s: float) -> ChainState:
-    pt = body.point_at(s)
-    phi = pt.s / body.r if isinstance(body, Disc) else None
-    return ChainState(s=pt.s, point=pt, phi=phi)
+    s = float(body.wrap(s))
+    return _chain_state(body, s, body.to_native(s))
+
+
+def _chain_state(body, s, u) -> ChainState:
+    u = float(u)
+    return ChainState(s=s, point=body.point_of(s, u), u=u,
+                      phi=u if isinstance(body, Disc) else None)
 
 
 def chain_step(body: ConvexBody, law: ReflectionLaw, state: ChainState,
                rng: np.random.Generator) -> tuple[ChainState, float, float]:
-    """One bounce: sample an angle, trace the chord, land on the boundary.
+    """One bounce: sample a guarded angle, trace the chord, land.
 
-    Returns (next state, sampled angle, chord time).  An angle within the
-    tangency guard of +-pi/2 is resampled once; a second occurrence raises
-    TangentRay.
+    Returns (next state, sampled angle, chord time).
     """
-    theta = float(law.sample(rng))
-    if abs(theta) >= 0.5 * math.pi - TANGENCY_GUARD:
-        theta = float(law.sample(rng))
-        if abs(theta) >= 0.5 * math.pi - TANGENCY_GUARD:
-            raise TangentRay("two consecutive tangential angles")
-    velocity = reflect(state.point, theta)
-    tau, hit = body.exit_ray(state.point.position, velocity)
-    phi = hit.s / body.r if isinstance(body, Disc) else None
-    return ChainState(s=hit.s, point=hit, phi=phi), theta, tau
+    theta = float(guarded_angles(law, rng))
+    u, tau = body.bounce(state.u, theta)
+    return _chain_state(body, float(body.to_arc(u)), u), theta, float(tau)
 
 
 def disc_step_exact(r: float, phi: float, theta: float) -> tuple[float, float]:
@@ -112,7 +129,7 @@ def disc_step_exact(r: float, phi: float, theta: float) -> tuple[float, float]:
 
 def run_chain(body: ConvexBody, law: ReflectionLaw, s0: float, n_steps: int,
               rng: np.random.Generator) -> Trajectory:
-    """Simulate n_steps bounces with the geometric engine.
+    """Simulate n_steps bounces, one ``chain_step`` each.
 
     Deterministic given the generator state; the records are exactly the
     consumed random angles, so reruns from an equal stream reproduce the
@@ -143,73 +160,22 @@ def run_chain(body: ConvexBody, law: ReflectionLaw, s0: float, n_steps: int,
     return traj
 
 
-# ---------------------------------------------------------------------------
-# vectorised ensembles
-# ---------------------------------------------------------------------------
-
 def run_chain_ensemble(body: ConvexBody, law: ReflectionLaw, s0, n_steps: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Positions of many independent chains, shape (n_steps + 1, replicas).
 
     ``s0`` may be a scalar (all replicas share the start) or an array of
-    starts.  Discs use the polar recursion (equivalent to the geometric
-    engine, see the disc oracle tests); ellipses use a vectorised chord
-    solve.  Other bodies fall back to the scalar engine.
+    starts.  The angles are drawn step by step, each step for all replicas
+    at once, and every step is one vectorised call of the bounce kernel.
     """
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
-    if isinstance(body, Disc):
-        return _ensemble_disc(body, law, s0, n_steps, rng)
-    if isinstance(body, Ellipse):
-        return _ensemble_ellipse(body, law, s0, n_steps, rng)
+    s0 = body.wrap(np.atleast_1d(np.asarray(s0, dtype=float)))
+    theta = guarded_angles(law, rng, (n_steps, s0.size))
     out = np.empty((n_steps + 1, s0.size))
-    for j, start in enumerate(s0):
-        traj = run_chain(body, law, float(start), n_steps, rng)
-        out[0, j] = traj.s0
-        out[1:, j] = traj.s
-    return out
-
-
-def _guarded_angles(law, rng, shape):
-    th = np.asarray(law.sample(rng, shape))
-    bad = np.abs(th) >= 0.5 * math.pi - TANGENCY_GUARD
-    if np.any(bad):
-        th = np.where(bad, law.sample(rng, shape), th)
-        np.clip(th, -(0.5 * math.pi - TANGENCY_GUARD),
-                0.5 * math.pi - TANGENCY_GUARD, out=th)
-    return th
-
-
-def _ensemble_disc(body: Disc, law, s0, n_steps, rng):
-    r = body.r
-    theta = _guarded_angles(law, rng, (n_steps, s0.size))
-    phi0 = s0 / r
-    inc = math.pi + 2.0 * theta
-    phi = np.vstack([phi0[None, :], phi0[None, :] + np.cumsum(inc, axis=0)])
-    return np.mod(phi, TWO_PI) * r
-
-
-def _ensemble_ellipse(body: Ellipse, law, s0, n_steps, rng):
-    a, b = body.a, body.b
-    out = np.empty((n_steps + 1, s0.size))
-    out[0] = body.wrap(s0)
-    t = body._t_of_s(out[0])
-    for n in range(1, n_steps + 1):
-        th = _guarded_angles(law, rng, t.shape)
-        ct, st = np.cos(t), np.sin(t)
-        speed = np.sqrt((a * st) ** 2 + (b * ct) ** 2)
-        nx, ny = -b * ct / speed, -a * st / speed
-        c, s_ = np.cos(th), np.sin(th)
-        dx, dy = c * nx - s_ * ny, s_ * nx + c * ny
-        # chord in coordinates scaled onto the unit circle
-        ox, oy = ct, st
-        ux, uy = dx / a, dy / b
-        A = ux * ux + uy * uy
-        B = ox * ux + oy * uy
-        C0 = ox * ox + oy * oy - 1.0
-        tau = (-B + np.sqrt(np.maximum(B * B - A * C0, 0.0))) / A
-        qx, qy = ox + tau * ux, oy + tau * uy
-        t = np.arctan2(qy, qx) % TWO_PI
-        out[n] = body._s_spline(t)
+    out[0] = s0
+    u = body.to_native(s0)
+    for n in range(n_steps):
+        u, _ = body.bounce(u, theta[n])
+        out[n + 1] = body.to_arc(u)
     return out
 
 
@@ -246,41 +212,30 @@ def sample_process_at(trajectory: Trajectory, body: ConvexBody, t: float) -> Pro
 # ---------------------------------------------------------------------------
 
 def chord_times(body: ConvexBody, s0: float, thetas) -> np.ndarray:
-    """Flight times of chords launched from one boundary point (vectorised).
-
-    Disc and ellipse use closed-form intersections; other bodies fall back
-    to the scalar ray solver.
-    """
+    """Flight times of chords launched from one boundary point (vectorised)."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    if isinstance(body, Disc):
-        return 2.0 * body.r * np.cos(thetas)
-    pt = body.point_at(s0)
-    if isinstance(body, Ellipse):
-        a, b = body.a, body.b
-        nx, ny = pt.normal
-        c, s_ = np.cos(thetas), np.sin(thetas)
-        dx, dy = c * nx - s_ * ny, s_ * nx + c * ny
-        ox, oy = pt.position[0] / a, pt.position[1] / b
-        ux, uy = dx / a, dy / b
-        A = ux * ux + uy * uy
-        B = ox * ux + oy * uy
-        C0 = ox * ox + oy * oy - 1.0
-        return (-B + np.sqrt(np.maximum(B * B - A * C0, 0.0))) / A
-    from .reflection import reflect
-    return np.array([body.exit_ray(pt.position, reflect(pt, float(t)))[0]
-                     for t in thetas])
+    return body.bounce(body.to_native(s0), thetas)[1]
 
 
-def launch_angle(body: ConvexBody, x: BoundaryPoint, y: BoundaryPoint) -> float:
-    """Signed angle at x between the chord x->y and the inward normal at x."""
-    d = y.position - x.position
-    norm = float(np.hypot(d[0], d[1]))
-    if norm < body.tol_geom:
-        raise CoincidentPoints("chord endpoints coincide")
-    l = d / norm
-    cosv = float(np.dot(l, x.normal))
-    sinv = float(x.normal[0] * l[1] - x.normal[1] * l[0])
-    return math.atan2(sinv, cosv)
+def landing_density(body: ConvexBody, law: ReflectionLaw, x, y):
+    """One-step chain density from frame x to frame y per unit arc length.
+
+    f(launch angle at x) * cos(landing angle at y) / chord length, where x
+    and y are (x, y, nx, ny) frames as ``ConvexBody.frame`` returns them;
+    broadcasts over arrays.  Zero where the points are closer than the
+    body's geometric tolerance.
+    """
+    px, py, nx, ny = x
+    qx, qy, mx, my = y
+    dx, dy = qx - px, qy - py
+    dist = np.hypot(dx, dy)
+    ok = dist > body.tol_geom
+    dist = np.where(ok, dist, 1.0)
+    lx, ly = dx / dist, dy / dist
+    psi = np.arctan2(nx * ly - ny * lx, lx * nx + ly * ny)
+    cos_land = -(mx * lx + my * ly)
+    return np.where(ok, law.density(psi) * np.maximum(cos_land, 0.0) / dist,
+                    0.0)
 
 
 def transition_density(body: ConvexBody, law: ReflectionLaw,
@@ -292,32 +247,16 @@ def transition_density(body: ConvexBody, law: ReflectionLaw,
     tests rather than by construction.
     """
     d = y.position - x.position
-    dist = float(np.hypot(d[0], d[1]))
-    if dist < body.tol_geom:
+    if float(np.hypot(d[0], d[1])) < body.tol_geom:
         raise CoincidentPoints("transition density needs distinct points")
-    psi = launch_angle(body, x, y)
-    cos_land = float(np.dot(y.normal, -d / dist))
-    return float(law.density(psi)) * max(cos_land, 0.0) / dist
+    return float(landing_density(body, law, x.frame, y.frame))
 
 
 def transition_density_row(body: ConvexBody, law: ReflectionLaw,
                            x: BoundaryPoint, s_targets) -> np.ndarray:
     """Vectorised transition density from x to each arc coordinate."""
-    s_targets = np.asarray(s_targets, dtype=float)
-    pos = body.position_at(s_targets)
-    tan = body.tangent_at(s_targets)
-    nrm = np.stack([-tan[..., 1], tan[..., 0]], axis=-1)
-    d = pos - x.position[None, :]
-    dist = np.hypot(d[..., 0], d[..., 1])
-    ok = dist > body.tol_geom
-    dist_safe = np.where(ok, dist, 1.0)
-    l = d / dist_safe[..., None]
-    cosv = l[..., 0] * x.normal[0] + l[..., 1] * x.normal[1]
-    sinv = x.normal[0] * l[..., 1] - x.normal[1] * l[..., 0]
-    psi = np.arctan2(sinv, cosv)
-    cos_land = -(nrm[..., 0] * l[..., 0] + nrm[..., 1] * l[..., 1])
-    vals = law.density(psi) * np.maximum(cos_land, 0.0) / dist_safe
-    return np.where(ok, vals, 0.0)
+    targets = body.frame(body.to_native(s_targets))
+    return landing_density(body, law, x.frame, targets)
 
 
 def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
@@ -333,7 +272,7 @@ def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
     width = law.support_width
 
     def angle_of(ds: float) -> float:
-        return launch_angle(body, x, body.point_at(x.s + ds))
+        return body.chord_angle(body.point_at(x.s + ds), x)
 
     # the integrand has a finite limit as the landing point approaches x, so
     # a tiny inset only avoids the coincident-point guard
@@ -362,7 +301,6 @@ def transition_matrix(body: ConvexBody, law: ReflectionLaw,
     by (M * ds) composes steps.  Used for multi-bounce landing profiles.
     """
     nodes = (np.arange(n_nodes) + 0.5) * body.perimeter / n_nodes
-    M = np.empty((n_nodes, n_nodes))
-    for i, si in enumerate(nodes):
-        M[i] = transition_density_row(body, law, body.point_at(si), nodes)
+    frames = body.frame(body.to_native(nodes))
+    M = landing_density(body, law, tuple(c[:, None] for c in frames), frames)
     return nodes, M

@@ -9,12 +9,22 @@ curve.  Three variants are supported:
                             curvature values kappa(s) by integrating the
                             tangent angle.
 
-All variants expose the same queries: boundary point/normal/tangent at an
-arc-length coordinate, curvature, ray exit (first boundary hit of an interior
-ray), chord angles, and scalar summaries (perimeter, diameter, curvature
-bounds).  Discs and ellipses use closed forms; the tabulated variant works on
-dense interpolation grids.  Bodies are immutable after construction and safe
-to share between threads or processes.
+Every body has one bounce kernel, written in its native boundary
+coordinate u: the polar angle on the disc, the parameter angle on the
+ellipse and arc length on the table.  ``to_native``/``to_arc`` convert
+between u and arc length, ``frame(u)`` gives position and inward normal,
+and ``bounce(u, theta)`` returns the landing coordinate and the flight time
+of the chord launched at angle theta from the normal.  All four broadcast
+over arrays; the engines keep u between bounces and convert to arc length
+only where they need it.  The arc-length queries (``point_at``,
+``position_at``, ...) are built on the same frame.
+
+``exit_ray`` (first boundary hit of an interior ray from a cartesian
+origin) is the independent scalar reference: it locates the origin and the
+hit by ``arc_of_point`` rather than by the native coordinate.  Discs and
+ellipses use closed forms; the tabulated variant works on dense
+interpolation grids.  Bodies are immutable after construction and safe to
+share between threads or processes.
 """
 
 from __future__ import annotations
@@ -54,6 +64,13 @@ class BoundaryPoint:
     normal: np.ndarray
     tangent: np.ndarray
 
+    @property
+    def frame(self) -> tuple:
+        """(x, y, nx, ny): position and inward normal, as
+        ``ConvexBody.frame`` returns them."""
+        return (self.position[0], self.position[1],
+                self.normal[0], self.normal[1])
+
 
 @dataclass(frozen=True)
 class BodySummary:
@@ -90,6 +107,33 @@ class ConvexBody:
     def tol_root(self) -> float:
         return 1e-10 * self.diameter
 
+    # -- bounce kernel (vectorised in the native coordinate u) ---------------
+
+    def to_native(self, s):
+        """Native boundary coordinate of arc-length coordinates s."""
+        raise NotImplementedError
+
+    def to_arc(self, u):
+        """Arc-length coordinate in [0, perimeter) of native coordinates u,
+        as ``to_native`` and ``bounce`` return them."""
+        raise NotImplementedError
+
+    def frame(self, u):
+        """(x, y, nx, ny): boundary position and inward unit normal at u.
+
+        The counterclockwise unit tangent is (ny, -nx).
+        """
+        raise NotImplementedError
+
+    def bounce(self, u, theta):
+        """One chord: launch from u at angle theta to the inward normal.
+
+        Returns (landing native coordinate, flight time).  theta must lie
+        strictly inside (-pi/2, pi/2); the engines keep it there with the
+        tangency guard of ``dynamics.guarded_angles``.
+        """
+        raise NotImplementedError
+
     # -- elementary queries (vectorised in s) -------------------------------
 
     def wrap(self, s):
@@ -97,16 +141,18 @@ class ConvexBody:
         return np.mod(s, self.perimeter)
 
     def position_at(self, s):
-        raise NotImplementedError
+        x, y, _, _ = self.frame(self.to_native(s))
+        return np.stack([x, y], axis=-1)
 
     def tangent_at(self, s):
-        raise NotImplementedError
+        _, _, nx, ny = self.frame(self.to_native(s))
+        return np.stack([ny, -nx], axis=-1)
 
     def normal_at(self, s):
         """Inward unit normal: the tangent rotated by +pi/2 for a
         counterclockwise parametrisation."""
-        t = self.tangent_at(s)
-        return np.stack([-t[..., 1], t[..., 0]], axis=-1)
+        _, _, nx, ny = self.frame(self.to_native(s))
+        return np.stack([nx, ny], axis=-1)
 
     def curvature_at(self, s):
         raise NotImplementedError
@@ -126,12 +172,14 @@ class ConvexBody:
 
     def point_at(self, s: float) -> BoundaryPoint:
         s = float(self.wrap(s))
-        return BoundaryPoint(
-            s=s,
-            position=np.asarray(self.position_at(s), dtype=float),
-            normal=np.asarray(self.normal_at(s), dtype=float),
-            tangent=np.asarray(self.tangent_at(s), dtype=float),
-        )
+        return self.point_of(s, self.to_native(s))
+
+    def point_of(self, s: float, u) -> BoundaryPoint:
+        """Boundary point at arc length s, built from its native coordinate."""
+        x, y, nx, ny = (float(v) for v in self.frame(u))
+        return BoundaryPoint(s=s, position=np.array([x, y]),
+                             normal=np.array([nx, ny]),
+                             tangent=np.array([ny, -nx]))
 
     def exit_ray(self, origin, direction) -> tuple[float, BoundaryPoint]:
         """First boundary hit of the ray origin + tau * direction, tau > 0.
@@ -203,13 +251,22 @@ class Disc(ConvexBody):
         self.curvature_max = 1.0 / self.r
         self._validate()
 
-    def position_at(self, s):
-        phi = np.asarray(s, dtype=float) / self.r
-        return np.stack([self.r * np.cos(phi), self.r * np.sin(phi)], axis=-1)
+    # native coordinate: the polar angle phi = s / r
 
-    def tangent_at(self, s):
-        phi = np.asarray(s, dtype=float) / self.r
-        return np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+    def to_native(self, s):
+        return np.asarray(s, dtype=float) / self.r
+
+    def to_arc(self, phi):
+        return np.mod(phi, TWO_PI) * self.r
+
+    def frame(self, phi):
+        c, s = np.cos(phi), np.sin(phi)
+        return self.r * c, self.r * s, -c, -s
+
+    def bounce(self, phi, theta):
+        # the closed-form polar recursion of ``dynamics.disc_step_exact``
+        return (np.mod(phi + math.pi + 2.0 * theta, TWO_PI),
+                2.0 * self.r * np.cos(theta))
 
     def curvature_at(self, s):
         return np.full_like(np.asarray(s, dtype=float), 1.0 / self.r)
@@ -278,10 +335,6 @@ class Ellipse(ConvexBody):
     def _speed(self, t):
         return np.sqrt((self.a * np.sin(t)) ** 2 + (self.b * np.cos(t)) ** 2)
 
-    def _s_of_t_fast(self, t):
-        return self._s_spline(np.mod(t, TWO_PI)) \
-            + self.perimeter * np.floor(np.asarray(t, dtype=float) / TWO_PI)
-
     def _t_of_s(self, s):
         s = self.wrap(np.asarray(s, dtype=float))
         t = np.interp(s, self._s_grid, self._t_grid)
@@ -289,16 +342,44 @@ class Ellipse(ConvexBody):
             t = t - (self._s_spline(np.clip(t, 0.0, TWO_PI)) - s) / self._speed(t)
         return t
 
+    # bounce kernel: native coordinate is the parameter angle t -------------
+
+    def to_native(self, s):
+        return self._t_of_s(s)
+
+    def to_arc(self, t):
+        # t in [0, 2*pi], as to_native and bounce return it
+        return self._s_spline(t)
+
+    def frame(self, t):
+        ct, st, nx, ny = self._unit_frame(t)
+        return self.a * ct, self.b * st, nx, ny
+
+    def bounce(self, t, theta):
+        ct, st, nx, ny = self._unit_frame(t)
+        dx, dy = _turn(nx, ny, theta)
+        ux, uy = dx / self.a, dy / self.b
+        tau = self._unit_chord(ct, st, ux, uy)
+        return np.arctan2(st + tau * uy, ct + tau * ux) % TWO_PI, tau
+
+    def _unit_frame(self, t):
+        # the point on the unit circle that the scaling maps t to, and the
+        # inward normal of the ellipse there
+        ct, st = np.cos(t), np.sin(t)
+        sp = np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
+        return ct, st, -self.b * ct / sp, -self.a * st / sp
+
+    @staticmethod
+    def _unit_chord(ox, oy, ux, uy):
+        """Positive root tau of |o + tau * u| = 1: the chord solve, on the
+        unit circle to which the affine scaling maps the ellipse and the
+        ray."""
+        A = ux * ux + uy * uy
+        B = ox * ux + oy * uy
+        C0 = ox * ox + oy * oy - 1.0
+        return (-B + np.sqrt(np.maximum(B * B - A * C0, 0.0))) / A
+
     # queries ----------------------------------------------------------------
-
-    def position_at(self, s):
-        t = self._t_of_s(s)
-        return np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
-
-    def tangent_at(self, s):
-        t = self._t_of_s(s)
-        sp = self._speed(t)
-        return np.stack([-self.a * np.sin(t) / sp, self.b * np.cos(t) / sp], axis=-1)
 
     def curvature_at(self, s):
         t = self._t_of_s(s)
@@ -316,14 +397,9 @@ class Ellipse(ConvexBody):
         return float(self._s_spline(t))
 
     def _exit_tau(self, origin, direction) -> float:
-        # scale to the unit circle; the ray stays affine
-        o = np.array([origin[0] / self.a, origin[1] / self.b])
-        d = np.array([direction[0] / self.a, direction[1] / self.b])
-        A = float(np.dot(d, d))
-        B = float(np.dot(o, d))
-        C0 = float(np.dot(o, o)) - 1.0
-        disc = max(B * B - A * C0, 0.0)
-        tau = (-B + math.sqrt(disc)) / A
+        tau = float(self._unit_chord(origin[0] / self.a, origin[1] / self.b,
+                                     direction[0] / self.a,
+                                     direction[1] / self.b))
         if tau <= self.tol_root:
             raise TangentRay("exit chord degenerates")
         return tau
@@ -415,14 +491,31 @@ class CurvatureTable(ConvexBody):
         i, j = np.unravel_index(np.argmax(d2), d2.shape)
         return _refine_diameter(self, sub[i], sub[j])
 
-    def position_at(self, s):
-        s = self.wrap(np.asarray(s, dtype=float))
-        return np.stack([self._x(s), self._y(s)], axis=-1)
+    # bounce kernel: native coordinate is arc length ------------------------
 
-    def tangent_at(self, s):
+    def to_native(self, s):
+        return self.wrap(np.asarray(s, dtype=float))
+
+    to_arc = to_native
+
+    def frame(self, s):
         s = self.wrap(np.asarray(s, dtype=float))
         th = self._theta(s)
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
+        return self._x(s), self._y(s), -np.sin(th), np.cos(th)
+
+    def bounce(self, s, theta):
+        # one bracketed root per chord on the radial gauge, landing located
+        # by arc_of_point
+        x, y, nx, ny = self.frame(s)
+        dx, dy = _turn(nx, ny, theta)
+        x, y, dx, dy = np.broadcast_arrays(x, y, dx, dy)
+        landing, tau = np.empty(x.shape), np.empty(x.shape)
+        for k in np.ndindex(x.shape):
+            origin = np.array([x[k], y[k]])
+            direction = np.array([dx[k], dy[k]])
+            tau[k] = self._exit_tau(origin, direction)
+            landing[k] = self.arc_of_point(origin + tau[k] * direction)
+        return landing, tau
 
     def curvature_at(self, s):
         return self._kappa_spline(self.wrap(np.asarray(s, dtype=float)))
@@ -441,26 +534,30 @@ class CurvatureTable(ConvexBody):
         s = float(self.wrap(self._s_of_psi(psi)))
         # refine: project onto the curve by minimising distance locally
         for _ in range(4):
-            pos = self.position_at(s)
-            tan = self.tangent_at(s)
-            s = float(self.wrap(s + float(np.dot(p - pos, tan))))
+            x, y, nx, ny = self.frame(s)
+            s = float(self.wrap(s + (p[0] - x) * ny - (p[1] - y) * nx))
         return s
 
     def _exit_tau(self, origin, direction) -> float:
         # march until the gauge changes sign, then bisect with brentq
         step = self.diameter / 64.0
         f = lambda t: self.gauge(origin + t * direction)
-        t_prev, t_cur = 0.0, step
-        f_prev = f(t_prev)
-        while f(t_cur) < 0.0 and t_cur < 3.0 * self.diameter:
-            t_prev, f_prev = t_cur, f(t_cur)
-            t_cur += step
-        if f(t_cur) < 0.0:
-            raise TangentRay("ray failed to exit; geometry inconsistent")
-        # ensure the bracket starts inside
-        if f_prev >= 0.0:
-            t_prev = t_prev + 1e-12 * self.diameter
-        tau = brentq(f, t_prev, t_cur, xtol=self.tol_root)
+        t_in, t_out = 0.0, step
+        while f(t_out) < 0.0:
+            if t_out >= 3.0 * self.diameter:
+                raise TangentRay("ray failed to exit; geometry inconsistent")
+            t_in, t_out = t_out, t_out + step
+        if t_in == 0.0 and f(0.0) > -self.tol_geom:
+            # On a boundary origin the gauge is rounding noise, so the
+            # bracket starts at a point strictly inside: halve toward the
+            # origin until the gauge turns negative (a chord shorter than
+            # the first step exits before it).
+            t_in = 0.5 * step
+            while not f(t_in) < 0.0:
+                if t_in <= self.tol_root:
+                    raise TangentRay("exit chord degenerates")
+                t_out, t_in = t_in, 0.5 * t_in
+        tau = brentq(f, t_in, t_out, xtol=self.tol_root)
         if tau <= self.tol_root:
             raise TangentRay("exit chord degenerates")
         return float(tau)
@@ -469,6 +566,12 @@ class CurvatureTable(ConvexBody):
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
+
+def _turn(nx, ny, theta):
+    """The unit vector (nx, ny) rotated counterclockwise by theta."""
+    c, s = np.cos(theta), np.sin(theta)
+    return c * nx - s * ny, s * nx + c * ny
+
 
 def _cumtrapz(values, s):
     out = np.empty_like(values)

@@ -156,6 +156,46 @@ def test_couple_chains_outcomes_csv(tmp_path):
     assert len(rows) == 501
 
 
+def test_couple_chains_curvature_table(tmp_path):
+    # the batch chain coupling runs on the bounce kernel of any body
+    from convexbilliards import Ellipse
+    e = Ellipse(2.0, 1.0)
+    s = np.arange(256) * (e.perimeter / 256)
+    curve = tmp_path / "curve.csv"
+    np.savetxt(curve, np.stack([s, e.curvature_at(s)], axis=1),
+               delimiter=",")
+    cfg = _base_chain_cfg(
+        scenario="couple_chains", law="uniform_half",
+        body={"curvature_table": {"path": str(curve)}},
+        rate={"kind": "convex_chain", "width": 2.8, "floor": 1.0 / PI},
+        n_max=2, replicas=8)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "table"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert len((out / "outcomes.csv").read_text().splitlines()) == 9
+
+
+def test_residual_cap_exit_1(tmp_path, monkeypatch, capsys):
+    # an always-rejecting residual (plateau over the whole boundary at an
+    # infinite level) exhausts its cap: an engine error, exit code 1
+    from convexbilliards.coupling import chains_batch
+    real = chains_batch._residual_bounce
+
+    def always_reject(body, law, level, s, u, idx, p_lo, p_len, q_lo, q_len,
+                      rng):
+        real(body, law, math.inf, s, u, idx, p_lo,
+             np.full_like(p_len, body.perimeter), q_lo, q_len, rng)
+
+    monkeypatch.setattr(chains_batch, "_residual_bounce", always_reject)
+    cfg = _base_chain_cfg(
+        scenario="couple_chains",
+        law={"truncated_uniform": {"theta_star": 0.75 * PI}},
+        rate={"kind": "disc_chain"}, n_max=3, replicas=50)
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert "rejection cap" in capsys.readouterr().err
+
+
 def test_flag_overrides(tmp_path):
     cfg = _base_chain_cfg(n_max=3)
     path = _write(tmp_path, "cfg.json", cfg)
