@@ -22,9 +22,12 @@ only where they need it.  The arc-length queries (``point_at``,
 ``exit_ray`` (first boundary hit of an interior ray from a cartesian
 origin) is the independent scalar reference: it locates the origin and the
 hit by ``arc_of_point`` rather than by the native coordinate.  Discs and
-ellipses use closed forms; the tabulated variant works on dense
-interpolation grids.  Bodies are immutable after construction and safe to
-share between threads or processes.
+ellipses use closed forms.  The tabulated variant's ``bounce`` solves for
+the landing arc length on its dense spline grid, by bisection over the
+grid nodes and then a fixed number of Newton steps, for all chords at once;
+its ``exit_ray`` is a bracketed root of a radial gauge.  Bodies are
+immutable after construction and safe to share between threads or
+processes.
 """
 
 from __future__ import annotations
@@ -420,7 +423,9 @@ class CurvatureTable(ConvexBody):
     """
 
     variant = "curvature_table"
-    _DENSE = 8192
+    _BISECT = 13
+    _DENSE = 2 ** _BISECT  # dense grid cells; bounce bisects over them
+    _NEWTON = 5            # Newton steps of bounce inside a cell
     _CLOSURE_RTOL = 1e-6
 
     def __init__(self, s_grid, kappa):
@@ -466,6 +471,11 @@ class CurvatureTable(ConvexBody):
         self._theta = CubicSpline(s, theta)
         self._x = CubicSpline(s, x)
         self._y = CubicSpline(s, y)
+        # the bounce kernel's view of the same splines: coefficients (4,
+        # cells) of x + iy, cell widths, and the knots over two turns
+        self._z = self._x.c + 1j * self._y.c
+        self._h = np.diff(s)
+        self._knots_ext = np.concatenate([s, s[1:] + self.perimeter])
 
         # radial description around the interior centroid for gauge queries
         psi = np.unwrap(np.arctan2(y[:-1], x[:-1]))
@@ -487,8 +497,15 @@ class CurvatureTable(ConvexBody):
     def _diameter_search(self) -> float:
         pts = np.stack([self._x(self._s_dense[:-1]), self._y(self._s_dense[:-1])], axis=-1)
         sub = pts[:: max(1, pts.shape[0] // 4096)]
-        d2 = np.sum((sub[:, None, :] - sub[None, :, :]) ** 2, axis=-1)
-        i, j = np.unravel_index(np.argmax(d2), d2.shape)
+        # farthest candidate pair, the first maximum in row-major order,
+        # scanned in row blocks so no (n, n, 2) temporary is built
+        x, y = sub[:, 0], sub[:, 1]
+        best, i, j = -1.0, 0, 0
+        for r in range(0, x.size, 64):
+            d2 = (x[r:r + 64, None] - x) ** 2 + (y[r:r + 64, None] - y) ** 2
+            k = int(np.argmax(d2))
+            if d2.flat[k] > best:
+                best, i, j = d2.flat[k], r + k // x.size, k % x.size
         return _refine_diameter(self, sub[i], sub[j])
 
     # bounce kernel: native coordinate is arc length ------------------------
@@ -504,18 +521,86 @@ class CurvatureTable(ConvexBody):
         return self._x(s), self._y(s), -np.sin(th), np.cos(th)
 
     def bounce(self, s, theta):
-        # one bracketed root per chord on the radial gauge, landing located
-        # by arc_of_point
-        x, y, nx, ny = self.frame(s)
-        dx, dy = _turn(nx, ny, theta)
-        x, y, dx, dy = np.broadcast_arrays(x, y, dx, dy)
-        landing, tau = np.empty(x.shape), np.empty(x.shape)
-        for k in np.ndindex(x.shape):
-            origin = np.array([x[k], y[k]])
-            direction = np.array([dx[k], dy[k]])
-            tau[k] = self._exit_tau(origin, direction)
-            landing[k] = self.arc_of_point(origin + tau[k] * direction)
-        return landing, tau
+        # One solve in arc length with the same fixed steps for every chord,
+        # so a batch gives each chord the bits it gets alone.  Points are
+        # complex numbers; turned by w = exp(-i (phi + theta)), phi the
+        # tangent angle at the origin o, the launch direction becomes i.  On
+        # a convex curve g(sigma) = Re((P(sigma) - o) w) is positive on
+        # (s, s') and negative on (s', s + perimeter), s' the landing:
+        # bisection over the dense nodes finds the cell of s', then
+        # safeguarded Newton steps solve inside it, or, for a landing within
+        # a cell of the origin, ``_short_chord``.
+        s, theta = np.broadcast_arrays(self.wrap(np.asarray(s, dtype=float)),
+                                       np.asarray(theta, dtype=float))
+        shape = s.shape
+        s, theta = s.ravel(), theta.ravel()
+        N = self._DENSE
+        # the origin's dense-grid cell j0 and its offset ts into it
+        j0 = np.clip(np.searchsorted(self._s_dense, s, side="right") - 1,
+                     0, N - 1)
+        ts = s - self._s_dense[j0]
+        c0 = self._z[:, j0]
+        o = _horner(c0, ts)
+        w = np.exp(-1j * (_horner(self._theta.c[:, j0], ts) + theta))
+
+        nodes = self._z[3]
+        lo = np.zeros(s.size, dtype=np.intp)
+        for k in range(1, self._BISECT + 1):
+            # g(node j0 + lo) > 0 >= g(node j0 + lo + 2 * half)
+            half = N >> k
+            node = nodes.take(j0 + lo + half, mode="wrap")
+            lo += half * (((node - o) * w).real > 0.0)
+        # s' in the cell of s or in a neighbour
+        short = ((lo <= 1) | (lo == N - 1)
+                 | (((nodes[j0] - o) * w).real > 0.0))
+
+        # s' in cell j at offset t: Newton on G = g / (r (perimeter - r)),
+        # r = sigma - s = a + t, which divides out g's trivial roots at the
+        # origin and so is nearly linear even on chords a few cells long
+        j = (j0 + lo) % N
+        a = self._knots_ext[j0 + lo] - s
+        b = self.perimeter - a
+        c = self._z[:, j]
+
+        def newton_g(t):
+            g = ((_horner(c, t) - o) * w).real
+            dg = (_horner_d(c, t) * w).real
+            return g, g / (dg - g * (1.0 / (a + t) - 1.0 / (b - t)))
+
+        t = _safeguarded_newton(newton_g, 0.0, self._h[j], self._NEWTON)
+        landing = self._s_dense[j] + t
+        tau = np.abs(_horner(c, t) - o)
+        if short.any():
+            k = np.flatnonzero(short)
+            landing[k], tau[k] = self._short_chord(
+                s[k], ts[k], c0[:, k], w[k], theta[k], self._h[j0[k]])
+        return self.wrap(landing).reshape(shape), tau.reshape(shape)
+
+    def _short_chord(self, s, ts, c, w, theta, h):
+        """Landing and length of chords that land within a cell of their
+        origin.
+
+        Solves H = Re(D w) = 0 for the divided difference
+        D(t) = (P(t) - P(ts)) / (t - ts) of the origin cell's cubic c,
+        continued over the neighbouring cells (a C2 spline's pieces differ
+        there by the jump of the third derivative times t^3): H has no root
+        at the origin and no cancellation on chords of any length.  The
+        bracket also covers rays that the table's normal, which differs from
+        the tangent of its x, y splines by up to about 3e-7 rad, launches
+        out of the splines' curve: they meet it again just behind the
+        origin.
+        """
+        def divided(t):
+            return c[0] * (t * t + t * ts + ts * ts) + c[1] * (t + ts) + c[2]
+
+        def newton_h(t):
+            H = (divided(t) * w).real  # increasing in t where theta > 0
+            dH = ((c[0] * (2.0 * t + ts) + c[1]) * w).real
+            return np.where(theta > 0.0, -H, H), H / dH
+
+        t = _safeguarded_newton(newton_h, ts - 2.0 * h, ts + 2.0 * h,
+                                self._NEWTON)
+        return s + (t - ts), np.abs(t - ts) * np.abs(divided(t))
 
     def curvature_at(self, s):
         return self._kappa_spline(self.wrap(np.asarray(s, dtype=float)))
@@ -571,6 +656,37 @@ def _turn(nx, ny, theta):
     """The unit vector (nx, ny) rotated counterclockwise by theta."""
     c, s = np.cos(theta), np.sin(theta)
     return c * nx - s * ny, s * nx + c * ny
+
+
+def _safeguarded_newton(fn, ta, tb, steps):
+    """``steps`` Newton steps from the midpoints of the brackets [ta, tb].
+
+    ``fn(t)`` returns (f, f / f'), f positive on the ta side of the root.
+    Each step shrinks the bracket to the side of t that holds the root and
+    clips the Newton iterate into it, so a root at a bracket end (where
+    rounding put it) is reached in one step; an undefined step bisects.
+    """
+    t = 0.5 * (ta + tb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            f, step = fn(t)
+            pos = f > 0.0
+            ta, tb = np.where(pos, t, ta), np.where(pos, tb, t)
+            t_new = t - step
+            t = np.where(np.isnan(t_new), 0.5 * (ta + tb),
+                         np.clip(t_new, ta, tb))
+    return t
+
+
+def _horner(c, t):
+    """Cubic pieces with coefficients c[0..3] (highest power first) at
+    offsets t into their cells."""
+    return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+
+def _horner_d(c, t):
+    """Derivative of ``_horner(c, t)`` in t."""
+    return (3.0 * c[0] * t + 2.0 * c[1]) * t + c[2]
 
 
 def _cumtrapz(values, s):

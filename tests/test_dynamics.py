@@ -260,8 +260,9 @@ def test_two_bounce_time_support(tu34_law):
 
 
 def test_run_chain_on_tabulated_body(cosine_law):
-    # the generic engine (bracketed root finding on the radial gauge) runs a
-    # short chain on a curvature-table body and stays on the boundary
+    # the scalar engine, stepping the table's bounce kernel (a root in arc
+    # length on its dense spline grid), runs a short chain on a
+    # curvature-table body and stays on the boundary
     from convexbilliards.geometry import CurvatureTable, Ellipse
     e = Ellipse(2.0, 1.0)
     s = np.linspace(0.0, e.perimeter, 513)[:-1]
