@@ -12,7 +12,7 @@ Subcommands::
     convexbilliards validate-config --config exp.json
     convexbilliards schema
 
-Exit codes: 0 success, 1 config error, 2 hypothesis violation,
+Exit codes: 0 success, 1 config or engine error, 2 hypothesis violation,
 3 verification failure.
 """
 

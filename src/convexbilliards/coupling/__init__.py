@@ -1,14 +1,6 @@
 """Coupling constructions for boundary chains and continuous processes."""
 
-from .base import (
-    AttemptRecord,
-    CouplingOutcome,
-    LowerBoundProfile,
-    ProductWindow,
-    Window,
-    gamma_couple,
-    success_mass,
-)
+from .base import AttemptRecord, CouplingOutcome
 from .chains import couple_chains
 from .chains_batch import BatchChainResult, couple_chains_batch
 from .process_disc import (
@@ -23,14 +15,9 @@ __all__ = [
     "BatchChainResult",
     "BatchCouplingResult",
     "CouplingOutcome",
-    "LowerBoundProfile",
-    "ProductWindow",
-    "Window",
     "couple_chains",
     "couple_chains_batch",
     "couple_process_convex",
     "couple_process_disc",
     "couple_process_disc_batch",
-    "gamma_couple",
-    "success_mass",
 ]

@@ -1,141 +1,112 @@
-"""Coupling primitives: windows, lower-bound profiles, plateau coupling.
+"""Coupling primitives: arc windows, residual thinning, outcome records.
 
-The engine couples two random draws through a *plateau*: both laws dominate
-``level`` times Lebesgue measure on their windows, so with probability
-level * |overlap| one common value is drawn uniformly from the overlap and
-both variables take it; otherwise each side samples its residual law by
-rejection against its full density.  Marginals are preserved exactly and
-the probability of drawing equal values is at least the plateau mass.
+Every coupling in the package makes the same plateau step.  Both laws
+dominate ``level`` times Lebesgue measure on their windows, so with
+probability level * |overlap| one common value is drawn uniformly from the
+overlap and both sides take it; otherwise each side draws its residual law
+by thinning: a candidate from its full law is rejected with probability
+min(level / density, 1) where it lies in the overlap.  Marginals are
+preserved exactly and the probability of drawing equal values is at least
+the plateau mass (the maximal coupling with rejection of Thorisson,
+*Coupling, Stationarity, and Regeneration*, 2000; Jacob, O'Leary and
+Atchade, JRSSB 2020).
+
+A window is an arc ``(lo, length)`` of arrays on a circle of period P,
+with ``lo`` in any unwrapped coordinate.  An overlap is two such arcs
+stacked on a leading axis of length two; a missing piece has length 0.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ResidualSamplingError
+from ..geometry import TWO_PI
 
 MAX_REJECTS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# windows
+# arc windows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Window:
-    """Disjoint union of intervals, optionally on a circle of given period.
+def _wrap_pi(x):
+    """Angle reduced to [-pi, pi)."""
+    return np.mod(np.asarray(x, dtype=float) + math.pi, TWO_PI) - math.pi
 
-    Pieces are (lo, hi) with hi > lo in an unwrapped coordinate; membership
-    of a value is tested modulo the period when one is set.
+
+def arc_overlap(lo_a, len_a, lo_b, len_b, period):
+    """Intersection of the arcs [lo_a, lo_a + len_a) and [lo_b, lo_b + len_b).
+
+    Returns ``(lo, length)`` of its two pieces stacked on axis 0, in the
+    unwrapped frame of the first arc.
     """
-
-    pieces: tuple
-    period: float | None = None
-
-    @staticmethod
-    def interval(lo: float, hi: float, period: float | None = None) -> "Window":
-        return Window(pieces=((float(lo), float(hi)),) if hi > lo else (),
-                      period=period)
-
-    @property
-    def length(self) -> float:
-        return float(sum(hi - lo for lo, hi in self.pieces))
-
-    @property
-    def empty(self) -> bool:
-        return self.length <= 0.0
-
-    def contains(self, value) -> np.ndarray:
-        v = np.asarray(value, dtype=float)
-        out = np.zeros(v.shape, dtype=bool)
-        for lo, hi in self.pieces:
-            if self.period is None:
-                out |= (v >= lo) & (v < hi)
-            else:
-                rel = np.mod(v - lo, self.period)
-                out |= rel < (hi - lo)
-        return out if out.ndim else bool(out)
-
-    def sample(self, rng: np.random.Generator, size=None):
-        lens = np.array([hi - lo for lo, hi in self.pieces])
-        if lens.size == 0:
-            raise ValueError("cannot sample from an empty window")
-        probs = lens / lens.sum()
-        idx = rng.choice(lens.size, size=size, p=probs)
-        u = rng.random(size)
-        los = np.array([lo for lo, _ in self.pieces])
-        vals = los[idx] + u * lens[idx]
-        if self.period is not None:
-            vals = np.mod(vals, self.period)
-        return vals if np.ndim(vals) else float(vals)
-
-    def intersect(self, other: "Window") -> "Window":
-        if self.period != other.period:
-            raise ValueError("windows live on different domains")
-        pieces = []
-        for alo, ahi in self.pieces:
-            for blo, bhi in other.pieces:
-                if self.period is None:
-                    lo, hi = max(alo, blo), min(ahi, bhi)
-                    if hi > lo:
-                        pieces.append((lo, hi))
-                else:
-                    # shift b-piece near the a-piece in the unwrapped line
-                    for k in (-1.0, 0.0, 1.0):
-                        lo = max(alo, blo + k * self.period)
-                        hi = min(ahi, bhi + k * self.period)
-                        if hi > lo:
-                            pieces.append((lo, hi))
-        return Window(pieces=tuple(sorted(pieces)), period=self.period)
+    len_a = np.minimum(len_a, period)
+    len_b = np.minimum(len_b, period)
+    # offset of b's start relative to a's start, in [0, P)
+    d = np.mod(lo_b - lo_a, period)
+    # piece 1: b starting inside [0, len_a)
+    p_len = np.where(d < len_a,
+                     np.maximum(np.minimum(d + len_b, len_a) - d, 0.0), 0.0)
+    # piece 2: b wrapped around (start at d - P)
+    q_len = np.maximum(np.minimum(d + len_b - period, len_a), 0.0)
+    return (np.stack([lo_a + d, lo_a + np.zeros_like(d)]),
+            np.stack([p_len, q_len]))
 
 
-@dataclass(frozen=True)
-class ProductWindow:
-    """Cartesian product of two scalar windows (e.g. landing arc x time)."""
-
-    first: Window
-    second: Window
-
-    @property
-    def length(self) -> float:
-        return self.first.length * self.second.length
-
-    @property
-    def empty(self) -> bool:
-        return self.first.empty or self.second.empty
-
-    def contains(self, value) -> bool:
-        u, v = value
-        return bool(self.first.contains(u)) and bool(self.second.contains(v))
-
-    def sample(self, rng: np.random.Generator):
-        return (self.first.sample(rng), self.second.sample(rng))
-
-    def intersect(self, other: "ProductWindow") -> "ProductWindow":
-        return ProductWindow(self.first.intersect(other.first),
-                             self.second.intersect(other.second))
+def in_arcs(x, lo, length, period):
+    """Whether x lies on one of the arcs ``(lo, length)`` listed on axis 0."""
+    inside = np.mod(x - lo[0], period) < length[0]
+    for a, n in zip(lo[1:], length[1:]):
+        inside = inside | (np.mod(x - a, period) < n)
+    return inside
 
 
-@dataclass(frozen=True)
-class LowerBoundProfile:
-    """Certified plateau: law >= level * Lebesgue on the window."""
+def draw_arcs(lo, length, u, period):
+    """Point at fraction u of the total length of two arcs, in [0, P)."""
+    pick = u * (length[0] + length[1])
+    return np.mod(np.where(pick < length[0], lo[0] + pick,
+                           lo[1] + (pick - length[0])), period)
 
-    level: float
-    window: Window | ProductWindow
 
-    def __post_init__(self):
-        if self.level <= 0.0:
-            raise ValueError("plateau level must be positive")
-        if self.window.empty:
-            raise ValueError("plateau window must be nonempty")
-        if self.level * self.window.length > 1.0 + 1e-9:
-            raise ValueError("plateau mass exceeds one; profile inconsistent")
+# ---------------------------------------------------------------------------
+# residual thinning
+# ---------------------------------------------------------------------------
 
-    @property
-    def mass(self) -> float:
-        return self.level * self.window.length
+def thin_residual(n, propose, rng: np.random.Generator):
+    """Residual draws for ``n`` rows: the package's one rejection loop.
+
+    Each round ``propose(rows)`` draws one candidate for every pending row
+    (``rows`` index 0..n-1) and returns ``(fields, reject)``: a tuple of
+    new arrays whose first axis runs over ``rows``, and the candidates'
+    rejection probabilities, ``where(member, min(level / density, 1), 0)``.
+    One uniform per pending row then keeps or rejects each candidate.
+    Returns the kept fields, with first axis 0..n-1.
+    """
+    rows = np.arange(n)
+    kept = None
+    rounds = 0
+    while rows.size:
+        if rounds == MAX_REJECTS:
+            raise ResidualSamplingError(
+                f"residual thinning reached its rejection cap of"
+                f" {MAX_REJECTS} rounds")
+        rounds += 1
+        fields, reject = propose(rows)
+        acc = rng.random(rows.size) >= reject
+        if kept is None:
+            # the first round proposes for every row; later rounds
+            # overwrite the rows it rejected
+            kept = fields
+        else:
+            done = rows[acc]
+            for k, f in zip(kept, fields):
+                k[done] = f[acc]
+        rows = rows[~acc]
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -172,57 +143,3 @@ class CouplingOutcome:
             a, s = out.get(rec.stage, (0, 0))
             out[rec.stage] = (a + 1, s + int(rec.success))
         return out
-
-
-# ---------------------------------------------------------------------------
-# plateau (gamma) coupling
-# ---------------------------------------------------------------------------
-
-def gamma_couple(profile_a: LowerBoundProfile, profile_b: LowerBoundProfile,
-                 sample_a, pdf_a, sample_b, pdf_b,
-                 rng: np.random.Generator,
-                 max_rejects: int = MAX_REJECTS):
-    """One plateau-coupling attempt between two certified laws.
-
-    With probability min(level) * |overlap| both outputs equal a uniform
-    draw from the overlap; otherwise each side draws from its residual by
-    rejection against its own density (``pdf_*`` evaluate the full law).
-    Returns (success, value_a, value_b).  An empty overlap yields a
-    deterministic failure with independent full-law draws.
-    """
-    level = min(profile_a.level, profile_b.level)
-    overlap = profile_a.window.intersect(profile_b.window)
-    mass = 0.0 if overlap.empty else level * overlap.length
-    if mass > 0.0 and rng.random() < mass:
-        v = overlap.sample(rng)
-        return True, v, v
-    va = _sample_residual(overlap, level if mass > 0.0 else 0.0,
-                          sample_a, pdf_a, rng, max_rejects)
-    vb = _sample_residual(overlap, level if mass > 0.0 else 0.0,
-                          sample_b, pdf_b, rng, max_rejects)
-    return False, va, vb
-
-
-def _sample_residual(overlap, level, sample, pdf, rng, max_rejects):
-    """Rejection sampler for (law - level * uniform-on-overlap) / (1 - mass)."""
-    if level <= 0.0:
-        return sample(rng)
-    for _ in range(max_rejects):
-        v = sample(rng)
-        if not overlap.contains(v):
-            return v
-        dens = pdf(v)
-        if dens <= level:
-            continue  # no residual mass at this point
-        if rng.random() < 1.0 - level / dens:
-            return v
-    raise ResidualSamplingError(
-        f"residual rejection exceeded {max_rejects} iterations")
-
-
-def success_mass(profile_a: LowerBoundProfile,
-                 profile_b: LowerBoundProfile) -> float:
-    """Plateau mass of one attempt: min(level) * |overlap|."""
-    level = min(profile_a.level, profile_b.level)
-    overlap = profile_a.window.intersect(profile_b.window)
-    return 0.0 if overlap.empty else level * overlap.length

@@ -32,9 +32,12 @@ from ..errors import ResidualSamplingError
 from ..geometry import ConvexBody, Disc, TWO_PI
 from ..rates import RateCertificate
 from ..reflection import ReflectionLaw
-from .base import AttemptRecord, CouplingOutcome, MAX_REJECTS, Window
+from .base import (AttemptRecord, CouplingOutcome, _wrap_pi, arc_overlap,
+                   draw_arcs, in_arcs, thin_residual)
 
 _GRID = 8192
+# extreme launch angle of the reachable arc, clear of the tangency guard
+_REACH_LIMIT = 0.5 * math.pi - 1e-6
 
 
 def couple_chains(body: ConvexBody, law: ReflectionLaw, s0: float, s0_b: float,
@@ -171,9 +174,7 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
     step = 0
 
     def window(centre):
-        lo = centre + n0 * math.pi - halfwidth
-        return Window(pieces=((lo, lo + min(2.0 * halfwidth, TWO_PI)),),
-                      period=TWO_PI)
+        return centre + n0 * math.pi - halfwidth, min(2.0 * halfwidth, TWO_PI)
 
     while step < n_max:
         if coupled:
@@ -186,13 +187,12 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
             continue
         if step + n0 > n_max:
             break
-        wa, wb = window(phi_a), window(phi_b)
-        overlap = wa.intersect(wb)
-        mass = level * overlap.length
+        arcs = arc_overlap(*window(phi_a), *window(phi_b), TWO_PI)
+        mass = level * float(arcs[1].sum())
         success = mass > 0.0 and rng.random() < mass
         attempts.append(AttemptRecord(1, success, mass))
         if success:
-            target = float(overlap.sample(rng))
+            target = float(draw_arcs(*arcs, rng.random(), TWO_PI))
             for phi, out in ((phi_a, out_a), (phi_b, out_b)):
                 rel = _wrap_pi(target - phi - n0 * math.pi)
                 total = tables.pick_branch(n0, rel, rng)
@@ -208,9 +208,9 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
             coupling_index = step + n0
         else:
             phi_a = _disc_residual_block(phi_a, n0, law, tables, level,
-                                         overlap, out_a, rng)
+                                         arcs, out_a, rng)
             phi_b = _disc_residual_block(phi_b, n0, law, tables, level,
-                                         overlap, out_b, rng)
+                                         arcs, out_b, rng)
         step += n0
     # top up to exactly n_max bounces when a block would not fit
     while step < n_max:
@@ -231,25 +231,24 @@ def _couple_disc(body: Disc, law, s0, s0_b, cert, n_max, rng):
         traj_a=np.asarray(out_a) * r, traj_b=np.asarray(out_b) * r)
 
 
-def _wrap_pi(x):
-    return math.remainder(x, TWO_PI)
-
-
-def _disc_residual_block(phi, n0, law, tables: _BlockTables, level, overlap,
+def _disc_residual_block(phi, n0, law, tables: _BlockTables, level, arcs,
                          out, rng) -> float:
-    for _ in range(MAX_REJECTS):
+    def propose(rows):
         thetas = guarded_angles(law, rng, n0)
         landing = (phi + n0 * math.pi + 2.0 * float(np.sum(thetas))) % TWO_PI
-        if overlap.contains(landing):
-            dens = tables.circular_density(n0, _wrap_pi(landing - phi - n0 * math.pi))
-            if dens <= level or rng.random() >= 1.0 - level / dens:
-                continue
-        cur = phi
-        for th in thetas:
-            cur = (cur + math.pi + 2.0 * th) % TWO_PI
-            out.append(cur)
-        return cur
-    raise ResidualSamplingError("disc residual block exceeded rejection cap")
+        reject = 0.0
+        if in_arcs(landing, *arcs, TWO_PI):
+            dens = tables.circular_density(
+                n0, _wrap_pi(landing - phi - n0 * math.pi))
+            reject = min(level / max(dens, 1e-300), 1.0)
+        return (thetas[None],), reject
+
+    (thetas,) = thin_residual(1, propose, rng)
+    cur = phi
+    for th in thetas[0]:
+        cur = (cur + math.pi + 2.0 * th) % TWO_PI
+        out.append(cur)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -324,33 +323,31 @@ def _cached_tables(body, law, n0) -> _ConvexKernelTables:
     return _ConvexKernelTables(body, law, n0)
 
 
-def _reach_window(body, law, width, s, n0, eps) -> Window:
-    """Arc reachable in n0 bounces with certified angles, slack-shrunk."""
+def _reach_window(body, s, u, width, n0, eps):
+    """Arc (lo, length) reachable in n0 bounces with certified angles.
+
+    Vectorised over starts at arc length ``s`` (native coordinate ``u``);
+    each bounce after the first shrinks the arc by the slack ``eps`` at
+    both ends.
+    """
     P = body.perimeter
-    # stay clear of the tangency guard; the lost sliver of reach is
-    # negligible against the tolerance of the numeric kernel floor
-    half = 0.5 * min(width, math.pi - 1e-6)
-    lo_u = hi_u = float(s)
+    half = min(0.5 * width, _REACH_LIMIT)
+    lo = hi = s
+    u_lo = u_hi = u
+    full = False
     for k in range(n0):
-        lo_hit = float(body.to_arc(
-            body.bounce(body.to_native(lo_u), -half)[0]))
-        hi_hit = float(body.to_arc(
-            body.bounce(body.to_native(hi_u), half)[0]))
+        u_lo = body.bounce(u_lo, -half)[0]
+        u_hi = body.bounce(u_hi, half)[0]
         # unwrap: the landing arc from angle -half to +half runs ccw
-        lo_new = lo_u + np.mod(lo_hit - lo_u, P)
-        hi_new = hi_u + np.mod(hi_hit - hi_u, P)
-        while hi_new < lo_new:
-            hi_new += P
-        lo_u, hi_u = lo_new, hi_new
+        lo = lo + np.mod(body.to_arc(u_lo) - lo, P)
+        hi = hi + np.mod(body.to_arc(u_hi) - hi, P)
+        hi = np.where(hi < lo, hi + P, hi)
         if k > 0:
-            lo_u += eps
-            hi_u -= eps
-        if hi_u - lo_u >= P:
-            return Window(pieces=((0.0, P),), period=P)
-    if hi_u <= lo_u:
-        return Window(pieces=(), period=P)
-    return Window(pieces=((lo_u % P, lo_u % P + min(hi_u - lo_u, P)),),
-                  period=P)
+            lo, hi = lo + eps, hi - eps
+            full = full | (hi - lo >= P)
+            if k + 1 < n0:
+                u_lo, u_hi = body.to_native(lo), body.to_native(hi)
+    return lo, np.where(full, P, np.minimum(np.maximum(hi - lo, 0.0), P))
 
 
 def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):
@@ -364,6 +361,7 @@ def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):
         fc = law.certify_floor()
         width, n0, eps, level_cert = fc.width, 1, 0.0, math.inf
     tables = _cached_tables(body, law, n0)
+    P = body.perimeter
 
     s_a, s_b = float(body.wrap(s0)), float(body.wrap(s0_b))
     out_a, out_b = [s_a], [s_b]
@@ -390,13 +388,12 @@ def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):
             out_b.append(state_b.s)
             step += 1
             continue
-        wa = _reach_window(body, law, width, s_a, n0, eps)
-        wb = _reach_window(body, law, width, s_b, n0, eps)
-        overlap = wa.intersect(wb)
+        arcs = arc_overlap(
+            *_reach_window(body, s_a, state_a.u, width, n0, eps),
+            *_reach_window(body, s_b, state_b.u, width, n0, eps), P)
         row_a = tables.block_row(state_a.point)
         row_b = tables.block_row(state_b.point)
-        in_overlap = (np.zeros(tables.nodes.size, dtype=bool) if overlap.empty
-                      else overlap.contains(tables.nodes))
+        in_overlap = in_arcs(tables.nodes, *arcs, P)
         if not np.any(in_overlap):
             level = 0.0
             mass = 0.0
@@ -404,11 +401,11 @@ def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):
             row_min = float(min(row_a[in_overlap].min(),
                                 row_b[in_overlap].min()))
             level = min(level_cert, 0.999 * row_min)
-            mass = max(level, 0.0) * overlap.length
+            mass = max(level, 0.0) * float(arcs[1].sum())
         success = mass > 0.0 and rng.random() < mass
         attempts.append(AttemptRecord(1, success, mass))
         if success:
-            target = float(overlap.sample(rng))
+            target = float(draw_arcs(*arcs, rng.random(), P))
             for st, out in ((state_a, out_a), (state_b, out_b)):
                 for mid in tables.bridge(st.point, target, rng):
                     out.append(mid)
@@ -420,9 +417,9 @@ def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):
             coupling_index = step + n0
         else:
             state_a, s_a = _convex_residual_block(
-                body, law, tables, state_a, level, overlap, row_a, out_a, rng)
+                body, law, tables, state_a, level, arcs, row_a, out_a, rng)
             state_b, s_b = _convex_residual_block(
-                body, law, tables, state_b, level, overlap, row_b, out_b, rng)
+                body, law, tables, state_b, level, arcs, row_b, out_b, rng)
         step += n0
 
     return CouplingOutcome(
@@ -430,18 +427,19 @@ def _couple_convex(body, law, s0, s0_b, cert, n_max, rng):
         traj_a=np.asarray(out_a), traj_b=np.asarray(out_b))
 
 
-def _convex_residual_block(body, law, tables, state, level, overlap, row,
+def _convex_residual_block(body, law, tables, state, level, arcs, row,
                            out, rng):
-    for _ in range(MAX_REJECTS):
-        cur = state
-        landings = []
+    def propose(rows):
+        cur, landings = state, []
         for _ in range(tables.n0):
             cur, _, _ = chain_step(body, law, cur, rng)
             landings.append(cur.s)
-        if level > 0.0 and overlap.contains(landings[-1]):
+        reject = 0.0
+        if level > 0.0 and in_arcs(landings[-1], *arcs, body.perimeter):
             dens = tables.row_value(row, landings[-1])
-            if dens <= level or rng.random() >= 1.0 - level / dens:
-                continue
-        out.extend(landings)
-        return cur, landings[-1]
-    raise ResidualSamplingError("convex residual block exceeded rejection cap")
+            reject = min(level / max(dens, 1e-300), 1.0)
+        return (np.array([cur], dtype=object), np.array([landings])), reject
+
+    cur, landings = thin_residual(1, propose, rng)
+    out.extend(landings[0])
+    return cur[0], float(landings[0, -1])

@@ -17,20 +17,18 @@ handles multi-bounce blocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import rng as rngmod
 from ..dynamics import guarded_angles, landing_density
-from ..errors import InvalidParams, ResidualSamplingError
+from ..errors import InvalidParams
 from ..geometry import ConvexBody
 from ..rates import RateCertificate
 from ..reflection import ReflectionLaw
-
-# extreme launch angle of the reachable arc, clear of the tangency guard
-_REACH_LIMIT = 0.5 * math.pi - 1e-6
+from .base import arc_overlap, draw_arcs, in_arcs, thin_residual
+from .chains import _reach_window
 
 
 @dataclass
@@ -61,7 +59,6 @@ def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
     else:
         level = cert.constants["q_min"]
     P = body.perimeter
-    half = min(0.5 * width, _REACH_LIMIT)
 
     R = int(n_replicas)
     out = BatchChainResult(
@@ -87,31 +84,28 @@ def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
             i = np.flatnonzero(~coupled)
             if i.size == 0:
                 continue
-            lo_a, hi_a = _reach(body, s[0, i], u[0, i], half)
-            lo_b, hi_b = _reach(body, s[1, i], u[1, i], half)
-            p_lo, p_len, q_lo, q_len = _arc_intersections(
-                lo_a, hi_a, lo_b, hi_b, P)
-            mass = level * (p_len + q_len)
+            arcs_a = _reach_window(body, s[0, i], u[0, i], width, 1, 0.0)
+            arcs_b = _reach_window(body, s[1, i], u[1, i], width, 1, 0.0)
+            arc_lo, arc_len = arc_overlap(*arcs_a, *arcs_b, P)
+            mass = level * (arc_len[0] + arc_len[1])
             hit = gen.random(i.size) < mass
             att += i.size
             suc += int(hit.sum())
             j2 = i[hit]
             if j2.size:
-                pick = gen.random(j2.size) * (p_len[hit] + q_len[hit])
-                in1 = pick < p_len[hit]
-                y = np.where(in1, p_lo[hit] + pick,
-                             q_lo[hit] + (pick - p_len[hit]))
-                s[:, j2] = np.mod(y, P)
+                s[:, j2] = draw_arcs(arc_lo.compress(hit, axis=1),
+                                     arc_len.compress(hit, axis=1),
+                                     gen.random(j2.size), P)
                 u[:, j2] = body.to_native(s[0, j2])
                 coupled[j2] = True
                 cidx[j2] = step
-            k = i[~hit]
+            miss = ~hit
+            k = i[miss]
             if k.size:
-                miss = ~hit
                 for c in (0, 1):
                     _residual_bounce(body, law, level, s[c], u[c], k,
-                                     p_lo[miss], p_len[miss], q_lo[miss],
-                                     q_len[miss], gen)
+                                     arc_lo.compress(miss, axis=1),
+                                     arc_len.compress(miss, axis=1), gen)
         out.coupled[sl] = coupled
         out.coupling_index[sl] = cidx
         out.final_a[sl] = s[0]
@@ -121,66 +115,24 @@ def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
     return out
 
 
-def _reach(body, s, u, half):
-    """Unwrapped arc [lo, hi) reachable from s with angles in [-half, half]."""
-    P = body.perimeter
-    lo = s + np.mod(body.to_arc(body.bounce(u, -half)[0]) - s, P)
-    hi = s + np.mod(body.to_arc(body.bounce(u, half)[0]) - s, P)
-    return lo, np.where(hi < lo, hi + P, hi)
-
-
-def _arc_intersections(lo_a, hi_a, lo_b, hi_b, P):
-    """Intersection of two circle arcs given as unwrapped [lo, hi).
-
-    Returns up to two pieces per pair as (start, length) in the coordinate
-    frame of the first arc.
-    """
-    len_a = np.minimum(hi_a - lo_a, P)
-    len_b = np.minimum(hi_b - lo_b, P)
-    # offset of b's start relative to a's start, in [0, P)
-    d = np.mod(lo_b - lo_a, P)
-    # piece 1: b starting inside [0, len_a)
-    p1_lo = d
-    p1_hi = np.minimum(d + len_b, len_a)
-    p1_len = np.maximum(p1_hi - p1_lo, 0.0)
-    p1_len = np.where(d < len_a, p1_len, 0.0)
-    # piece 2: b wrapped around (start at d - P)
-    p2_lo = np.zeros_like(d)
-    p2_hi = np.minimum(d + len_b - P, len_a)
-    p2_len = np.maximum(p2_hi, 0.0)
-    return (lo_a + p1_lo, p1_len, lo_a + p2_lo, p2_len)
-
-
-def _residual_bounce(body, law, level, s, u, idx, p_lo, p_len, q_lo, q_len,
-                     rng):
+def _residual_bounce(body, law, level, s, u, idx, arc_lo, arc_len, rng):
     """Residual landing of the chains ``idx`` (arc ``s``, native ``u``).
 
-    Bounces are thinned by level / landing density where they land inside
-    the plateau pieces.
+    Bounces are thinned by level / landing density where they land on the
+    plateau arcs.
     """
-    P = body.perimeter
-    pend = np.arange(idx.size)
-    for _ in range(10_000):
-        if pend.size == 0:
-            return
-        sel = idx[pend]
-        th = guarded_angles(law, rng, pend.size)
+    def propose(rows):
+        sel = idx[rows]
+        th = guarded_angles(law, rng, rows.size)
         landed = body.bounce(u[sel], th)[0]
         s_land = body.to_arc(landed)
-        member = _in_piece(s_land, p_lo[pend], p_len[pend], P) \
-            | _in_piece(s_land, q_lo[pend], q_len[pend], P)
+        member = in_arcs(s_land, arc_lo.take(rows, axis=1),
+                         arc_len.take(rows, axis=1), body.perimeter)
         dens = landing_density(body, law, body.frame(u[sel]),
                                body.frame(landed))
         reject = np.where(member,
                           np.minimum(level / np.maximum(dens, 1e-300), 1.0),
                           0.0)
-        acc = rng.random(pend.size) >= reject
-        s[sel[acc]] = s_land[acc]
-        u[sel[acc]] = landed[acc]
-        pend = pend[~acc]
-    raise ResidualSamplingError("batch residual bounce exceeded its rejection"
-                                " cap")
+        return (s_land, landed), reject
 
-
-def _in_piece(x, lo, length, P):
-    return np.mod(x - lo, P) < length
+    s[idx], u[idx] = thin_residual(idx.size, propose, rng)

@@ -40,7 +40,7 @@ from ..rates import (
     bisector_window_geometry,
 )
 from ..reflection import ReflectionLaw
-from .base import AttemptRecord, CouplingOutcome, MAX_REJECTS
+from .base import AttemptRecord, CouplingOutcome, in_arcs, thin_residual
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +262,8 @@ def _realise_block_time(proc, rng, law, body, total, n0, w_box):
 
 def _residual_block_time(proc, rng, law, body, level1, n0, zeta, w_box,
                          lo, hi):
-    for _ in range(MAX_REJECTS):
-        state = proc.state
-        clock = proc.clock
+    def propose(rows):
+        state, clock = proc.state, proc.clock
         path_s, path_t, taus = [], [], []
         for _ in range(n0):
             state, _, tau = chain_step(body, law, state, rng)
@@ -272,6 +271,7 @@ def _residual_block_time(proc, rng, law, body, level1, n0, zeta, w_box,
             taus.append(tau)
             path_s.append(state.s)
             path_t.append(clock)
+        reject = 0.0
         if lo <= clock <= hi and all(t <= w_box for t in taus):
             # candidate carries plateau mass; thin it by the density ratio
             vol = box_slice_volume(clock - proc.clock, n0, w_box)
@@ -279,14 +279,15 @@ def _residual_block_time(proc, rng, law, body, level1, n0, zeta, w_box,
             for t_k, s_prev in zip(taus, [proc.state.s] + path_s[:-1]):
                 ratio /= max(_hop_time_density(
                     body, law, body.point_at(s_prev), t_k), 1e-300)
-            if rng.random() < min(ratio, 1.0):
-                continue
-        proc.state = state
-        proc.clock = clock
-        proc.log_s.extend(path_s)
-        proc.log_t.extend(path_t)
-        return
-    raise ResidualSamplingError("block-time residual exceeded rejection cap")
+            reject = min(ratio, 1.0)
+        return ((np.array([state], dtype=object), np.array([path_s]),
+                 np.array([path_t])), reject)
+
+    state, path_s, path_t = thin_residual(1, propose, rng)
+    proc.state = state[0]
+    proc.clock = float(path_t[0, -1])
+    proc.log_s.extend(path_s[0])
+    proc.log_t.extend(path_t[0])
 
 
 def _stage2_attempt(a, b, rng, law, body, floor, params, attempts) -> bool:
@@ -332,35 +333,31 @@ def _bridge_root(body, w_pos, win, t_land, u_time) -> float:
 
 
 def _residual_pair_convex(proc, rng, law, body, eta, win):
-    eps = win.eps
-    for _ in range(MAX_REJECTS):
+    P = body.perimeter
+
+    def propose(rows):
         state1, _, tau1 = chain_step(body, law, proc.state, rng)
         state2, _, tau2 = chain_step(body, law, state1, rng)
         total = tau1 + tau2
-        in_b = _circ_dist(state1.s, win.s_ybar, body.perimeter) <= eps
-        in_i = _in_interval_circ(state2.s, win.I_star, body.perimeter)
-        in_r = win.R1 <= total <= win.R2
-        if in_b and in_i and in_r:
+        reject = 0.0
+        if (win.R1 <= total <= win.R2
+                and in_arcs(state1.s, [win.s_ybar - win.eps],
+                            [2.0 * win.eps], P)
+                and in_arcs(state2.s, [win.I_star[0]],
+                            [win.I_star[1] - win.I_star[0]], P)):
             q = (transition_density(body, law, proc.state.point, state1.point)
                  * transition_density(body, law, state1.point, state2.point)
                  / max(abs(float(_path_time_dds(body,
                                                 proc.state.point.position,
                                                 state1.s, state2.s))), 1e-12))
-            if rng.random() < min(eta / max(q, 1e-300), 1.0):
-                continue
-        proc.state = state2
-        proc.clock += total
-        proc.log_s.extend([state1.s, state2.s])
-        proc.log_t.extend([proc.clock - tau2, proc.clock])
-        return
-    raise ResidualSamplingError("pair residual exceeded rejection cap")
+            reject = min(eta / max(q, 1e-300), 1.0)
+        return ((np.array([state2], dtype=object),
+                 np.array([[state1.s, state2.s]]), np.array([[tau2, total]])),
+                reject)
 
-
-def _circ_dist(x, y, period):
-    d = abs((x - y) % period)
-    return min(d, period - d)
-
-
-def _in_interval_circ(x, interval, period):
-    lo, hi = interval
-    return ((x - lo) % period) <= (hi - lo)
+    state, path_s, taus = thin_residual(1, propose, rng)
+    tau2, total = taus[0]
+    proc.state = state[0]
+    proc.clock += total
+    proc.log_s.extend(path_s[0])
+    proc.log_t.extend([proc.clock - tau2, proc.clock])

@@ -27,17 +27,12 @@ import numpy as np
 
 from .. import rng as rngmod
 from ..dynamics import guarded_angles
-from ..errors import (
-    HorizonExceeded,
-    HypothesisViolated,
-    OutsideBody,
-    ResidualSamplingError,
-    TangentRay,
-)
+from ..errors import HorizonExceeded, HypothesisViolated, OutsideBody, TangentRay
 from ..geometry import TWO_PI
 from ..rates import RateCertificate, disc_pair_profile
 from ..reflection import ReflectionLaw
-from .base import AttemptRecord, CouplingOutcome
+from .base import (AttemptRecord, CouplingOutcome, _wrap_pi, arc_overlap,
+                   draw_arcs, in_arcs, thin_residual)
 
 _T_GRID = 2049
 _U_GRID = 192
@@ -386,50 +381,35 @@ def _stage1_tick(i, rng, r, law, tables, delta, w1_lo, w1_hi,
 
 def _residual_two_bounce(k, rng, r, law, tables, delta, lo, hi,
                          phi_arr, clock_arr, rec, record):
-    pend = np.arange(k.size)
-    for _ in range(10_000):
-        if pend.size == 0:
-            return
-        idx = k[pend]
-        th1 = guarded_angles(law, rng, pend.size)
-        th2 = guarded_angles(law, rng, pend.size)
+    def propose(rows):
+        th1 = guarded_angles(law, rng, rows.size)
+        th2 = guarded_angles(law, rng, rows.size)
         T = 2.0 * r * (np.cos(th1) + np.cos(th2))
-        S = clock_arr[idx] + T
-        inw = (S >= lo[pend]) & (S <= hi[pend])
+        S = clock_arr[k[rows]] + T
+        inw = (S >= lo[rows]) & (S <= hi[rows])
         dens = tables.pdf(T / (2.0 * r)) / (2.0 * r)
-        reject_p = np.where(inw, np.minimum(delta / np.maximum(dens, 1e-300),
-                                            1.0), 0.0)
-        acc = rng.random(pend.size) >= reject_p
-        sel = idx[acc]
-        if sel.size:
-            mid = np.mod(phi_arr[sel] + math.pi + 2.0 * th1[acc], TWO_PI)
-            fin = np.mod(mid + math.pi + 2.0 * th2[acc], TWO_PI)
-            if rec:
-                record(sel, mid)
-                record(sel, fin)
-            phi_arr[sel] = fin
-            clock_arr[sel] += T[acc]
-        pend = pend[~acc]
-    raise ResidualSamplingError("two-bounce residual exceeded its rejection"
-                                " cap")
+        reject = np.where(inw, np.minimum(delta / np.maximum(dens, 1e-300),
+                                          1.0), 0.0)
+        return (th1, th2, T), reject
 
-
-def _wrap_pi(x):
-    return np.mod(np.asarray(x, dtype=float) + math.pi, TWO_PI) - math.pi
+    th1, th2, T = thin_residual(k.size, propose, rng)
+    mid = np.mod(phi_arr[k] + math.pi + 2.0 * th1, TWO_PI)
+    fin = np.mod(mid + math.pi + 2.0 * th2, TWO_PI)
+    if rec:
+        record(k, mid)
+        record(k, fin)
+    phi_arr[k] = fin
+    clock_arr[k] += T
 
 
 def _stage2_tick(i, rng, r, law, level2, aw, B_lo, B_hi,
                  phi, phit, c, ct, phase, coupled, that, s2a, s2s,
                  record, realign, trace):
-    d = _wrap_pi(phit[i] - phi[i])
-    a1 = np.maximum(-aw, d - aw)
-    b1 = np.minimum(aw, d + aw)
-    len1 = b1 - a1
-    len2 = np.maximum(0.0, 2.0 * aw - TWO_PI + np.abs(d))
-    p2lo = np.where(d >= 0.0, -aw, d - aw + TWO_PI)
-    lenA = len1 + len2
+    # the joint window is anchored at the pre-attempt positions
+    arc_lo, arc_len = arc_overlap(phi[i] - aw, 2.0 * aw, phit[i] - aw,
+                                  2.0 * aw, TWO_PI)
     lenB = B_hi - B_lo
-    mass = level2 * lenA * lenB
+    mass = level2 * (arc_len[0] + arc_len[1]) * lenB
     suc = rng.random(i.size) < mass
     s2a[i] += 1
     s2s[i[suc]] += 1
@@ -439,11 +419,8 @@ def _stage2_tick(i, rng, r, law, level2, aw, B_lo, B_hi,
 
     j = i[suc]
     if j.size:
-        u_piece = rng.random(j.size) * lenA[suc]
-        in1 = u_piece < len1[suc]
-        x_rel = np.where(in1, a1[suc] + u_piece,
-                         p2lo[suc] + (u_piece - len1[suc]))
-        phistar = np.mod(phi[j] + x_rel, TWO_PI)
+        phistar = draw_arcs(arc_lo[:, suc], arc_len[:, suc],
+                            rng.random(j.size), TWO_PI)
         tstar = c[j] + B_lo + rng.random(j.size) * lenB
         for phi_arr in (phi, phit):
             rel = _wrap_pi(phistar - phi_arr[j])
@@ -465,53 +442,40 @@ def _stage2_tick(i, rng, r, law, level2, aw, B_lo, B_hi,
 
     k = i[~suc]
     if k.size:
-        nsel = ~suc
-        snap_a = phi[k].copy()  # the joint window is anchored at the first
-        # process's pre-attempt position; both residuals test against it
         for phi_arr, clock_arr, rec in ((phi, c, True), (phit, ct, False)):
-            _residual_pair(k, rng, r, law, level2, a1[nsel], b1[nsel],
-                           p2lo[nsel], len2[nsel], snap_a, B_lo, B_hi,
-                           phi_arr, clock_arr, rec, record)
+            _residual_pair(k, rng, r, law, level2, arc_lo[:, ~suc],
+                           arc_len[:, ~suc], B_lo, B_hi, phi_arr, clock_arr,
+                           rec, record)
         realign(k)
         phase[k] = 1
 
 
-def _residual_pair(k, rng, r, law, level2, a1, b1, p2lo, len2, phiA_snap,
-                   B_lo, B_hi, phi_arr, clock_arr, rec, record):
-    pend = np.arange(k.size)
-    for _ in range(10_000):
-        if pend.size == 0:
-            return
-        idx = k[pend]
-        th1 = guarded_angles(law, rng, pend.size)
-        th2 = guarded_angles(law, rng, pend.size)
+def _residual_pair(k, rng, r, law, level2, arc_lo, arc_len, B_lo, B_hi,
+                   phi_arr, clock_arr, rec, record):
+    def propose(rows):
+        th1 = guarded_angles(law, rng, rows.size)
+        th2 = guarded_angles(law, rng, rows.size)
         T = 2.0 * r * (np.cos(th1) + np.cos(th2))
-        phip = np.mod(phi_arr[idx] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
-        tin = (T >= B_lo) & (T <= B_hi)
-        xr = _wrap_pi(phip - phiA_snap[pend])
-        ain = (xr >= a1[pend]) & (xr <= b1[pend])
-        ain |= (len2[pend] > 0.0) & (xr >= p2lo[pend]) \
-            & (xr <= p2lo[pend] + len2[pend])
-        member = tin & ain
+        phip = np.mod(phi_arr[k[rows]] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
+        member = ((T >= B_lo) & (T <= B_hi)
+                  & in_arcs(phip, arc_lo.take(rows, axis=1),
+                            arc_len.take(rows, axis=1), TWO_PI))
         m = 0.5 * (th1 + th2)
         dd = 0.5 * (th1 - th2)
         f12 = law.density(th1) * law.density(th2)
-        reject_p = np.where(
+        reject = np.where(
             member,
-            np.clip(level2 * 4.0 * r * np.cos(m) * np.abs(np.sin(dd))
-                    / np.maximum(f12, 1e-300), 0.0, 1.0),
+            np.minimum(level2 * 4.0 * r * np.cos(m) * np.abs(np.sin(dd))
+                       / np.maximum(f12, 1e-300), 1.0),
             0.0)
-        acc = rng.random(pend.size) >= reject_p
-        sel = idx[acc]
-        if sel.size:
-            mid = np.mod(phi_arr[sel] + math.pi + 2.0 * th1[acc], TWO_PI)
-            if rec:
-                record(sel, mid)
-                record(sel, phip[acc])
-            phi_arr[sel] = phip[acc]
-            clock_arr[sel] += T[acc]
-        pend = pend[~acc]
-    raise ResidualSamplingError("pair residual exceeded its rejection cap")
+        return (th1, T, phip), reject
+
+    th1, T, phip = thin_residual(k.size, propose, rng)
+    if rec:
+        record(k, np.mod(phi_arr[k] + math.pi + 2.0 * th1, TWO_PI))
+        record(k, phip)
+    phi_arr[k] = phip
+    clock_arr[k] += T
 
 
 # ---------------------------------------------------------------------------

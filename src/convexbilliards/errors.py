@@ -37,10 +37,6 @@ class BeyondHorizon(BilliardError):
     """Requested clock time exceeds the simulated span."""
 
 
-class EmptyOverlap(BilliardError):
-    """Coupling windows do not intersect (handled, rarely raised)."""
-
-
 class HorizonExceeded(BilliardError):
     """Coupling did not occur within the allotted horizon."""
 

@@ -448,11 +448,6 @@ def _path_time_dds(body, w_pos, s, t):
     return e[..., 0] * tan[..., 0] + e[..., 1] * tan[..., 1]
 
 
-def _circ_dist(a, b, period):
-    d = np.abs(np.mod(a - b, period))
-    return np.minimum(d, period - d)
-
-
 def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
                              xt: BoundaryPoint, params: RateParams,
                              _retry: bool = True) -> BisectorWindows:

@@ -176,17 +176,20 @@ def test_couple_chains_curvature_table(tmp_path):
 
 
 def test_residual_cap_exit_1(tmp_path, monkeypatch, capsys):
-    # an always-rejecting residual (plateau over the whole boundary at an
-    # infinite level) exhausts its cap: an engine error, exit code 1
-    from convexbilliards.coupling import chains_batch
-    real = chains_batch._residual_bounce
+    # an always-rejecting residual exhausts the cap of the shared thinning
+    # loop: an engine error, exit code 1.  The cap is lowered because 50
+    # rows of always-rejected rounds would run for minutes at the full cap.
+    from convexbilliards.coupling import base, chains_batch
+    real = base.thin_residual
 
-    def always_reject(body, law, level, s, u, idx, p_lo, p_len, q_lo, q_len,
-                      rng):
-        real(body, law, math.inf, s, u, idx, p_lo,
-             np.full_like(p_len, body.perimeter), q_lo, q_len, rng)
+    def always_reject(n, propose, rng):
+        def rejecting(rows):
+            fields, _ = propose(rows)
+            return fields, np.ones(rows.size)
+        return real(n, rejecting, rng)
 
-    monkeypatch.setattr(chains_batch, "_residual_bounce", always_reject)
+    monkeypatch.setattr(chains_batch, "thin_residual", always_reject)
+    monkeypatch.setattr(base, "MAX_REJECTS", 100)
     cfg = _base_chain_cfg(
         scenario="couple_chains",
         law={"truncated_uniform": {"theta_star": 0.75 * PI}},

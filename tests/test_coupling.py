@@ -2,17 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from convexbilliards import Disc, Ellipse, ReflectionLaw, point_at, summarize
 from convexbilliards.coupling import (
-    LowerBoundProfile,
-    Window,
+    base,
     couple_chains,
     couple_process_convex,
     couple_process_disc,
     couple_process_disc_batch,
-    gamma_couple,
-    success_mass,
+)
+from convexbilliards.coupling.base import (
+    arc_overlap,
+    draw_arcs,
+    in_arcs,
+    thin_residual,
 )
 from convexbilliards.coupling.chains_batch import couple_chains_batch
 from convexbilliards.coupling.process_convex import (
@@ -35,89 +40,97 @@ from convexbilliards.rates import (
 from convexbilliards.rates import _path_time
 from convexbilliards.rng import stream
 from convexbilliards.stats import Histogram, two_sample_chi2
-from convexbilliards.errors import HypothesisViolated
+from convexbilliards.errors import HypothesisViolated, ResidualSamplingError
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# plateau coupling primitive
+# plateau primitives: arc windows and residual thinning
 # ---------------------------------------------------------------------------
 
-def _uniform_sampler(lo, hi):
-    return (lambda g: lo + (hi - lo) * g.random(),
-            lambda v: 1.0 / (hi - lo) if lo <= v < hi else 0.0)
+def test_thinning_residual_marginal(rng):
+    # uniform law on a circle of period 2 (density 0.5) with a plateau of
+    # level 0.4 on the two-piece overlap of arcs that wrap: the mixture of
+    # common and thinned residual draws must reproduce the uniform marginal
+    P, level, dens, n = 2.0, 0.4, 0.5, 40_000
+    arc_lo, arc_len = arc_overlap(1.5, 1.0, 1.8, 1.2, P)
+    mass = level * float(arc_len.sum())
+    hit = rng.random(n) < mass
+    vals = np.empty(n)
+    vals[hit] = draw_arcs(arc_lo[:, None], arc_len[:, None],
+                          rng.random(int(hit.sum())), P)
 
+    def propose(rows):
+        x = P * rng.random(rows.size)
+        member = in_arcs(x, arc_lo, arc_len, P)
+        return (x,), np.where(member, min(level / dens, 1.0), 0.0)
 
-def test_gamma_couple_unit_overlap(rng):
-    pa = LowerBoundProfile(1.0, Window.interval(0.0, 1.0))
-    pb = LowerBoundProfile(1.0, Window.interval(0.5, 1.5))
-    sa, da = _uniform_sampler(0.0, 1.0)
-    sb, db = _uniform_sampler(0.5, 1.5)
-    n, hits = 40_000, 0
-    for _ in range(n):
-        ok, va, vb = gamma_couple(pa, pb, sa, da, sb, db, rng)
-        if ok:
-            assert va == vb
-            hits += 1
-        assert 0.0 <= va < 1.0 and 0.5 <= vb < 1.5
-    p_hat = hits / n
-    assert abs(p_hat - 0.5) < 3.0 * math.sqrt(0.25 / n)
-
-
-def test_gamma_couple_full_mass_always_succeeds(rng):
-    pa = LowerBoundProfile(1.0, Window.interval(0.0, 1.0))
-    sa, da = _uniform_sampler(0.0, 1.0)
-    for _ in range(200):
-        ok, va, vb = gamma_couple(pa, pa, sa, da, sa, da, rng)
-        assert ok and va == vb
-
-
-def test_gamma_couple_empty_overlap_deterministic_failure(rng):
-    pa = LowerBoundProfile(1.0, Window.interval(0.0, 1.0))
-    pb = LowerBoundProfile(1.0, Window.interval(2.0, 3.0))
-    sa, da = _uniform_sampler(0.0, 1.0)
-    sb, db = _uniform_sampler(2.0, 3.0)
-    assert success_mass(pa, pb) == 0.0
-    for _ in range(50):
-        ok, va, vb = gamma_couple(pa, pb, sa, da, sb, db, rng)
-        assert not ok
-
-
-def test_gamma_couple_residual_marginal(rng):
-    # with a plateau of level 0.5 on [0, 1] inside a uniform law the mixture
-    # of common and residual draws must reproduce the uniform marginal
-    pa = LowerBoundProfile(0.5, Window.interval(0.0, 1.0))
-    sa, da = _uniform_sampler(0.0, 1.0)
-    vals = []
-    for _ in range(40_000):
-        _, va, _ = gamma_couple(pa, pa, sa, da, sa, da, rng)
-        vals.append(va)
-    h = Histogram.from_samples(np.array(vals), 20, 0.0, 1.0)
-    expected = np.full(20, len(vals) / 20.0)
+    (vals[~hit],) = thin_residual(int((~hit).sum()), propose, rng)
+    h = Histogram.from_samples(vals, 20, 0.0, P)
+    expected = np.full(20, n / 20.0)
     stat = float(np.sum((h.counts - expected) ** 2 / expected))
     from scipy.stats import chi2 as chi2_dist
     assert chi2_dist.sf(stat, 19) > 1e-3
 
 
-def test_profile_validation():
-    with pytest.raises(ValueError):
-        LowerBoundProfile(0.0, Window.interval(0.0, 1.0))
-    with pytest.raises(ValueError):
-        LowerBoundProfile(1.0, Window.interval(1.0, 1.0))
-    with pytest.raises(ValueError):
-        LowerBoundProfile(2.0, Window.interval(0.0, 1.0))
+def test_thinning_cap_raises(rng, monkeypatch):
+    # a full cap of always-rejected rounds takes minutes; a short cap
+    # exercises the same exit
+    monkeypatch.setattr(base, "MAX_REJECTS", 200)
+
+    def always_reject(rows):
+        return (rng.random(rows.size),), np.ones(rows.size)
+
+    with pytest.raises(ResidualSamplingError, match="rejection cap"):
+        thin_residual(5, always_reject, rng)
 
 
-def test_window_periodic_intersection():
-    # arcs overlapping across the wrap point
-    a = Window(pieces=((5.0, 7.0),), period=TWO_PI)   # wraps past 2*pi
-    b = Window(pieces=((0.0, 1.5),), period=TWO_PI)
-    inter = a.intersect(b)
-    assert abs(inter.length - (7.0 - TWO_PI)) < 1e-12
-    assert inter.contains(0.3)
-    assert not inter.contains(2.0)
+# (lo_a, len_a, lo_b, len_b, overlap length, a point inside, one outside)
+_AW, _D = 2.0, 2.8   # process_disc's stage-2 half-width and offset
+ARC_CASES = {
+    "wrap": (5.0, 2.0, 0.0, 1.5, 7.0 - TWO_PI, 0.3, 2.0),
+    "disjoint": (0.0, 1.0, 2.0, 1.0, 0.0, None, 0.5),
+    "full-circle": (0.3, TWO_PI, 1.0, 0.5, 0.5, 1.2, 0.9),
+    "offset-positive": (-_AW, 2 * _AW, _D - _AW, 2 * _AW,
+                        2 * _AW - _D + (2 * _AW - TWO_PI + _D), 1.0, -0.5),
+    "offset-negative": (-_AW, 2 * _AW, -_D - _AW, 2 * _AW,
+                        2 * _AW - _D + (2 * _AW - TWO_PI + _D), -1.0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", ARC_CASES.values(), ids=ARC_CASES.keys())
+def test_arc_overlap(case):
+    lo_a, len_a, lo_b, len_b, length, inside, outside = case
+    arc_lo, arc_len = arc_overlap(lo_a, len_a, lo_b, len_b, TWO_PI)
+    assert abs(float(arc_len.sum()) - length) < 1e-12
+    if inside is not None:
+        assert in_arcs(inside, arc_lo, arc_len, TWO_PI)
+    assert not in_arcs(outside, arc_lo, arc_len, TWO_PI)
+    if length > 0.0:
+        pts = draw_arcs(arc_lo[:, None], arc_len[:, None],
+                        np.linspace(0.01, 0.99, 7), TWO_PI)
+        assert np.all(in_arcs(pts, [lo_a], [len_a], TWO_PI))
+        assert np.all(in_arcs(pts, [lo_b], [len_b], TWO_PI))
+
+
+_ARC = st.tuples(st.floats(-20.0, 20.0), st.floats(0.0, 7.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARC, _ARC)
+def test_arc_overlap_properties(a, b):
+    # every overlap piece lies in both arcs; the overlap length is symmetric
+    arc_lo, arc_len = arc_overlap(*a, *b, TWO_PI)
+    for lo, n in zip(arc_lo, arc_len):
+        if n > 1e-6:
+            pts = lo + n * np.array([0.25, 0.5, 0.75])
+            assert np.all(in_arcs(pts, [a[0]], [a[1]], TWO_PI))
+            assert np.all(in_arcs(pts, [b[0]], [b[1]], TWO_PI))
+    back = arc_overlap(*b, *a, TWO_PI)[1]
+    assert abs(float(arc_len.sum()) - float(back.sum())) < 1e-9
+    assert float(arc_len.sum()) <= min(a[1], b[1], TWO_PI) + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +267,18 @@ def test_batch_engine_matches_scalar_survival(disc, tu34_law):
         surv = ((res.coupling_index > k) | (~res.coupled)).mean()
         sigma = math.sqrt(max(bound * (1.0 - bound), 1e-5) / 30_000)
         assert surv <= bound + 3.0 * sigma
+
+
+def test_batch_engine_close_starts(disc, tu34_law):
+    # an overlap mass near one leaves the residual a thin sliver: the
+    # thinning needs far more rounds than a 1e4 cap allowed
+    cert = disc_chain_rate(0.75 * PI, 4.0 / (3.0 * PI))
+    n = 20_000
+    res = couple_chains_batch(disc, tu34_law, 0.0, 1e-3, cert, 2, n, seed=0)
+    alpha = cert.constants["alpha"]
+    surv = ((res.coupling_index > 1) | (~res.coupled)).mean()
+    sigma = math.sqrt(alpha * (1.0 - alpha) / n)
+    assert surv <= (1.0 - alpha) + 3.0 * sigma
 
 
 def test_batch_engine_marginal_ellipse(ellipse, uniform_half_law):
