@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, rng as rngmod
 from .coupling import couple_process_disc_batch
-from .coupling.chains_batch import couple_chains_batch
+from .coupling.chains import couple_chains_batch
 from .dynamics import chord_times, run_chain, sample_process_at
 from .errors import BilliardError, ConfigError, HypothesisViolated, InvalidParams
 from .geometry import Disc, body_from_config
@@ -212,16 +212,15 @@ def _scenario_rate(cfg, body, law, out, workers):
 
 def _scenario_couple_chains(cfg, body, law, out, workers):
     cert = build_certificate(cfg, body, law)
-    if cert.constants["n0"] != 1:
-        raise ConfigError("couple_chains driver currently batches one-bounce"
-                          " blocks; use the library API for longer blocks")
+    n0 = cert.constants["n0"]
     res = couple_chains_batch(body, law, cfg.get("s0", 0.0),
                               cfg.get("s0_alt", 0.5 * body.perimeter),
                               cert, cfg["n_max"], cfg["replicas"],
                               cfg["seed"])
     rows = [(i, int(res.coupled[i]),
              res.coupling_index[i] if res.coupled[i] else -1,
-             res.coupling_index[i] if res.coupled[i] else cfg["n_max"],
+             res.coupling_index[i] // n0 if res.coupled[i]
+             else cfg["n_max"] // n0,
              int(res.coupled[i]), 0)
             for i in range(cfg["replicas"])]
     write_csv(out / "outcomes.csv",

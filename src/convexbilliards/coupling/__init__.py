@@ -1,8 +1,7 @@
 """Coupling constructions for boundary chains and continuous processes."""
 
 from .base import AttemptRecord, CouplingOutcome
-from .chains import couple_chains
-from .chains_batch import BatchChainResult, couple_chains_batch
+from .chains import BatchChainResult, couple_chains, couple_chains_batch
 from .process_disc import (
     BatchCouplingResult,
     couple_process_disc,

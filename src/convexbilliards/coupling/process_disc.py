@@ -27,8 +27,8 @@ import numpy as np
 
 from .. import rng as rngmod
 from ..dynamics import guarded_angles
-from ..errors import HorizonExceeded, HypothesisViolated, OutsideBody, TangentRay
-from ..geometry import TWO_PI
+from ..errors import HorizonExceeded, HypothesisViolated
+from ..geometry import Disc, TWO_PI
 from ..rates import RateCertificate, disc_pair_profile
 from ..reflection import ReflectionLaw
 from .base import (AttemptRecord, CouplingOutcome, _wrap_pi, arc_overlap,
@@ -55,37 +55,30 @@ class _TwoBounceTables:
         self.m = 0.5 * law.support_width
         w_min = 2.0 * math.cos(self.m)
         self.w_grid = np.linspace(w_min + 1e-12, 2.0 - 1e-12, _T_GRID)
-        self.pdf_grid = np.array([self._pdf_single(w) for w in self.w_grid])
+        n = 512
+        pdf = []
+        # 16 rows at a time keep the grid's temporaries small
+        for w in np.array_split(self.w_grid, 128):
+            _, _, wgt, t_hi = self._grid(w, n)
+            # both signs of each angle, and du = 2 t dt with dt = t_hi / n
+            pdf.append(8.0 * (t_hi / n) * wgt.sum(axis=1))
+        self.pdf_grid = np.concatenate(pdf)
 
-    def _u_range(self, w):
+    def _grid(self, w, n):
+        """The first angle's magnitude u given cos(u) + cos(v) = w, one row
+        per w: n midpoints of t with u = u_hi - t^2, the matching v, and the
+        weights f(u) f(v) t / sin(v) of the substitution; with t_hi."""
         cos_m = math.cos(self.m)
-        cos_hi = min(w - cos_m, 1.0)        # largest admissible cos(u)
-        cos_lo = max(w - 1.0, cos_m)        # smallest admissible cos(u)
-        if cos_hi <= cos_lo:
-            return None
-        return math.acos(cos_hi), math.acos(cos_lo)
-
-    def _weights(self, w, n=_U_GRID):
-        """Midpoint weights of the |first angle| conditional on a t-grid."""
-        rng_u = self._u_range(w)
-        if rng_u is None:
-            return None, None
-        u_lo, u_hi = rng_u
-        t_hi = math.sqrt(u_hi - u_lo)
-        t = (np.arange(n) + 0.5) * (t_hi / n)
-        u = u_hi - t * t
-        z = w - np.cos(u)
+        u_lo = np.arccos(np.clip(np.minimum(w - cos_m, 1.0), -1.0, 1.0))
+        u_hi = np.arccos(np.clip(np.maximum(w - 1.0, cos_m), -1.0, 1.0))
+        t_hi = np.sqrt(np.maximum(u_hi - u_lo, 1e-300))
+        t = (np.arange(n) + 0.5)[None, :] * (t_hi[:, None] / n)
+        u = u_hi[:, None] - t * t
+        z = w[:, None] - np.cos(u)
         v = np.arccos(np.clip(z, -1.0, 1.0))
         sin_v = np.maximum(np.sin(v), 1e-300)
-        wgt = (self.law.density(u) * 2.0 * self.law.density(v) / sin_v
-               * 2.0 * t * (t_hi / n))
-        return u, np.maximum(wgt, 0.0)
-
-    def _pdf_single(self, w):
-        u, wgt = self._weights(w, n=512)
-        if u is None:
-            return 0.0
-        return 2.0 * float(np.sum(wgt))  # both signs of the first angle
+        wgt = self.law.density(u) * self.law.density(v) / sin_v * t
+        return u, v, wgt, t_hi
 
     def pdf(self, w):
         """Density of the cosine sum, interpolated from the table."""
@@ -96,31 +89,15 @@ class _TwoBounceTables:
         """Sample (angle1, angle2) given cos(angle1) + cos(angle2) = w."""
         w_targets = np.atleast_1d(np.asarray(w_targets, dtype=float))
         n = w_targets.size
-        th1 = np.empty(n)
-        th2 = np.empty(n)
-        # vectorised over the replica axis: each row gets its own t-grid
-        cos_m = math.cos(self.m)
-        u_lo = np.arccos(np.clip(np.minimum(w_targets - cos_m, 1.0), -1.0, 1.0))
-        u_hi = np.arccos(np.clip(np.maximum(w_targets - 1.0, cos_m), -1.0, 1.0))
-        t_hi = np.sqrt(np.maximum(u_hi - u_lo, 1e-300))
-        t = (np.arange(_U_GRID) + 0.5)[None, :] * (t_hi[:, None] / _U_GRID)
-        u = u_hi[:, None] - t * t
-        z = w_targets[:, None] - np.cos(u)
-        v = np.arccos(np.clip(z, -1.0, 1.0))
-        sin_v = np.maximum(np.sin(v), 1e-300)
-        wgt = self.law.density(u) * self.law.density(v) / sin_v * t
+        u, v, wgt, _ = self._grid(w_targets, _U_GRID)
         cdf = np.cumsum(wgt, axis=1)
         tot = np.maximum(cdf[:, -1], 1e-300)
         pick = rng.random(n) * tot
         idx = np.minimum((cdf < pick[:, None]).sum(axis=1), _U_GRID - 1)
         rows = np.arange(n)
-        u_sel = u[rows, idx]
-        v_sel = v[rows, idx]
         sign_u = np.where(rng.random(n) < 0.5, -1.0, 1.0)
         sign_v = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        th1[:] = sign_u * u_sel
-        th2[:] = sign_v * v_sel
-        return th1, th2
+        return sign_u * u[rows, idx], sign_v * v[rows, idx]
 
 
 # ---------------------------------------------------------------------------
@@ -144,21 +121,6 @@ class BatchCouplingResult:
     @property
     def stage2_rate(self) -> float:
         return float(self.stage2_successes.sum() / max(self.stage2_attempts.sum(), 1))
-
-
-def _first_hit_disc(r: float, position, velocity) -> tuple[float, float]:
-    p = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    v = v / float(np.hypot(v[0], v[1]))
-    b = float(np.dot(p, v))
-    c0 = float(np.dot(p, p)) - r * r
-    if c0 > 1e-12 * r * r:
-        raise OutsideBody("process start lies outside the disc")
-    tau = -b + math.sqrt(max(b * b - c0, 0.0))
-    if tau <= 0.0:
-        raise TangentRay("start velocity does not enter the disc")
-    hit = p + tau * v
-    return tau, math.atan2(hit[1], hit[0]) % TWO_PI
 
 
 def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
@@ -189,8 +151,10 @@ def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
 
     pos_a, vel_a = (np.asarray(start_a[0], float), np.asarray(start_a[1], float))
     pos_b, vel_b = (np.asarray(start_b[0], float), np.asarray(start_b[1], float))
-    T0a, phi0a = _first_hit_disc(r, pos_a, vel_a)
-    T0b, phi0b = _first_hit_disc(r, pos_b, vel_b)
+    disc = Disc(r)
+    T0a, hit_a = disc.exit_ray(pos_a, vel_a / np.hypot(*vel_a))
+    T0b, hit_b = disc.exit_ray(pos_b, vel_b / np.hypot(*vel_b))
+    phi0a, phi0b = hit_a.s / r, hit_b.s / r
 
     R = int(n_replicas)
     out = BatchCouplingResult(

@@ -468,7 +468,6 @@ class CurvatureTable(ConvexBody):
         y -= cy
 
         self._s_dense = s
-        self._theta = CubicSpline(s, theta)
         self._x = CubicSpline(s, x)
         self._y = CubicSpline(s, y)
         # the bounce kernel's view of the same splines: coefficients (4,
@@ -516,18 +515,29 @@ class CurvatureTable(ConvexBody):
     to_arc = to_native
 
     def frame(self, s):
-        s = self.wrap(np.asarray(s, dtype=float))
-        th = self._theta(s)
-        return self._x(s), self._y(s), -np.sin(th), np.cos(th)
+        # the normal turns the x, y splines' own unit tangent, the launch
+        # reference of ``bounce``
+        j, t = self._cell(self.wrap(np.asarray(s, dtype=float)))
+        c = self._z[:, j]
+        p, d = _horner(c, t), _horner_d(c, t)
+        d = d / np.abs(d)
+        return p.real, p.imag, -d.imag, d.real
+
+    def _cell(self, s):
+        """Dense-grid cells of wrapped arc lengths s and the offsets into
+        them."""
+        j = np.clip(np.searchsorted(self._s_dense, s, side="right") - 1,
+                    0, self._DENSE - 1)
+        return j, s - self._s_dense[j]
 
     def bounce(self, s, theta):
         # One solve in arc length with the same fixed steps for every chord,
         # so a batch gives each chord the bits it gets alone.  Points are
-        # complex numbers; turned by w = exp(-i (phi + theta)), phi the
-        # tangent angle at the origin o, the launch direction becomes i.  On
-        # a convex curve g(sigma) = Re((P(sigma) - o) w) is positive on
-        # (s, s') and negative on (s', s + perimeter), s' the landing:
-        # bisection over the dense nodes finds the cell of s', then
+        # complex numbers; turned by w = exp(-i (phi + theta)), phi the angle
+        # of the splines' tangent at the origin o, the launch direction
+        # becomes i.  On a convex curve g(sigma) = Re((P(sigma) - o) w) is
+        # positive on (s, s') and negative on (s', s + perimeter), s' the
+        # landing: bisection over the dense nodes finds the cell of s', then
         # safeguarded Newton steps solve inside it, or, for a landing within
         # a cell of the origin, ``_short_chord``.
         s, theta = np.broadcast_arrays(self.wrap(np.asarray(s, dtype=float)),
@@ -536,12 +546,11 @@ class CurvatureTable(ConvexBody):
         s, theta = s.ravel(), theta.ravel()
         N = self._DENSE
         # the origin's dense-grid cell j0 and its offset ts into it
-        j0 = np.clip(np.searchsorted(self._s_dense, s, side="right") - 1,
-                     0, N - 1)
-        ts = s - self._s_dense[j0]
+        j0, ts = self._cell(s)
         c0 = self._z[:, j0]
         o = _horner(c0, ts)
-        w = np.exp(-1j * (_horner(self._theta.c[:, j0], ts) + theta))
+        d = _horner_d(c0, ts)
+        w = np.conj(d) / np.abs(d) * np.exp(-1j * theta)
 
         nodes = self._z[3]
         lo = np.zeros(s.size, dtype=np.intp)
@@ -584,11 +593,7 @@ class CurvatureTable(ConvexBody):
         D(t) = (P(t) - P(ts)) / (t - ts) of the origin cell's cubic c,
         continued over the neighbouring cells (a C2 spline's pieces differ
         there by the jump of the third derivative times t^3): H has no root
-        at the origin and no cancellation on chords of any length.  The
-        bracket also covers rays that the table's normal, which differs from
-        the tangent of its x, y splines by up to about 3e-7 rad, launches
-        out of the splines' curve: they meet it again just behind the
-        origin.
+        at the origin and no cancellation on chords of any length.
         """
         def divided(t):
             return c[0] * (t * t + t * ts + ts * ts) + c[1] * (t + ts) + c[2]

@@ -22,7 +22,7 @@ from convexbilliards import (
 )
 from convexbilliards.cli import main as cli_main
 from convexbilliards.coupling import couple_process_disc_batch
-from convexbilliards.coupling.chains_batch import couple_chains_batch
+from convexbilliards.coupling import couple_chains_batch
 from convexbilliards.dynamics import (
     chord_times,
     disc_step_exact,

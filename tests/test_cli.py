@@ -175,11 +175,31 @@ def test_couple_chains_curvature_table(tmp_path):
     assert len((out / "outcomes.csv").read_text().splitlines()) == 9
 
 
+def test_couple_chains_block_certificate(tmp_path):
+    # a two-bounce certificate: pairs couple at block ends only, and the
+    # attempts column counts blocks
+    cfg = _base_chain_cfg(
+        scenario="couple_chains",
+        law={"truncated_uniform": {"theta_star": 0.5 * PI}},
+        rate={"kind": "disc_chain"}, params={"eps": PI / 8.0},
+        n_max=11, replicas=300, s0=0.0, s0_alt=PI)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "blocks"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "outcomes.csv", delimiter=",", skiprows=1,
+                      dtype=np.int64, ndmin=2)
+    coupled = rows[:, 1] == 1
+    assert coupled.any() and not coupled.all()
+    assert np.all(rows[coupled, 2] % 2 == 0)
+    assert np.all(rows[coupled, 3] == rows[coupled, 2] // 2)
+    assert np.all(rows[~coupled, 3] == 11 // 2)
+
+
 def test_residual_cap_exit_1(tmp_path, monkeypatch, capsys):
     # an always-rejecting residual exhausts the cap of the shared thinning
     # loop: an engine error, exit code 1.  The cap is lowered because 50
     # rows of always-rejected rounds would run for minutes at the full cap.
-    from convexbilliards.coupling import base, chains_batch
+    from convexbilliards.coupling import base, chains
     real = base.thin_residual
 
     def always_reject(n, propose, rng):
@@ -188,7 +208,7 @@ def test_residual_cap_exit_1(tmp_path, monkeypatch, capsys):
             return fields, np.ones(rows.size)
         return real(n, rejecting, rng)
 
-    monkeypatch.setattr(chains_batch, "thin_residual", always_reject)
+    monkeypatch.setattr(chains, "thin_residual", always_reject)
     monkeypatch.setattr(base, "MAX_REJECTS", 100)
     cfg = _base_chain_cfg(
         scenario="couple_chains",

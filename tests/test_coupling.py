@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,10 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexbilliards import Disc, Ellipse, ReflectionLaw, point_at, summarize
+from convexbilliards import (CurvatureTable, Disc, Ellipse, ReflectionLaw,
+                             point_at, summarize)
 from convexbilliards.coupling import (
     base,
+    chains,
     couple_chains,
+    couple_chains_batch,
     couple_process_convex,
     couple_process_disc,
     couple_process_disc_batch,
@@ -19,7 +23,6 @@ from convexbilliards.coupling.base import (
     in_arcs,
     thin_residual,
 )
-from convexbilliards.coupling.chains_batch import couple_chains_batch
 from convexbilliards.coupling.process_convex import (
     _bridge_root,
     _chord_branches,
@@ -27,7 +30,8 @@ from convexbilliards.coupling.process_convex import (
     _Process,
     box_slice_volume,
 )
-from convexbilliards.dynamics import make_chain_state, run_chain_ensemble
+from convexbilliards.dynamics import (landing_density, make_chain_state,
+                                     run_chain_ensemble)
 from convexbilliards.rates import (
     RateParams,
     bisector_window_geometry,
@@ -134,7 +138,7 @@ def test_arc_overlap_properties(a, b):
 
 
 # ---------------------------------------------------------------------------
-# chain couplings (scalar engines)
+# chain couplings (one replica)
 # ---------------------------------------------------------------------------
 
 def test_couple_chains_identical_starts(disc, tu34_law, rng):
@@ -304,6 +308,69 @@ def test_batch_engine_marginal_ellipse(ellipse, uniform_half_law):
     assert two_sample_chi2(h3, h4)[1] > 1e-3
 
 
+@pytest.mark.parametrize("steps", [3, 12])
+def test_batch_engine_marginal_ellipse_blocks(ellipse, uniform_half_law,
+                                              steps):
+    # two-bounce blocks on a general body: the residual thins on block rows
+    # of the discretised kernel and successes bridge their inner bounce; 3
+    # steps end on a plain bounce, before the chain has forgotten its start
+    cert = convex_chain_rate(summarize(ellipse), 2.0, 1.0 / PI, eps=0.1)
+    assert cert.constants["n0"] == 2
+    n = 20_000
+    res = couple_chains_batch(ellipse, uniform_half_law, 0.0,
+                              0.5 * ellipse.perimeter, cert, steps, n,
+                              seed=48)
+    assert res.attempts > 0
+    for final, s0, seed in ((res.final_a, 0.0, 49),
+                            (res.final_b, 0.5 * ellipse.perimeter, 50)):
+        plain = run_chain_ensemble(ellipse, uniform_half_law, np.full(n, s0),
+                                   steps, stream(seed, 0))[steps]
+        h1 = Histogram.from_samples(final, 60, 0.0, ellipse.perimeter,
+                                    periodic=True)
+        h2 = Histogram.from_samples(plain, 60, 0.0, ellipse.perimeter,
+                                    periodic=True)
+        assert two_sample_chi2(h1, h2)[1] > 1e-3
+
+
+@functools.lru_cache(maxsize=None)
+def _one_bounce_case(name):
+    """(body, law, one-bounce certificate) of a level-below-density check."""
+    if name == "disc":
+        return (Disc(1.0), ReflectionLaw.truncated_uniform(0.75 * PI),
+                disc_chain_rate(0.75 * PI, 4.0 / (3.0 * PI)))
+    body = Ellipse(2.0, 1.0)
+    if name == "table":
+        s = np.arange(256) * (body.perimeter / 256)
+        body = CurvatureTable(s, body.curvature_at(s))
+    return (body, ReflectionLaw.uniform_half(),
+            convex_chain_rate(summarize(body), 2.8, 1.0 / PI))
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "table"])
+@settings(max_examples=25, deadline=None)
+@given(fa=st.floats(0.0, 1.0, exclude_max=True),
+       fb=st.floats(0.0, 1.0, exclude_max=True))
+def test_one_bounce_level_below_landing_density(name, fa, fb):
+    # with one-bounce blocks the residual thins on the exact landing
+    # density, which must dominate the certified level on the overlap of
+    # the two reach windows
+    body, law, cert = _one_bounce_case(name)
+    blocks = chains._blocks(body, law, cert)
+    assert blocks.n0 == 1 and blocks.kernel is None
+    s = body.wrap(np.array([fa, fb]) * body.perimeter)
+    u = body.to_native(s)
+    arc_lo, arc_len = arc_overlap(
+        *chains._reach_window(body, s[0], u[0], blocks.width, 1, 0.0),
+        *chains._reach_window(body, s[1], u[1], blocks.width, 1, 0.0),
+        body.perimeter)
+    pts = draw_arcs(arc_lo, arc_len, (np.arange(400) + 0.5) / 400,
+                    body.perimeter)
+    land = body.frame(body.to_native(pts))
+    for k in (0, 1):
+        dens = landing_density(body, law, body.frame(u[k]), land)
+        assert np.all(blocks.level <= dens * (1.0 + 1e-9))
+
+
 # ---------------------------------------------------------------------------
 # disc process coupling
 # ---------------------------------------------------------------------------
@@ -385,8 +452,8 @@ def test_process_disc_marginal_preservation(tu34_law):
     res = couple_process_disc_batch(1.0, tu34_law, STARTS[0], STARTS[1],
                                     cert, 1e6, 20_000, seed=63,
                                     record_first=6)
-    from convexbilliards.coupling.process_disc import _first_hit_disc
-    _, phi0 = _first_hit_disc(1.0, *STARTS[0])
+    pos, vel = STARTS[0]
+    phi0 = Disc(1.0).exit_ray(pos, vel / np.hypot(*vel))[1].s
     plain = run_chain_ensemble(Disc(1.0), tu34_law, np.full(20_000, phi0), 6,
                                stream(64, 0))[6]
     h1 = Histogram.from_samples(res.first_bounces[:, 5], 60, 0.0, TWO_PI,
