@@ -402,7 +402,8 @@ class _BlockTables:
 
 @functools.lru_cache(maxsize=16)
 def _cached_block_tables(law, n0) -> _BlockTables:
-    # laws are immutable; the convolution grids are the per-call bottleneck
+    # laws compare by value, so repeated runs of one law share the
+    # convolution grids, the per-call bottleneck otherwise
     return _BlockTables(law, n0)
 
 
@@ -501,6 +502,6 @@ def _categorical(w, rng) -> int:
 
 @functools.lru_cache(maxsize=8)
 def _cached_tables(body, law, n0) -> _ConvexKernelTables:
-    # bodies and laws are immutable, so caching by identity is sound; the
+    # bodies are immutable and keyed by identity, laws by value; the
     # discretised kernel is the dominant per-call cost otherwise
     return _ConvexKernelTables(body, law, n0)

@@ -13,13 +13,21 @@ clocks are realigned and stage one resumes.
 
 The engine is vectorised across replicas: all replicas advance through the
 attempt state machine in lockstep under boolean masks, drawing from one
-counter-based stream per fixed-size replica chunk.  The per-attempt success
-probabilities are exactly the certified plateau masses, so the recorded
-attempt statistics are directly comparable with the certificate constants.
+counter-based stream per fixed-size replica chunk.  Both processes of a
+chunk live in one state (``_Processes``): row 0 of the landing-angle and
+clock arrays holds process a of every replica, row 1 process b, and a flat
+index addresses either row.  Each step of a tick is one vectorised call
+over both processes: one residual thinning loop over every failing
+process, one conditional-angle draw over every succeeding one, and one
+realignment over the lagging process of each replica.  The per-attempt
+success probabilities are exactly the certified plateau masses, so the
+recorded attempt statistics are directly comparable with the certificate
+constants.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,7 +43,10 @@ from .base import (AttemptRecord, CouplingOutcome, _wrap_pi, arc_overlap,
                    draw_arcs, in_arcs, thin_residual)
 
 _T_GRID = 2049
-_U_GRID = 192
+_T_CELLS = 512       # substituted-angle cells per w-node of the tables
+_U_GRID = 192        # probability steps of the conditional inverse CDF
+_REALIGN_BOUNCES = 4  # bounces drawn per lagging process per round
+_MAX_TICKS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +54,12 @@ _U_GRID = 192
 # ---------------------------------------------------------------------------
 
 class _TwoBounceTables:
-    """Density of cos(A) + cos(B) for two independent law angles.
+    """Density of cos(A) + cos(B) for two independent law angles, and the
+    law of A given the sum.
 
-    Built on a fixed grid with a square-root substitution at the endpoint
-    where the inner arccosine degenerates, which removes the integrable
-    singularity of the integrand.
+    Both are tabulated on one fixed w-grid with a square-root substitution
+    at the endpoint where the inner arccosine degenerates, which removes the
+    integrable singularity of the integrand.
     """
 
     def __init__(self, law: ReflectionLaw):
@@ -55,30 +67,37 @@ class _TwoBounceTables:
         self.m = 0.5 * law.support_width
         w_min = 2.0 * math.cos(self.m)
         self.w_grid = np.linspace(w_min + 1e-12, 2.0 - 1e-12, _T_GRID)
-        n = 512
-        pdf = []
+        n = _T_CELLS
+        self.pdf_grid = np.empty(_T_GRID)
+        # inverse CDF of t / t_hi at probabilities 0, 1/_U_GRID, ..., 1
+        self.quantiles = np.empty((_T_GRID, _U_GRID + 1), dtype=np.float32)
         # 16 rows at a time keep the grid's temporaries small
-        for w in np.array_split(self.w_grid, 128):
-            _, _, wgt, t_hi = self._grid(w, n)
+        for lo in range(0, _T_GRID, 16):
+            rows = slice(lo, lo + 16)
+            wgt, t_hi = self._grid(self.w_grid[rows], n)
             # both signs of each angle, and du = 2 t dt with dt = t_hi / n
-            pdf.append(8.0 * (t_hi / n) * wgt.sum(axis=1))
-        self.pdf_grid = np.concatenate(pdf)
+            self.pdf_grid[rows] = 8.0 * (t_hi / n) * wgt.sum(axis=1)
+            self.quantiles[rows] = _inverse_cdf(wgt, _U_GRID)
 
-    def _grid(self, w, n):
-        """The first angle's magnitude u given cos(u) + cos(v) = w, one row
-        per w: n midpoints of t with u = u_hi - t^2, the matching v, and the
-        weights f(u) f(v) t / sin(v) of the substitution; with t_hi."""
+    def _u_range(self, w):
+        """Largest magnitude u_hi of the first angle given cos(u) + cos(v)
+        = w with both angles on the support, and t_hi = sqrt of the width
+        of the range of u."""
         cos_m = math.cos(self.m)
         u_lo = np.arccos(np.clip(np.minimum(w - cos_m, 1.0), -1.0, 1.0))
         u_hi = np.arccos(np.clip(np.maximum(w - 1.0, cos_m), -1.0, 1.0))
-        t_hi = np.sqrt(np.maximum(u_hi - u_lo, 1e-300))
+        return u_hi, np.sqrt(np.maximum(u_hi - u_lo, 1e-300))
+
+    def _grid(self, w, n):
+        """Weights f(u) f(v) t / sin(v) of the substitution u = u_hi - t^2
+        at n midpoints of t in [0, t_hi], one row per w; with t_hi."""
+        u_hi, t_hi = self._u_range(w)
         t = (np.arange(n) + 0.5)[None, :] * (t_hi[:, None] / n)
         u = u_hi[:, None] - t * t
-        z = w[:, None] - np.cos(u)
-        v = np.arccos(np.clip(z, -1.0, 1.0))
+        v = _partner(w[:, None], u)
         sin_v = np.maximum(np.sin(v), 1e-300)
         wgt = self.law.density(u) * self.law.density(v) / sin_v * t
-        return u, v, wgt, t_hi
+        return wgt, t_hi
 
     def pdf(self, w):
         """Density of the cosine sum, interpolated from the table."""
@@ -86,18 +105,65 @@ class _TwoBounceTables:
                          self.pdf_grid, left=0.0, right=0.0)
 
     def conditional_pair(self, w_targets, rng: np.random.Generator):
-        """Sample (angle1, angle2) given cos(angle1) + cos(angle2) = w."""
-        w_targets = np.atleast_1d(np.asarray(w_targets, dtype=float))
-        n = w_targets.size
-        u, v, wgt, _ = self._grid(w_targets, _U_GRID)
-        cdf = np.cumsum(wgt, axis=1)
-        tot = np.maximum(cdf[:, -1], 1e-300)
-        pick = rng.random(n) * tot
-        idx = np.minimum((cdf < pick[:, None]).sum(axis=1), _U_GRID - 1)
-        rows = np.arange(n)
-        sign_u = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        sign_v = np.where(rng.random(n) < 0.5, -1.0, 1.0)
-        return sign_u * u[rows, idx], sign_v * v[rows, idx]
+        """Sample (angle1, angle2) given cos(angle1) + cos(angle2) = w.
+
+        The magnitude of angle1 comes from the inverse-CDF table,
+        interpolated in w and in probability; angle2 is the arccosine of
+        w - cos(angle1), so the constraint holds to rounding.
+        """
+        w = np.atleast_1d(np.asarray(w_targets, dtype=float))
+        pos = np.clip((w - self.w_grid[0]) / (self.w_grid[1] - self.w_grid[0]),
+                      0.0, _T_GRID - 1.0)
+        i0 = np.minimum(pos.astype(np.intp), _T_GRID - 2)
+        fw = pos - i0
+        p = rng.random(w.size) * _U_GRID
+        j0 = np.minimum(p.astype(np.intp), _U_GRID - 1)
+        fp = p - j0
+        q = self.quantiles
+        tau = ((1.0 - fw) * ((1.0 - fp) * q[i0, j0] + fp * q[i0, j0 + 1])
+               + fw * ((1.0 - fp) * q[i0 + 1, j0] + fp * q[i0 + 1, j0 + 1]))
+        u_hi, t_hi = self._u_range(w)
+        t = tau * t_hi
+        u = u_hi - t * t
+        v = _partner(w, u)
+        signs = np.where(rng.random((2, w.size)) < 0.5, -1.0, 1.0)
+        return signs[0] * u, signs[1] * v
+
+
+def _partner(w, u):
+    """The angle v in [0, pi] with cos(u) + cos(v) = w.
+
+    Computed from sin(v/2)^2 = (2 - w)/2 - sin(u/2)^2, which keeps its
+    precision as w nears 2, where w - cos(u) rounds to 1.
+    """
+    h = np.clip(0.5 * (2.0 - w) - np.sin(0.5 * u) ** 2, 0.0, 1.0)
+    return 2.0 * np.arcsin(np.sqrt(h))
+
+
+def _inverse_cdf(wgt, levels):
+    """Quantiles at probabilities k / levels, k = 0..levels, of the law
+    with piecewise-constant density ``wgt`` on equal cells of [0, 1], one
+    row per law."""
+    rows, n = wgt.shape
+    cdf = np.zeros((rows, n + 1))
+    np.cumsum(wgt, axis=1, out=cdf[:, 1:])
+    cdf /= np.maximum(cdf[:, -1:], 1e-300)
+    p = np.linspace(0.0, 1.0, levels + 1)
+    # one search for every row: row r's values are shifted by 2 r
+    shift = 2.0 * np.arange(rows)[:, None]
+    edge = np.searchsorted((cdf + shift).ravel(), (p + shift).ravel())
+    cell = np.clip(edge.reshape(rows, -1) - (n + 1) * np.arange(rows)[:, None]
+                   - 1, 0, n - 1)
+    c0 = np.take_along_axis(cdf, cell, axis=1)
+    c1 = np.take_along_axis(cdf, cell + 1, axis=1)
+    frac = np.clip((p - c0) / np.maximum(c1 - c0, 1e-300), 0.0, 1.0)
+    return (cell + frac) / n
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_two_bounce_tables(law) -> _TwoBounceTables:
+    # laws compare by value, so repeated runs of one law share the table
+    return _TwoBounceTables(law)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +178,8 @@ class BatchCouplingResult:
     stage1_successes: np.ndarray
     stage2_attempts: np.ndarray
     stage2_successes: np.ndarray
-    first_bounces: np.ndarray | None = None  # (replicas, k) angles of process a
+    # (replicas, 2, k) landing angles of processes a and b
+    first_bounces: np.ndarray | None = None
 
     @property
     def stage1_rate(self) -> float:
@@ -135,7 +202,7 @@ def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
     Replicas share the deterministic first flight and then evolve on
     independent chunk streams, so any worker count reproduces the same
     outcome arrays.  ``record_first`` keeps the first k landing angles of
-    the first process for marginal checks; ``trace`` (single replica only)
+    both processes for marginal checks; ``trace`` (single replica only)
     collects per-attempt records.
     """
     if cert.kind != "disc_process":
@@ -147,7 +214,7 @@ def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
                        cert.inputs["eps"])
     delta = cert.constants["delta"]
     prof2 = disc_pair_profile(r, width, floor, eps)
-    tables = _TwoBounceTables(law)
+    tables = _cached_two_bounce_tables(law)
 
     pos_a, vel_a = (np.asarray(start_a[0], float), np.asarray(start_a[1], float))
     pos_b, vel_b = (np.asarray(start_b[0], float), np.asarray(start_b[1], float))
@@ -164,14 +231,18 @@ def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
         stage1_successes=np.zeros(R, dtype=np.int64),
         stage2_attempts=np.zeros(R, dtype=np.int64),
         stage2_successes=np.zeros(R, dtype=np.int64),
-        first_bounces=np.full((R, record_first), np.nan) if record_first else None,
+        first_bounces=(np.full((R, 2, record_first), np.nan)
+                       if record_first else None),
     )
     if np.allclose(pos_a, pos_b) and np.allclose(vel_a, vel_b):
         out.coupled[:] = True
         out.coupling_time[:] = T0a
         if record_first:
-            _fill_plain_chain(out.first_bounces, np.zeros(R, dtype=np.int64),
-                              np.full(R, phi0a), law, rngmod.substream(seed, "pd-fill"))
+            # both processes are one free chain from the common first hit
+            _fill_plain_chain(out.first_bounces.reshape(2 * R, -1),
+                              np.zeros(2 * R, dtype=np.int64),
+                              np.full(2 * R, phi0a), law,
+                              rngmod.substream(seed, "pd-fill"))
         return out
 
     from ..parallel import map_jobs
@@ -198,97 +269,262 @@ def _chunk_job(args):
     (n, seed, chunk_idx, r, law, tables, delta, prof2, width, eta,
      T0a, phi0a, T0b, phi0b, t_max, record_first, trace) = args
     rng = rngmod.substream(seed, "process-disc", chunk_idx)
-    local_trace = [] if trace is not None else None
-    res = _run_chunk(n, rng, r, law, tables, delta, prof2, width, eta,
-                     T0a, phi0a, T0b, phi0b, t_max, record_first,
-                     local_trace)
-    res["trace"] = local_trace
-    return res
+    procs = _Processes(n, rng, r, law, tables, delta, prof2, width, eta,
+                       (phi0a, phi0b), (T0a, T0b), record_first,
+                       [] if trace is not None else None)
+    return procs.run(t_max)
 
 
-def _run_chunk(n, rng, r, law, tables, delta, prof2, width, eta,
-               T0a, phi0a, T0b, phi0b, t_max, record_first, trace):
-    phi = np.full(n, phi0a)
-    phit = np.full(n, phi0b)
-    c = np.full(n, T0a)
-    ct = np.full(n, T0b)
-    phase = np.ones(n, dtype=np.int8)
-    active = np.ones(n, dtype=bool)
-    coupled = np.zeros(n, dtype=bool)
-    that = np.full(n, np.nan)
-    s1a = np.zeros(n, dtype=np.int64)
-    s1s = np.zeros(n, dtype=np.int64)
-    s2a = np.zeros(n, dtype=np.int64)
-    s2s = np.zeros(n, dtype=np.int64)
-    cursor = np.zeros(n, dtype=np.int64)
-    bounces = np.full((n, record_first), np.nan) if record_first else None
+class _Processes:
+    """``n`` replica pairs of processes on one stream, coupled in lockstep.
 
-    w1_lo = 4.0 * r * math.cos(0.5 * width) + eta
-    w1_hi = 4.0 * r - eta
-    level2 = prof2["level"]
-    aw = prof2["angle_halfwidth"]
-    B_lo, B_hi = prof2["t_lo"], prof2["t_hi"]
+    Row 0 of ``phi`` (landing angle) and ``clock`` (hitting time) holds
+    process a of every replica, row 1 process b.  Flat index ``f`` of the
+    views ``phi_f`` and ``clock_f`` addresses process ``f // n`` of replica
+    ``f % n``, so one call serves any set of processes of either row.
+    """
 
-    def record(idx, values):
-        if bounces is None or idx.size == 0:
-            return
-        cur = cursor[idx]
-        ok = cur < bounces.shape[1]
-        bounces[idx[ok], cur[ok]] = values[ok]
-        cursor[idx] += 1
+    def __init__(self, n, rng, r, law, tables, delta, prof2, width, eta,
+                 phi0, clock0, record_first, trace):
+        self.n, self.rng, self.r, self.law = n, rng, r, law
+        self.tables, self.delta = tables, delta
+        self.phi = np.repeat(np.asarray(phi0, float)[:, None], n, axis=1)
+        self.clock = np.repeat(np.asarray(clock0, float)[:, None], n, axis=1)
+        self.phi_f = self.phi.reshape(-1)
+        self.clock_f = self.clock.reshape(-1)
+        self.phase = np.ones(n, dtype=np.int8)
+        self.active = np.ones(n, dtype=bool)
+        self.coupled = np.zeros(n, dtype=bool)
+        self.that = np.full(n, np.nan)
+        self.s1a = np.zeros(n, dtype=np.int64)
+        self.s1s = np.zeros(n, dtype=np.int64)
+        self.s2a = np.zeros(n, dtype=np.int64)
+        self.s2s = np.zeros(n, dtype=np.int64)
+        # landing angles per process (flat index), and how many were kept;
+        # recording stops once every active process has its first k
+        self.bounces = (np.full((2 * n, record_first), np.nan)
+                        if record_first else None)
+        self.cursor = np.zeros(2 * n, dtype=np.int64)
+        self.recording = bool(record_first)
+        self.trace = trace
 
-    def bounce(idx, phi_arr, clock_arr, do_record):
-        th = guarded_angles(law, rng, idx.size)
-        phi_arr[idx] = np.mod(phi_arr[idx] + math.pi + 2.0 * th, TWO_PI)
-        clock_arr[idx] += 2.0 * r * np.cos(th)
-        if do_record:
-            record(idx, phi_arr[idx])
+        self.w1_lo = 4.0 * r * math.cos(0.5 * width) + eta
+        self.w1_hi = 4.0 * r - eta
+        self.level2 = prof2["level"]
+        self.aw = prof2["angle_halfwidth"]
+        self.B_lo, self.B_hi = prof2["t_lo"], prof2["t_hi"]
 
-    def realign(idx):
-        # the initially earlier process bounces until its clock strictly
-        # passes the other's; the later process stays put
-        a_lags = c[idx] <= ct[idx]
-        ia = idx[a_lags]
-        ib = idx[~a_lags]
-        while ia.size:
-            bounce(ia, phi, c, True)
-            ia = ia[c[ia] <= ct[ia]]
-        while ib.size:
-            bounce(ib, phit, ct, False)
-            ib = ib[ct[ib] <= c[ib]]
+    def run(self, t_max) -> dict:
+        for _ in range(_MAX_TICKS):
+            if not self.active.any():
+                break
+            i1 = np.flatnonzero(self.active & (self.phase == 1))
+            if i1.size:
+                self.stage1(i1)
+            i2 = np.flatnonzero(self.active & (self.phase == 2))
+            if i2.size:
+                self.stage2(i2)
+            self.active &= ~(self.coupled | (self.clock.min(axis=0) > t_max))
+            if self.recording:
+                short = self.cursor.reshape(2, -1) < self.bounces.shape[1]
+                self.recording = bool(short[:, self.active].any())
+        else:
+            raise HorizonExceeded("coupling state machine exceeded its tick"
+                                  " budget")
+        bounces = None
+        if self.bounces is not None:
+            _fill_plain_chain(self.bounces, self.cursor, self.phi_f, self.law,
+                              self.rng)
+            bounces = self.bounces.reshape(2, self.n, -1).transpose(1, 0, 2)
+        return {
+            "coupled": self.coupled,
+            "coupling_time": self.that,
+            "stage1_attempts": self.s1a,
+            "stage1_successes": self.s1s,
+            "stage2_attempts": self.s2a,
+            "stage2_successes": self.s2s,
+            "first_bounces": bounces,
+            "trace": self.trace,
+        }
 
-    max_ticks = 2_000_000
-    for _ in range(max_ticks):
-        if not np.any(active):
-            break
-        i1 = np.flatnonzero(active & (phase == 1))
-        if i1.size:
-            _stage1_tick(i1, rng, r, law, tables, delta, w1_lo, w1_hi,
-                         phi, phit, c, ct, phase, s1a, s1s, record, bounce,
-                         realign, trace)
-        i2 = np.flatnonzero(active & (phase == 2))
-        if i2.size:
-            _stage2_tick(i2, rng, r, law, level2, aw, B_lo, B_hi,
-                         phi, phit, c, ct, phase, coupled, that, s2a, s2s,
-                         record, realign, trace)
-        finished = active & (coupled | (np.minimum(c, ct) > t_max))
-        active &= ~finished
-    else:
-        raise HorizonExceeded("coupling state machine exceeded its tick"
-                              " budget")
+    # -- bookkeeping ---------------------------------------------------------
 
-    if bounces is not None:
-        _fill_plain_chain(bounces, cursor, phi, law, rng)
+    def attempted(self, stage, i, mass):
+        """One attempt per replica of ``i`` at the given plateau masses;
+        returns the success mask."""
+        suc = self.rng.random(i.size) < mass
+        att, ok = (self.s1a, self.s1s) if stage == 1 else (self.s2a, self.s2s)
+        att[i] += 1
+        ok[i[suc]] += 1
+        if self.trace is not None:
+            for m_, s_ in zip(mass, suc):
+                self.trace.append(AttemptRecord(stage, bool(s_), float(m_)))
+        return suc
 
-    return {
-        "coupled": coupled,
-        "coupling_time": that,
-        "stage1_attempts": s1a,
-        "stage1_successes": s1s,
-        "stage2_attempts": s2a,
-        "stage2_successes": s2s,
-        "first_bounces": bounces,
-    }
+    def record(self, f, values):
+        cur = self.cursor[f]
+        ok = cur < self.bounces.shape[1]
+        self.bounces[f[ok], cur[ok]] = values[ok]
+        self.cursor[f] += 1
+
+    def land(self, f, th1, end):
+        """Move processes ``f`` by two bounces, the first launched at
+        ``th1``, to landing angle ``end``."""
+        if self.recording:
+            self.record(f, np.mod(self.phi_f[f] + math.pi + 2.0 * th1, TWO_PI))
+            self.record(f, end)
+        self.phi_f[f] = end
+
+    def realign(self, i):
+        """The earlier process of each replica in ``i`` bounces until its
+        clock strictly passes the other's; the later one stays put.
+
+        Each round draws a few bounces per lagging process and keeps them
+        up to the first crossing, found from cumulative clocks.
+        """
+        n, B = self.n, _REALIGN_BOUNCES
+        b_lags = self.clock[0, i] > self.clock[1, i]
+        f = i + n * b_lags
+        target = self.clock_f[i + n * ~b_lags]
+        while f.size:
+            th = guarded_angles(self.law, self.rng, (f.size, B))
+            clock = self.clock_f[f][:, None] + np.cumsum(
+                2.0 * self.r * np.cos(th), axis=1)
+            phi = self.phi_f[f][:, None] + np.cumsum(math.pi + 2.0 * th,
+                                                     axis=1)
+            # clocks increase along a row, so crossings end every row
+            crossed = clock > target[:, None]
+            last = B - np.maximum(crossed.sum(axis=1), 1)
+            if self.recording:
+                for b in range(B):
+                    kept = last >= b
+                    self.record(f[kept], np.mod(phi[kept, b], TWO_PI))
+            rows = np.arange(f.size)
+            self.phi_f[f] = np.mod(phi[rows, last], TWO_PI)
+            self.clock_f[f] = clock[rows, last]
+            more = ~crossed[:, -1]
+            f, target = f[more], target[more]
+
+    # -- stage 1: clocks -----------------------------------------------------
+
+    def stage1(self, i):
+        n, r, rng = self.n, self.r, self.rng
+        c = self.clock[:, i]
+        lo = c.max(axis=0) + self.w1_lo
+        hi = c.min(axis=0) + self.w1_hi
+        wlen = hi - lo
+        suc = self.attempted(1, i, self.delta * np.maximum(wlen, 0.0))
+
+        if suc.any():
+            j = i[suc]
+            S = lo[suc] + rng.random(j.size) * wlen[suc]
+            f = np.concatenate([j, j + n])
+            th1, th2 = self.tables.conditional_pair(
+                (_both(S) - self.clock_f[f]) / (2.0 * r), rng)
+            self.land(f, th1, np.mod(self.phi_f[f] + TWO_PI
+                                     + 2.0 * (th1 + th2), TWO_PI))
+            self.clock[:, j] = S
+            self.phase[j] = 2
+            i, lo, hi = i[~suc], lo[~suc], hi[~suc]
+        if i.size:
+            self.residual_two_bounce(i, lo, hi)
+            self.realign(i)
+
+    def residual_two_bounce(self, k, lo, hi):
+        """Both processes of the replicas ``k`` make two bounces whose time
+        lands in the clock window [lo, hi] with the plateau removed."""
+        r, law, rng, tables, delta = (self.r, self.law, self.rng,
+                                      self.tables, self.delta)
+        f = np.concatenate([k, k + self.n])
+        c0 = self.clock_f[f]
+        lo, hi = _both(lo), _both(hi)
+
+        def propose(rows):
+            th1, th2 = guarded_angles(law, rng, (2, rows.size))
+            T = 2.0 * r * (np.cos(th1) + np.cos(th2))
+            S = c0[rows] + T
+            inw = (S >= lo[rows]) & (S <= hi[rows])
+            dens = tables.pdf(T / (2.0 * r)) / (2.0 * r)
+            reject = np.where(inw, np.minimum(delta / np.maximum(dens, 1e-300),
+                                              1.0), 0.0)
+            return (th1, th2, T), reject
+
+        th1, th2, T = thin_residual(f.size, propose, rng)
+        self.land(f, th1, np.mod(self.phi_f[f] + TWO_PI + 2.0 * (th1 + th2),
+                                 TWO_PI))
+        self.clock_f[f] += T
+
+    # -- stage 2: position and time -----------------------------------------
+
+    def stage2(self, i):
+        n, r, rng = self.n, self.r, self.rng
+        # the joint window is anchored at the pre-attempt positions
+        aw = self.aw
+        arc_lo, arc_len = arc_overlap(self.phi[0, i] - aw, 2.0 * aw,
+                                      self.phi[1, i] - aw, 2.0 * aw, TWO_PI)
+        lenB = self.B_hi - self.B_lo
+        suc = self.attempted(
+            2, i, self.level2 * (arc_len[0] + arc_len[1]) * lenB)
+
+        if suc.any():
+            j = i[suc]
+            phistar = draw_arcs(arc_lo[:, suc], arc_len[:, suc],
+                                rng.random(j.size), TWO_PI)
+            # both clocks agree in stage 2
+            dt = self.B_lo + rng.random(j.size) * lenB
+            tstar = self.clock[0, j] + dt
+            f = np.concatenate([j, j + n])
+            end = _both(phistar)
+            m = _wrap_pi(end - self.phi_f[f]) / 4.0
+            z = _both(dt) / (4.0 * r)
+            dd = np.arccos(np.clip(z / np.cos(m), -1.0, 1.0))
+            th1 = np.where(rng.random(f.size) < 0.5, m - dd, m + dd)
+            self.land(f, th1, end)
+            self.clock[:, j] = tstar
+            self.coupled[j] = True
+            self.that[j] = tstar
+            i, arc_lo, arc_len = i[~suc], arc_lo[:, ~suc], arc_len[:, ~suc]
+        if i.size:
+            self.residual_pair(i, arc_lo, arc_len)
+            self.realign(i)
+            self.phase[i] = 1
+
+    def residual_pair(self, k, arc_lo, arc_len):
+        """Both processes of the replicas ``k`` make two bounces whose
+        (landing, time) lies in the joint window with the plateau
+        removed."""
+        r, law, rng = self.r, self.law, self.rng
+        level2, B_lo, B_hi = self.level2, self.B_lo, self.B_hi
+        f = np.concatenate([k, k + self.n])
+        p0 = self.phi_f[f]
+        arc_lo, arc_len = _both(arc_lo), _both(arc_len)
+
+        def propose(rows):
+            th = guarded_angles(law, rng, (2, rows.size))
+            th1, th2 = th
+            T = 2.0 * r * (np.cos(th1) + np.cos(th2))
+            phip = np.mod(p0[rows] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
+            member = ((T >= B_lo) & (T <= B_hi)
+                      & in_arcs(phip, arc_lo.take(rows, axis=1),
+                                arc_len.take(rows, axis=1), TWO_PI))
+            m = 0.5 * (th1 + th2)
+            dd = 0.5 * (th1 - th2)
+            dens = law.density(th)
+            reject = np.where(
+                member,
+                np.minimum(level2 * 4.0 * r * np.cos(m) * np.abs(np.sin(dd))
+                           / np.maximum(dens[0] * dens[1], 1e-300), 1.0),
+                0.0)
+            return (th1, T, phip), reject
+
+        th1, T, phip = thin_residual(f.size, propose, rng)
+        self.land(f, th1, phip)
+        self.clock_f[f] += T
+
+
+def _both(x):
+    """Per-replica values ``x`` (last axis) once for each process row."""
+    return np.concatenate([x, x], axis=-1)
 
 
 def _fill_plain_chain(bounces, cursor, phi, law, rng):
@@ -302,144 +538,6 @@ def _fill_plain_chain(bounces, cursor, phi, law, rng):
         phi[idx] = np.mod(phi[idx] + math.pi + 2.0 * th, TWO_PI)
         bounces[idx, cursor[idx]] = phi[idx]
         cursor[idx] += 1
-
-
-def _stage1_tick(i, rng, r, law, tables, delta, w1_lo, w1_hi,
-                 phi, phit, c, ct, phase, s1a, s1s, record, bounce, realign,
-                 trace):
-    lo = np.maximum(c[i], ct[i]) + w1_lo
-    hi = np.minimum(c[i], ct[i]) + w1_hi
-    wlen = hi - lo
-    mass = delta * np.maximum(wlen, 0.0)
-    suc = rng.random(i.size) < mass
-    s1a[i] += 1
-    s1s[i[suc]] += 1
-    if trace is not None:
-        for m_, s_ in zip(mass, suc):
-            trace.append(AttemptRecord(1, bool(s_), float(m_)))
-
-    j = i[suc]
-    if j.size:
-        S = lo[suc] + rng.random(j.size) * wlen[suc]
-        for phi_arr, clock_arr, rec in ((phi, c, True), (phit, ct, False)):
-            w_t = (S - clock_arr[j]) / (2.0 * r)
-            th1, th2 = tables.conditional_pair(w_t, rng)
-            mid = np.mod(phi_arr[j] + math.pi + 2.0 * th1, TWO_PI)
-            fin = np.mod(mid + math.pi + 2.0 * th2, TWO_PI)
-            if rec:
-                record(j, mid)
-                record(j, fin)
-            phi_arr[j] = fin
-        c[j] = S
-        ct[j] = S
-        phase[j] = 2
-
-    k = i[~suc]
-    if k.size:
-        for phi_arr, clock_arr, rec in ((phi, c, True), (phit, ct, False)):
-            _residual_two_bounce(k, rng, r, law, tables, delta,
-                                 lo[~suc], hi[~suc], phi_arr, clock_arr,
-                                 rec, record)
-        realign(k)
-
-
-def _residual_two_bounce(k, rng, r, law, tables, delta, lo, hi,
-                         phi_arr, clock_arr, rec, record):
-    def propose(rows):
-        th1 = guarded_angles(law, rng, rows.size)
-        th2 = guarded_angles(law, rng, rows.size)
-        T = 2.0 * r * (np.cos(th1) + np.cos(th2))
-        S = clock_arr[k[rows]] + T
-        inw = (S >= lo[rows]) & (S <= hi[rows])
-        dens = tables.pdf(T / (2.0 * r)) / (2.0 * r)
-        reject = np.where(inw, np.minimum(delta / np.maximum(dens, 1e-300),
-                                          1.0), 0.0)
-        return (th1, th2, T), reject
-
-    th1, th2, T = thin_residual(k.size, propose, rng)
-    mid = np.mod(phi_arr[k] + math.pi + 2.0 * th1, TWO_PI)
-    fin = np.mod(mid + math.pi + 2.0 * th2, TWO_PI)
-    if rec:
-        record(k, mid)
-        record(k, fin)
-    phi_arr[k] = fin
-    clock_arr[k] += T
-
-
-def _stage2_tick(i, rng, r, law, level2, aw, B_lo, B_hi,
-                 phi, phit, c, ct, phase, coupled, that, s2a, s2s,
-                 record, realign, trace):
-    # the joint window is anchored at the pre-attempt positions
-    arc_lo, arc_len = arc_overlap(phi[i] - aw, 2.0 * aw, phit[i] - aw,
-                                  2.0 * aw, TWO_PI)
-    lenB = B_hi - B_lo
-    mass = level2 * (arc_len[0] + arc_len[1]) * lenB
-    suc = rng.random(i.size) < mass
-    s2a[i] += 1
-    s2s[i[suc]] += 1
-    if trace is not None:
-        for m_, s_ in zip(mass, suc):
-            trace.append(AttemptRecord(2, bool(s_), float(m_)))
-
-    j = i[suc]
-    if j.size:
-        phistar = draw_arcs(arc_lo[:, suc], arc_len[:, suc],
-                            rng.random(j.size), TWO_PI)
-        tstar = c[j] + B_lo + rng.random(j.size) * lenB
-        for phi_arr in (phi, phit):
-            rel = _wrap_pi(phistar - phi_arr[j])
-            m = rel / 4.0
-            z = (tstar - c[j]) / (4.0 * r)
-            dd = np.arccos(np.clip(z / np.cos(m), -1.0, 1.0))
-            swap = rng.random(j.size) < 0.5
-            th1 = np.where(swap, m - dd, m + dd)
-            th2 = np.where(swap, m + dd, m - dd)
-            mid = np.mod(phi_arr[j] + math.pi + 2.0 * th1, TWO_PI)
-            if phi_arr is phi:
-                record(j, mid)
-                record(j, phistar)
-            phi_arr[j] = phistar
-        c[j] = tstar
-        ct[j] = tstar
-        coupled[j] = True
-        that[j] = tstar
-
-    k = i[~suc]
-    if k.size:
-        for phi_arr, clock_arr, rec in ((phi, c, True), (phit, ct, False)):
-            _residual_pair(k, rng, r, law, level2, arc_lo[:, ~suc],
-                           arc_len[:, ~suc], B_lo, B_hi, phi_arr, clock_arr,
-                           rec, record)
-        realign(k)
-        phase[k] = 1
-
-
-def _residual_pair(k, rng, r, law, level2, arc_lo, arc_len, B_lo, B_hi,
-                   phi_arr, clock_arr, rec, record):
-    def propose(rows):
-        th1 = guarded_angles(law, rng, rows.size)
-        th2 = guarded_angles(law, rng, rows.size)
-        T = 2.0 * r * (np.cos(th1) + np.cos(th2))
-        phip = np.mod(phi_arr[k[rows]] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
-        member = ((T >= B_lo) & (T <= B_hi)
-                  & in_arcs(phip, arc_lo.take(rows, axis=1),
-                            arc_len.take(rows, axis=1), TWO_PI))
-        m = 0.5 * (th1 + th2)
-        dd = 0.5 * (th1 - th2)
-        f12 = law.density(th1) * law.density(th2)
-        reject = np.where(
-            member,
-            np.minimum(level2 * 4.0 * r * np.cos(m) * np.abs(np.sin(dd))
-                       / np.maximum(f12, 1e-300), 1.0),
-            0.0)
-        return (th1, T, phip), reject
-
-    th1, T, phip = thin_residual(k.size, propose, rng)
-    if rec:
-        record(k, np.mod(phi_arr[k] + math.pi + 2.0 * th1, TWO_PI))
-        record(k, phip)
-    phi_arr[k] = phip
-    clock_arr[k] += T
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,24 @@ class ReflectionLaw:
         self._tcdf[-1] = 1.0
         self.support_width = 2.0 * float(max(abs(a[0]), abs(a[-1])))
 
+    # -- value semantics -----------------------------------------------------
+    # Laws are immutable, so two laws with the same kind, width and table
+    # nodes are one law: tables cached per law are shared between them.
+
+    def _key(self) -> tuple:
+        key = (self.kind, self.support_width)
+        if self.kind == "table":
+            key += (self._ta.tobytes(), self._tv.tobytes())
+        return key
+
+    def __eq__(self, other):
+        if not isinstance(other, ReflectionLaw):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     # -- density / cdf -------------------------------------------------------
 
     def density(self, theta):

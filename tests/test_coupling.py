@@ -11,6 +11,7 @@ from convexbilliards import (CurvatureTable, Disc, Ellipse, ReflectionLaw,
 from convexbilliards.coupling import (
     base,
     chains,
+    process_disc,
     couple_chains,
     couple_chains_batch,
     couple_process_convex,
@@ -448,18 +449,21 @@ def test_process_disc_tail_dominance_small(tu34_law):
 
 
 def test_process_disc_marginal_preservation(tu34_law):
+    # each coupled process must land as a free chain from its own first hit
     cert = _ac6_cert()
     res = couple_process_disc_batch(1.0, tu34_law, STARTS[0], STARTS[1],
                                     cert, 1e6, 20_000, seed=63,
                                     record_first=6)
-    pos, vel = STARTS[0]
-    phi0 = Disc(1.0).exit_ray(pos, vel / np.hypot(*vel))[1].s
-    plain = run_chain_ensemble(Disc(1.0), tu34_law, np.full(20_000, phi0), 6,
-                               stream(64, 0))[6]
-    h1 = Histogram.from_samples(res.first_bounces[:, 5], 60, 0.0, TWO_PI,
-                                periodic=True)
-    h2 = Histogram.from_samples(plain, 60, 0.0, TWO_PI, periodic=True)
-    assert two_sample_chi2(h1, h2)[1] > 1e-3
+    assert res.first_bounces.shape == (20_000, 2, 6)
+    for row, (pos, vel) in enumerate(STARTS):
+        phi0 = Disc(1.0).exit_ray(pos, vel / np.hypot(*vel))[1].s
+        plain = run_chain_ensemble(Disc(1.0), tu34_law,
+                                   np.full(20_000, phi0), 6,
+                                   stream(64, row))[6]
+        h1 = Histogram.from_samples(res.first_bounces[:, row, 5], 60, 0.0,
+                                    TWO_PI, periodic=True)
+        h2 = Histogram.from_samples(plain, 60, 0.0, TWO_PI, periodic=True)
+        assert two_sample_chi2(h1, h2)[1] > 1e-3
 
 
 def test_process_disc_worker_invariance(tu34_law):
@@ -468,8 +472,89 @@ def test_process_disc_worker_invariance(tu34_law):
                                    cert, 1e5, 5000, seed=65, workers=1)
     r2 = couple_process_disc_batch(1.0, tu34_law, STARTS[0], STARTS[1],
                                    cert, 1e5, 5000, seed=65, workers=3)
-    assert np.array_equal(r1.coupling_time, r2.coupling_time,
-                          equal_nan=True)
+    for name in ("coupled", "coupling_time", "stage1_attempts",
+                 "stage1_successes", "stage2_attempts", "stage2_successes"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name),
+                              equal_nan=True), name
+
+
+def test_law_tables_cached_by_value():
+    # a config builds a new law object on every run; equal laws share tables
+    law = ReflectionLaw.truncated_uniform(0.75 * PI)
+    again = ReflectionLaw.truncated_uniform(0.75 * PI)
+    assert (process_disc._cached_two_bounce_tables(law)
+            is process_disc._cached_two_bounce_tables(again))
+    assert (chains._cached_block_tables(law, 2)
+            is chains._cached_block_tables(again, 2))
+
+
+TWO_BOUNCE_LAWS = {
+    "truncated_uniform": ReflectionLaw.truncated_uniform(0.75 * PI),
+    "cosine": ReflectionLaw.cosine(),
+}
+
+
+@pytest.mark.parametrize("law", TWO_BOUNCE_LAWS.values(),
+                         ids=TWO_BOUNCE_LAWS.keys())
+def test_two_bounce_pdf_matches_monte_carlo(law):
+    from scipy.stats import chi2 as chi2_dist
+    tables = process_disc._cached_two_bounce_tables(law)
+    n, bins = 1_000_000, 80
+    rng = stream(71, 0)
+    w = np.cos(law.sample(rng, n)) + np.cos(law.sample(rng, n))
+    edges = np.linspace(tables.w_grid[0], tables.w_grid[-1], bins + 1)
+    counts, _ = np.histogram(w, edges)
+    # the table's mass per bin, by the trapezoid rule on 64 steps a bin
+    fine = np.linspace(edges[0], edges[-1], 64 * bins + 1)
+    pdf = tables.pdf(fine)
+    cells = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(fine)
+    expected = n * cells.reshape(bins, 64).sum(axis=1)
+    stat = float(np.sum((counts - expected) ** 2 / expected))
+    assert chi2_dist.sf(stat, bins - 1) > 1e-3
+
+
+@pytest.mark.parametrize("law", TWO_BOUNCE_LAWS.values(),
+                         ids=TWO_BOUNCE_LAWS.keys())
+def test_two_bounce_conditional_pair_constraint(law):
+    tables = process_disc._cached_two_bounce_tables(law)
+    rng = stream(72, 0)
+    w = np.concatenate([tables.w_grid,
+                        rng.uniform(tables.w_grid[0], tables.w_grid[-1],
+                                    50_000)])
+    th1, th2 = tables.conditional_pair(w, rng)
+    assert np.max(np.abs(np.cos(th1) + np.cos(th2) - w)) < 1e-12
+    assert np.max(np.abs(th1)) <= tables.m and np.max(np.abs(th2)) <= tables.m
+
+
+# w near the low end, in the middle and near 2, per law
+CONDITIONAL_POINTS = {"truncated_uniform": (0.9, 1.4, 1.99),
+                      "cosine": (0.75, 1.2, 1.99)}
+
+
+@pytest.mark.parametrize("kind", CONDITIONAL_POINTS)
+def test_two_bounce_conditional_pair_law(kind):
+    # the first angle of Monte-Carlo pairs whose cosine sum falls within
+    # 1e-3 of w0, against the sampler at each pair's own sum: both are
+    # then draws from one mixture over the bin, which matters where the
+    # conditional law's edge moves fast with w (near w = 2)
+    law = TWO_BOUNCE_LAWS[kind]
+    tables = process_disc._cached_two_bounce_tables(law)
+    rng = stream(73, 0)
+    for w0 in CONDITIONAL_POINTS[kind]:
+        hits, sums = [], []
+        while sum(h.size for h in hits) < 10_000:
+            a = law.sample(rng, 1_000_000)
+            w = np.cos(a) + np.cos(law.sample(rng, a.size))
+            near = np.abs(w - w0) < 1e-3
+            hits.append(a[near])
+            sums.append(w[near])
+        mc = np.concatenate(hits)
+        th1, _ = tables.conditional_pair(np.concatenate(sums), rng)
+        lo, hi = np.min(np.abs(mc)), np.max(np.abs(mc)) + 1e-9
+        h1 = Histogram.from_samples(np.abs(th1), 30, lo, hi)
+        h2 = Histogram.from_samples(np.abs(mc), 30, lo, hi)
+        assert two_sample_chi2(h1, h2)[1] > 1e-3, w0
+        assert abs(np.mean(th1 > 0.0) - 0.5) < 0.03, w0
 
 
 # ---------------------------------------------------------------------------

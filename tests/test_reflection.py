@@ -85,6 +85,21 @@ def test_table_roundtrip_cdf_and_rejections():
         ReflectionLaw.from_table(angles, bad)
 
 
+def test_laws_compare_by_value():
+    angles = np.linspace(-0.4 * math.pi, 0.4 * math.pi, 33)
+    values = 1.0 + 0.3 * np.cos(2 * angles)
+    table = ReflectionLaw.from_table(angles, values)
+    same = ReflectionLaw.from_table(angles.copy(), 2.0 * values)  # same law
+    other = ReflectionLaw.from_table(angles, 1.0 + 0.2 * np.cos(2 * angles))
+    assert table == same and hash(table) == hash(same)
+    assert table != other
+    tu = ReflectionLaw.truncated_uniform(0.75 * math.pi)
+    assert tu == ReflectionLaw.truncated_uniform(0.75 * math.pi)
+    assert tu != ReflectionLaw.truncated_uniform(0.7 * math.pi)
+    assert ReflectionLaw.cosine() != ReflectionLaw.uniform_half()
+    assert len({tu, ReflectionLaw.truncated_uniform(0.75 * math.pi)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # floor certificates
 # ---------------------------------------------------------------------------
