@@ -174,21 +174,23 @@ def build_certificate(cfg, body, law) -> RateCertificate:
 # scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_simulate_chain(cfg, body, law, out, workers):
+def _write_trajectory(cfg, body, law, out):
+    """Run the configured chain and write it to trajectory.csv."""
     traj = run_chain(body, law, cfg.get("s0", 0.0), cfg["n_max"],
                      rngmod.substream(cfg["seed"], "simulate-chain"))
     rows = zip(traj.step, traj.s, traj.phi, traj.theta, traj.tau, traj.T)
     write_csv(out / "trajectory.csv", ["n", "s", "phi", "theta", "tau", "T"],
               rows)
+    return traj
+
+
+def _scenario_simulate_chain(cfg, body, law, out, workers):
+    _write_trajectory(cfg, body, law, out)
     return 0, ["trajectory.csv"]
 
 
 def _scenario_simulate_process(cfg, body, law, out, workers):
-    traj = run_chain(body, law, cfg.get("s0", 0.0), cfg["n_max"],
-                     rngmod.substream(cfg["seed"], "simulate-chain"))
-    rows = zip(traj.step, traj.s, traj.phi, traj.theta, traj.tau, traj.T)
-    write_csv(out / "trajectory.csv", ["n", "s", "phi", "theta", "tau", "T"],
-              rows)
+    traj = _write_trajectory(cfg, body, law, out)
     times = cfg.get("sample_times")
     if not times and len(traj):
         times = list(np.linspace(0.0, traj.T[-1], 65))

@@ -135,11 +135,3 @@ class CouplingOutcome:
     attempts: list[AttemptRecord] = field(default_factory=list)
     traj_a: np.ndarray | None = None
     traj_b: np.ndarray | None = None
-
-    @property
-    def stage_attempts(self) -> dict:
-        out: dict = {}
-        for rec in self.attempts:
-            a, s = out.get(rec.stage, (0, 0))
-            out[rec.stage] = (a + 1, s + int(rec.success))
-        return out

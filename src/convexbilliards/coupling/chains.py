@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from ..dynamics import guarded_angles, landing_density, transition_matrix
+from ..dynamics import (_walk, guarded_angles, landing_density,
+                        transition_matrix)
 from ..errors import ResidualSamplingError
 from ..geometry import ConvexBody, Disc, TWO_PI
 from ..rates import RateCertificate, disc_chain_rate
@@ -256,11 +257,9 @@ class _Pairs:
         u0 = self.u[c, idx]
 
         def propose(rows):
-            u = u0[rows]
-            path = np.empty((rows.size, n0))
-            for m in range(n0):
-                u = body.bounce(u, guarded_angles(law, rng, rows.size))[0]
-                path[:, m] = body.to_arc(u)
+            u, path, _ = _walk(body, u0[rows],
+                               guarded_angles(law, rng, (n0, rows.size)))
+            path = path.T
             member = in_arcs(path[:, -1], arc_lo.take(rows, axis=1),
                              arc_len.take(rows, axis=1), body.perimeter)
             dens = self._block_density(u0[rows], u, path[:, -1],

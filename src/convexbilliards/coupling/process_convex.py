@@ -24,7 +24,7 @@ import math
 import numpy as np
 from scipy.optimize import brentq
 
-from ..dynamics import chain_step, make_chain_state, transition_density
+from ..dynamics import _walk, guarded_angles, landing_density
 from ..errors import (
     GeometryDegenerate,
     HypothesisViolated,
@@ -89,33 +89,33 @@ def _slice_conditional_times(total: float, n: int, w: float,
 # chord-time inversion at one boundary point
 # ---------------------------------------------------------------------------
 
-def _chord_time(body, pt, theta):
-    return body.bounce(body.to_native(pt.s), theta)[1]
+def _chord_branches(body, law, u, tau: float, n_scan: int = 129):
+    """Angles whose chord time from native ``u`` equals tau, with weights
+    f(theta)/|tau'|."""
+    def chord(theta):
+        return body.bounce(u, theta)[1]
 
-
-def _chord_branches(body, law, pt, tau: float, n_scan: int = 129):
-    """Angles whose chord time equals tau, with weights f(theta)/|tau'|."""
     lim = 0.5 * math.pi - 1e-7
     grid = np.linspace(-lim, lim, n_scan)
-    vals = _chord_time(body, pt, grid) - tau
+    vals = chord(grid) - tau
     roots = []
     for i in range(n_scan - 1):
         if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(lambda th: _chord_time(body, pt, th) - tau,
+            roots.append(brentq(lambda th: chord(th) - tau,
                                 grid[i], grid[i + 1], xtol=1e-13))
     out = []
     dth = 1e-6
     for th in roots:
-        d = (_chord_time(body, pt, min(th + dth, lim))
-             - _chord_time(body, pt, max(th - dth, -lim))) / (2.0 * dth)
+        d = (chord(min(th + dth, lim))
+             - chord(max(th - dth, -lim))) / (2.0 * dth)
         weight = float(law.density(th)) / max(abs(d), 1e-12)
         if weight > 0.0:
             out.append((th, weight))
     return out
 
 
-def _hop_time_density(body, law, pt, tau: float) -> float:
-    return sum(w for _, w in _chord_branches(body, law, pt, tau))
+def _hop_time_density(body, law, u, tau: float) -> float:
+    return sum(w for _, w in _chord_branches(body, law, u, tau))
 
 
 # ---------------------------------------------------------------------------
@@ -123,31 +123,41 @@ def _hop_time_density(body, law, pt, tau: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _Process:
-    """One billiard copy at the boundary with its clock and bounce log."""
+    """One billiard copy at the boundary: arc ``s``, the body's native
+    coordinate ``u`` there, its clock and its bounce log."""
 
-    def __init__(self, body, law, state, clock):
+    def __init__(self, body, law, s: float, clock: float):
         self.body = body
         self.law = law
-        self.state = state
-        self.clock = clock
-        self.log_s = [state.s]
-        self.log_t = [clock]
+        self.log_s = []
+        self.log_t = []
+        self.land_at(s, clock)
 
-    def bounce(self, rng) -> float:
-        self.state, _, tau = chain_step(self.body, self.law, self.state, rng)
-        self.clock += tau
-        self.log_s.append(self.state.s)
-        self.log_t.append(self.clock)
-        return tau
+    def bounce(self, rng, n: int = 1):
+        """n plain bounces on guarded angles."""
+        self.walk(guarded_angles(self.law, rng, n))
+
+    def walk(self, theta):
+        """Plain bounces on the angles ``theta``, one per step."""
+        u, s, tau = _walk(self.body, self.u, theta)
+        self.follow(u, s, np.cumsum(np.r_[self.clock, tau])[1:])
+
+    def follow(self, u, s, t):
+        """Take a path landing at arcs ``s`` at clocks ``t`` and ending at
+        native ``u``."""
+        self.u, self.s, self.clock = u, s[-1], t[-1]
+        self.log_s.extend(s)
+        self.log_t.extend(t)
 
     def land_at(self, s: float, clock: float):
-        self.state = make_chain_state(self.body, s)
+        self.s = float(self.body.wrap(s))
+        self.u = self.body.to_native(self.s)
         self.clock = clock
-        self.log_s.append(self.state.s)
+        self.log_s.append(self.s)
         self.log_t.append(clock)
 
 
-def _first_hit(body, law, start) -> tuple[float, float]:
+def _first_hit(body, start) -> tuple[float, float]:
     pos, vel = np.asarray(start[0], float), np.asarray(start[1], float)
     vel = vel / float(np.hypot(vel[0], vel[1]))
     tau, hit = body.exit_ray(pos, vel)
@@ -183,15 +193,15 @@ def couple_process_convex(body: ConvexBody, law: ReflectionLaw, start, start_b,
     w_box = 2.0 / C
     level1 = (c_low * floor) ** n0 * zeta ** (n0 - 1)
 
-    T0a, s0a = _first_hit(body, law, start)
-    T0b, s0b = _first_hit(body, law, start_b)
+    T0a, s0a = _first_hit(body, start)
+    T0b, s0b = _first_hit(body, start_b)
     attempts: list[AttemptRecord] = []
     if np.allclose(start[0], start_b[0]) and np.allclose(start[1], start_b[1]):
         return CouplingOutcome(coupled=True, coupling_time=T0a,
                                attempts=attempts)
 
-    a = _Process(body, law, make_chain_state(body, s0a), T0a)
-    b = _Process(body, law, make_chain_state(body, s0b), T0b)
+    a = _Process(body, law, s0a, T0a)
+    b = _Process(body, law, s0b, T0b)
 
     def realign():
         early, late = (a, b) if a.clock <= b.clock else (b, a)
@@ -246,59 +256,45 @@ def _stage1_attempt(a, b, rng, law, body, level1, n0, zeta, w_box,
 def _realise_block_time(proc, rng, law, body, total, n0, w_box):
     taus = _slice_conditional_times(total, n0, w_box, rng)
     for tau in taus:
-        branches = _chord_branches(body, law, proc.state.point, float(tau))
+        branches = _chord_branches(body, law, proc.u, float(tau))
         if not branches:
             raise ResidualSamplingError(
                 "no chord realises the prescribed flight time")
         weights = np.array([w for _, w in branches])
         theta = branches[int(rng.choice(len(branches),
                                         p=weights / weights.sum()))][0]
-        u_hit, t_hit = body.bounce(proc.state.u, theta)
-        proc.state = make_chain_state(body, float(body.to_arc(u_hit)))
-        proc.clock += float(t_hit)
-        proc.log_s.append(proc.state.s)
-        proc.log_t.append(proc.clock)
+        proc.walk(np.array([theta]))
 
 
 def _residual_block_time(proc, rng, law, body, level1, n0, zeta, w_box,
                          lo, hi):
     def propose(rows):
-        state, clock = proc.state, proc.clock
-        path_s, path_t, taus = [], [], []
-        for _ in range(n0):
-            state, _, tau = chain_step(body, law, state, rng)
-            clock += tau
-            taus.append(tau)
-            path_s.append(state.s)
-            path_t.append(clock)
+        u, path_s, taus = _walk(body, proc.u, guarded_angles(law, rng, n0))
+        path_t = np.cumsum(np.r_[proc.clock, taus])[1:]
+        clock = path_t[-1]
         reject = 0.0
-        if lo <= clock <= hi and all(t <= w_box for t in taus):
+        if lo <= clock <= hi and np.all(taus <= w_box):
             # candidate carries plateau mass; thin it by the density ratio
             vol = box_slice_volume(clock - proc.clock, n0, w_box)
             ratio = level1 / max(vol, 1e-300)
-            for t_k, s_prev in zip(taus, [proc.state.s] + path_s[:-1]):
-                ratio /= max(_hop_time_density(
-                    body, law, body.point_at(s_prev), t_k), 1e-300)
+            u_prev = np.r_[proc.u, body.to_native(path_s[:-1])]
+            for t_k, u_k in zip(taus, u_prev):
+                ratio /= max(_hop_time_density(body, law, u_k, t_k), 1e-300)
             reject = min(ratio, 1.0)
-        return ((np.array([state], dtype=object), np.array([path_s]),
-                 np.array([path_t])), reject)
+        return (np.array([u]), path_s[None], path_t[None]), reject
 
-    state, path_s, path_t = thin_residual(1, propose, rng)
-    proc.state = state[0]
-    proc.clock = float(path_t[0, -1])
-    proc.log_s.extend(path_s[0])
-    proc.log_t.extend(path_t[0])
+    u, path_s, path_t = thin_residual(1, propose, rng)
+    proc.follow(u[0], path_s[0], path_t[0])
 
 
 def _stage2_attempt(a, b, rng, law, body, floor, params, attempts) -> bool:
+    points = tuple(body.point_of(p.s, p.u) for p in (a, b))
     try:
-        win = bisector_window_geometry(body, a.state.point, b.state.point,
-                                       params)
+        win = bisector_window_geometry(body, *points, params)
     except (GeometryDegenerate, NoAdmissibleWindow):
         attempts.append(AttemptRecord(2, False, 0.0))
         for proc in (a, b):
-            proc.bounce(rng)
-            proc.bounce(rng)
+            proc.bounce(rng, 2)
         return False
     eta = win.eta_level * floor ** 2
     len_i = win.I_star[1] - win.I_star[0]
@@ -309,8 +305,8 @@ def _stage2_attempt(a, b, rng, law, body, floor, params, attempts) -> bool:
     if success:
         t_land = float(body.wrap(win.I_star[0] + rng.random() * len_i))
         u_time = win.R1 + rng.random() * (win.R2 - win.R1)
-        for proc in (a, b):
-            w_pos = proc.state.point.position
+        for proc, pt in zip((a, b), points):
+            w_pos = pt.position
             s_mid = _bridge_root(body, w_pos, win, t_land, u_time)
             leg1 = float(np.hypot(*(body.position_at(s_mid) - w_pos)))
             proc.land_at(s_mid, base_clock + leg1)
@@ -334,30 +330,27 @@ def _bridge_root(body, w_pos, win, t_land, u_time) -> float:
 
 def _residual_pair_convex(proc, rng, law, body, eta, win):
     P = body.perimeter
+    x = body.frame(proc.u)
 
     def propose(rows):
-        state1, _, tau1 = chain_step(body, law, proc.state, rng)
-        state2, _, tau2 = chain_step(body, law, state1, rng)
+        theta = guarded_angles(law, rng, 2)
+        u1, (s1,), (tau1,) = _walk(body, proc.u, theta[:1])
+        u2, (s2,), (tau2,) = _walk(body, u1, theta[1:])
         total = tau1 + tau2
         reject = 0.0
         if (win.R1 <= total <= win.R2
-                and in_arcs(state1.s, [win.s_ybar - win.eps],
-                            [2.0 * win.eps], P)
-                and in_arcs(state2.s, [win.I_star[0]],
+                and in_arcs(s1, [win.s_ybar - win.eps], [2.0 * win.eps], P)
+                and in_arcs(s2, [win.I_star[0]],
                             [win.I_star[1] - win.I_star[0]], P)):
-            q = (transition_density(body, law, proc.state.point, state1.point)
-                 * transition_density(body, law, state1.point, state2.point)
-                 / max(abs(float(_path_time_dds(body,
-                                                proc.state.point.position,
-                                                state1.s, state2.s))), 1e-12))
+            y = body.frame(u1)
+            q = float(landing_density(body, law, x, y)
+                      * landing_density(body, law, y, body.frame(u2))
+                      / max(abs(float(_path_time_dds(
+                          body, np.array(x[:2]), s1, s2))), 1e-12))
             reject = min(eta / max(q, 1e-300), 1.0)
-        return ((np.array([state2], dtype=object),
-                 np.array([[state1.s, state2.s]]), np.array([[tau2, total]])),
-                reject)
+        t = proc.clock + total
+        return ((np.array([u2]), np.array([[s1, s2]]),
+                 np.array([[t - tau2, t]])), reject)
 
-    state, path_s, taus = thin_residual(1, propose, rng)
-    tau2, total = taus[0]
-    proc.state = state[0]
-    proc.clock += total
-    proc.log_s.extend(path_s[0])
-    proc.log_t.extend([proc.clock - tau2, proc.clock])
+    u, path_s, path_t = thin_residual(1, propose, rng)
+    proc.follow(u[0], path_s[0], path_t[0])

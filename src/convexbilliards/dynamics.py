@@ -12,9 +12,11 @@ provides
 
 * the tangency guard (``guarded_angles``), the one policy for reflection
   angles at +-pi/2,
-* single-trajectory simulation (``chain_step`` / ``run_chain``) and
-  ensembles across replicas (``run_chain_ensemble``), both carrying the
-  body's native boundary coordinate between bounces,
+* one walk of plain bounces on angles drawn up front, carrying the body's
+  native boundary coordinate between bounces; it steps one chain on
+  scalars (``run_chain``, which also records angles and chord times) or
+  many chains at once (``run_chain_ensemble``), and the coupling engines
+  take their plain bounces through it,
 * chord flight times from one boundary point (``chord_times``),
 * the closed-form polar recursion on discs (``disc_step_exact``), an
   independent oracle for the disc kernel and for ``exit_ray``,
@@ -26,7 +28,7 @@ provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -53,17 +55,6 @@ def guarded_angles(law: ReflectionLaw, rng: np.random.Generator, size=None):
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """Boundary chain state: arc length, boundary point and the body's
-    native coordinate ``u``; on discs ``phi`` is the polar angle."""
-
-    s: float
-    point: BoundaryPoint
-    u: float
-    phi: float | None = None
-
-
-@dataclass(frozen=True)
 class ProcessState:
     """Continuous-time state between or at bounces."""
 
@@ -83,37 +74,15 @@ class Trajectory:
     """
 
     s0: float
-    step: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    s: np.ndarray = field(default_factory=lambda: np.empty(0))
-    phi: np.ndarray = field(default_factory=lambda: np.empty(0))
-    theta: np.ndarray = field(default_factory=lambda: np.empty(0))
-    tau: np.ndarray = field(default_factory=lambda: np.empty(0))
-    T: np.ndarray = field(default_factory=lambda: np.empty(0))
+    step: np.ndarray
+    s: np.ndarray
+    phi: np.ndarray
+    theta: np.ndarray
+    tau: np.ndarray
+    T: np.ndarray
 
     def __len__(self) -> int:
         return int(self.step.size)
-
-
-def make_chain_state(body: ConvexBody, s: float) -> ChainState:
-    s = float(body.wrap(s))
-    return _chain_state(body, s, body.to_native(s))
-
-
-def _chain_state(body, s, u) -> ChainState:
-    u = float(u)
-    return ChainState(s=s, point=body.point_of(s, u), u=u,
-                      phi=u if isinstance(body, Disc) else None)
-
-
-def chain_step(body: ConvexBody, law: ReflectionLaw, state: ChainState,
-               rng: np.random.Generator) -> tuple[ChainState, float, float]:
-    """One bounce: sample a guarded angle, trace the chord, land.
-
-    Returns (next state, sampled angle, chord time).
-    """
-    theta = float(guarded_angles(law, rng))
-    u, tau = body.bounce(state.u, theta)
-    return _chain_state(body, float(body.to_arc(u)), u), theta, float(tau)
 
 
 def disc_step_exact(r: float, phi: float, theta: float) -> tuple[float, float]:
@@ -127,56 +96,54 @@ def disc_step_exact(r: float, phi: float, theta: float) -> tuple[float, float]:
     return (math.pi + 2.0 * theta + phi) % TWO_PI, 2.0 * r * math.cos(theta)
 
 
+def _walk(body: ConvexBody, u, theta):
+    """Plain bounces from native ``u`` on angles drawn up front.
+
+    ``theta`` has shape (n,) for one chain from a scalar ``u`` or (n, m)
+    for m chains; step k is one call of the bounce kernel on ``theta[k]``.
+    Returns the final native coordinate and the landing arcs and chord
+    times of every step, both shaped like ``theta``.
+    """
+    s = np.empty(theta.shape)
+    tau = np.empty(theta.shape)
+    for k in range(theta.shape[0]):
+        u, tau[k] = body.bounce(u, theta[k])
+        s[k] = body.to_arc(u)
+    return u, s, tau
+
+
 def run_chain(body: ConvexBody, law: ReflectionLaw, s0: float, n_steps: int,
               rng: np.random.Generator) -> Trajectory:
-    """Simulate n_steps bounces, one ``chain_step`` each.
+    """Simulate n_steps bounces of one chain.
 
-    Deterministic given the generator state; the records are exactly the
-    consumed random angles, so reruns from an equal stream reproduce the
-    trajectory bit for bit.
+    The angles are drawn in one call and the walk runs the bounce kernel
+    on scalars.  Deterministic given the generator state; the records are
+    exactly the consumed random angles, so reruns from an equal stream
+    reproduce the trajectory bit for bit.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    state = make_chain_state(body, s0)
-    traj = Trajectory(s0=state.s)
-    if n_steps == 0:
-        return traj
-    step = np.arange(1, n_steps + 1, dtype=np.int64)
-    s = np.empty(n_steps)
-    theta = np.empty(n_steps)
-    tau = np.empty(n_steps)
-    for i in range(n_steps):
-        state, th, tv = chain_step(body, law, state, rng)
-        s[i] = state.s
-        theta[i] = th
-        tau[i] = tv
-    is_disc = isinstance(body, Disc)
-    traj.step = step
-    traj.s = s
-    traj.phi = s / body.r if is_disc else np.full(n_steps, np.nan)
-    traj.theta = theta
-    traj.tau = tau
-    traj.T = np.cumsum(tau)
-    return traj
+    s0 = float(body.wrap(s0))
+    theta = guarded_angles(law, rng, n_steps)
+    _, s, tau = _walk(body, body.to_native(s0), theta)
+    return Trajectory(
+        s0=s0, step=np.arange(1, n_steps + 1, dtype=np.int64), s=s,
+        phi=s / body.r if isinstance(body, Disc) else np.full(n_steps, np.nan),
+        theta=theta, tau=tau, T=np.cumsum(tau))
 
 
 def run_chain_ensemble(body: ConvexBody, law: ReflectionLaw, s0, n_steps: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Positions of many independent chains, shape (n_steps + 1, replicas).
 
-    ``s0`` may be a scalar (all replicas share the start) or an array of
-    starts.  The angles are drawn step by step, each step for all replicas
-    at once, and every step is one vectorised call of the bounce kernel.
+    ``s0`` holds one start per replica; a scalar runs one chain.  The
+    angles of every step and replica are drawn in one call, and every step
+    is one vectorised call of the bounce kernel.
     """
     s0 = body.wrap(np.atleast_1d(np.asarray(s0, dtype=float)))
     theta = guarded_angles(law, rng, (n_steps, s0.size))
-    out = np.empty((n_steps + 1, s0.size))
-    out[0] = s0
-    u = body.to_native(s0)
-    for n in range(n_steps):
-        u, _ = body.bounce(u, theta[n])
-        out[n + 1] = body.to_arc(u)
-    return out
+    return np.concatenate([s0[None], _walk(body, body.to_native(s0),
+                                           theta)[1]])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from convexbilliards.coupling.process_convex import (
     _Process,
     box_slice_volume,
 )
-from convexbilliards.dynamics import (landing_density, make_chain_state,
+from convexbilliards.dynamics import (chord_times, landing_density,
                                      run_chain_ensemble)
 from convexbilliards.rates import (
     RateParams,
@@ -603,6 +603,29 @@ def test_process_convex_horizon_recorded(ellipse, uniform_half_law):
     assert rep.passed
 
 
+def test_process_convex_marginal(ellipse, uniform_half_law):
+    # the coupling leaves each process's own law alone: four bounces after
+    # its first hit, each process lands as a free chain from that hit does
+    cert, _ = _convex_cert(ellipse)
+    starts = ((np.array([1.0, 0.2]), np.array([0.5, 1.0])),
+              (np.array([-1.0, -0.2]), np.array([-0.5, -1.0])))
+    n, k, seed = 2000, 4, 76
+    outs = [couple_process_convex(ellipse, uniform_half_law, *starts, cert,
+                                  30.0, stream(seed, i)) for i in range(n)]
+    P = ellipse.perimeter
+    for name in ("traj_a", "traj_b"):
+        trajs = [getattr(out, name) for out in outs]
+        assert min(len(t) for t in trajs) > k
+        first = trajs[0][0, 0]
+        landed = np.array([t[k, 0] for t in trajs])
+        plain = run_chain_ensemble(ellipse, uniform_half_law,
+                                   np.full(n, first), k,
+                                   stream(seed, n + (name == "traj_b")))[k]
+        h1 = Histogram.from_samples(landed, 30, 0.0, P, periodic=True)
+        h2 = Histogram.from_samples(plain, 30, 0.0, P, periodic=True)
+        assert two_sample_chi2(h1, h2)[1] > 1e-3
+
+
 def test_process_convex_narrow_law_rejected(ellipse, tu34_law):
     cert, _ = _convex_cert(ellipse)
     start = (np.array([1.0, 0.3]), np.array([0.6, 1.0]))
@@ -649,8 +672,7 @@ def test_box_slice_volume_matches_analytic():
 def test_block_time_bridge_hits_prescribed_total(ellipse, uniform_half_law):
     # stage-one common draw: realise a prescribed block flight time
     gen = stream(74, 0)
-    proc = _Process(ellipse, uniform_half_law,
-                    make_chain_state(ellipse, 1.0), 0.0)
+    proc = _Process(ellipse, uniform_half_law, 1.0, 0.0)
     n0, w_box = 5, 2.0 / summarize(ellipse).curvature_max
     total = 0.5 * n0 * w_box
     _realise_block_time(proc, gen, uniform_half_law, ellipse, total, n0,
@@ -662,13 +684,12 @@ def test_block_time_bridge_hits_prescribed_total(ellipse, uniform_half_law):
 
 
 def test_chord_branches_invert_flight_time(ellipse, uniform_half_law):
-    pt = point_at(ellipse, 2.0)
-    from convexbilliards.coupling.process_convex import _chord_time
     target = 0.8
-    branches = _chord_branches(ellipse, uniform_half_law, pt, target)
+    branches = _chord_branches(ellipse, uniform_half_law,
+                               ellipse.to_native(2.0), target)
     assert branches
     for theta, weight in branches:
-        assert abs(_chord_time(ellipse, pt, theta) - target) < 1e-9
+        assert abs(chord_times(ellipse, 2.0, theta)[0] - target) < 1e-9
         assert weight > 0.0
 
 

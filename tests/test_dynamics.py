@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2 as chi2_dist
 
-from convexbilliards import Disc, Ellipse, ReflectionLaw, point_at
+from convexbilliards import CurvatureTable, Disc, Ellipse, point_at
 from convexbilliards.dynamics import (
-    chain_step,
     chord_times,
     disc_step_exact,
-    make_chain_state,
     run_chain,
     run_chain_ensemble,
     sample_process_at,
@@ -41,19 +39,18 @@ class _PointLaw:
 # single steps
 # ---------------------------------------------------------------------------
 
-def test_chain_step_normal_reflection_is_antipodal(disc, rng):
-    state = make_chain_state(disc, 0.0)
-    nxt, theta, tau = chain_step(disc, _PointLaw(0.0), state, rng)
-    assert theta == 0.0
-    assert abs(tau - 2.0) < disc.tol_root
-    assert abs(nxt.phi - math.pi) < 1e-12
+def test_one_bounce_normal_reflection_is_antipodal(disc, rng):
+    traj = run_chain(disc, _PointLaw(0.0), 0.0, 1, rng)
+    assert traj.theta[0] == 0.0
+    assert abs(traj.tau[0] - 2.0) < disc.tol_root
+    assert abs(traj.phi[0] - math.pi) < 1e-12
 
 
-def test_chain_step_ellipse_axis_chord(ellipse, rng):
-    state = make_chain_state(ellipse, 0.0)  # at (2, 0)
-    nxt, _, tau = chain_step(ellipse, _PointLaw(0.0), state, rng)
-    assert abs(tau - 4.0) < ellipse.tol_root
-    assert np.allclose(nxt.point.position, [-2.0, 0.0], atol=1e-9)
+def test_one_bounce_ellipse_axis_chord(ellipse, rng):
+    traj = run_chain(ellipse, _PointLaw(0.0), 0.0, 1, rng)  # from (2, 0)
+    assert abs(traj.tau[0] - 4.0) < ellipse.tol_root
+    assert np.allclose(ellipse.position_at(traj.s[0]), [-2.0, 0.0],
+                       atol=1e-9)
 
 
 def test_disc_step_exact_examples():
@@ -109,12 +106,24 @@ def test_time_additivity(ellipse, cosine_law, rng):
     assert np.allclose(np.cumsum(traj.tau), traj.T)
 
 
-def test_ensemble_matches_scalar_engine(ellipse, tu34_law):
-    # same stream, one replica: the vectorised step must reproduce the
-    # scalar geometric engine
-    arcs = run_chain_ensemble(ellipse, tu34_law, np.array([1.0]), 50,
+def _ensemble_body(name):
+    if name == "disc":
+        return Disc(1.0)
+    body = Ellipse(2.0, 1.0)
+    if name == "table":
+        s = np.arange(256) * (body.perimeter / 256)
+        body = CurvatureTable(s, body.curvature_at(s))
+    return body
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "table"])
+def test_ensemble_matches_scalar_engine(name, tu34_law):
+    # same stream, one replica: the walk on arrays must reproduce the walk
+    # on scalars
+    body = _ensemble_body(name)
+    arcs = run_chain_ensemble(body, tu34_law, np.array([1.0]), 50,
                               stream(9, 4))
-    traj = run_chain(ellipse, tu34_law, 1.0, 50, stream(9, 4))
+    traj = run_chain(body, tu34_law, 1.0, 50, stream(9, 4))
     assert np.allclose(arcs[1:, 0], traj.s, atol=1e-8)
 
 
@@ -263,7 +272,6 @@ def test_run_chain_on_tabulated_body(cosine_law):
     # the scalar engine, stepping the table's bounce kernel (a root in arc
     # length on its dense spline grid), runs a short chain on a
     # curvature-table body and stays on the boundary
-    from convexbilliards.geometry import CurvatureTable, Ellipse
     e = Ellipse(2.0, 1.0)
     s = np.linspace(0.0, e.perimeter, 513)[:-1]
     body = CurvatureTable(s, np.asarray(e.curvature_at(s)))
