@@ -25,7 +25,6 @@ from .reflection import (
     certify_density_floor,
     law_from_config,
     reflect,
-    sample_angle,
 )
 
 __version__ = "0.1.0"

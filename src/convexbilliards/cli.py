@@ -30,7 +30,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__, rng as rngmod
-from .coupling import couple_process_disc_batch
+from .coupling import couple_process_convex_batch, couple_process_disc_batch
 from .coupling.chains import couple_chains_batch
 from .dynamics import chord_times, run_chain, sample_process_at
 from .errors import BilliardError, ConfigError, HypothesisViolated, InvalidParams
@@ -218,7 +218,7 @@ def _scenario_couple_chains(cfg, body, law, out, workers):
     res = couple_chains_batch(body, law, cfg.get("s0", 0.0),
                               cfg.get("s0_alt", 0.5 * body.perimeter),
                               cert, cfg["n_max"], cfg["replicas"],
-                              cfg["seed"])
+                              cfg["seed"], workers=workers)
     rows = [(i, int(res.coupled[i]),
              res.coupling_index[i] if res.coupled[i] else -1,
              res.coupling_index[i] // n0 if res.coupled[i]
@@ -233,15 +233,20 @@ def _scenario_couple_chains(cfg, body, law, out, workers):
 
 def _scenario_couple_process(cfg, body, law, out, workers):
     cert = build_certificate(cfg, body, law)
-    if cert.kind != "disc_process":
-        raise ConfigError("couple_process driver batches disc certificates;"
-                          " use the library API for convex bodies")
-    start = cfg.get("start") or [[body.r, 0.0], [-1.0, 0.0]]
-    start_b = cfg.get("start_alt") or [[-body.r, 0.0], [1.0, 0.0]]
-    res = couple_process_disc_batch(
-        body.r, law, (np.array(start[0], float), np.array(start[1], float)),
-        (np.array(start_b[0], float), np.array(start_b[1], float)),
-        cert, cfg["t_max"], cfg["replicas"], cfg["seed"], workers=workers)
+    if cert.kind not in ("disc_process", "convex_process"):
+        raise ConfigError("couple_process needs a process certificate")
+    starts = []
+    for key, s in (("start", cfg.get("s0", 0.0)),
+                   ("start_alt", cfg.get("s0_alt", 0.5 * body.perimeter))):
+        # by default the boundary point at s, launched along its normal
+        x, y, nx, ny = body.frame(body.to_native(s))
+        start = cfg.get(key) or [[x, y], [nx, ny]]
+        starts.append(tuple(np.array(v, float) for v in start))
+    args = (law, *starts, cert, cfg["t_max"], cfg["replicas"], cfg["seed"])
+    if cert.kind == "disc_process":
+        res = couple_process_disc_batch(body.r, *args, workers=workers)
+    else:
+        res = couple_process_convex_batch(body, *args, workers=workers)
     rows = [(i, int(res.coupled[i]),
              res.coupling_time[i] if res.coupled[i] else -1.0,
              int(res.stage1_attempts[i] + res.stage2_attempts[i]),

@@ -2,12 +2,9 @@
 
 from .base import AttemptRecord, CouplingOutcome
 from .chains import BatchChainResult, couple_chains, couple_chains_batch
-from .process_disc import (
-    BatchCouplingResult,
-    couple_process_disc,
-    couple_process_disc_batch,
-)
-from .process_convex import couple_process_convex
+from .process import BatchCouplingResult
+from .process_convex import couple_process_convex, couple_process_convex_batch
+from .process_disc import couple_process_disc, couple_process_disc_batch
 
 __all__ = [
     "AttemptRecord",
@@ -17,6 +14,7 @@ __all__ = [
     "couple_chains",
     "couple_chains_batch",
     "couple_process_convex",
+    "couple_process_convex_batch",
     "couple_process_disc",
     "couple_process_disc_batch",
 ]

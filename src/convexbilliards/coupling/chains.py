@@ -41,6 +41,7 @@ from ..dynamics import (_walk, guarded_angles, landing_density,
                         transition_matrix)
 from ..errors import ResidualSamplingError
 from ..geometry import ConvexBody, Disc, TWO_PI
+from ..parallel import map_jobs
 from ..rates import RateCertificate, disc_chain_rate
 from ..reflection import ReflectionLaw
 from .base import (CouplingOutcome, _wrap_pi, arc_overlap, draw_arcs,
@@ -63,14 +64,15 @@ class BatchChainResult:
 
 def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
                         s0_b: float, cert: RateCertificate | None,
-                        n_steps: int, n_replicas: int,
-                        seed: int) -> BatchChainResult:
+                        n_steps: int, n_replicas: int, seed: int,
+                        workers: int = 1) -> BatchChainResult:
     """Couple many replica pairs of chains started at ``s0`` and ``s0_b``.
 
     Returns per-replica coupling bookkeeping and the final arc positions of
     both chains after exactly ``n_steps`` bounces (coupled pairs keep
     evolving jointly).  Equal starts are coupled at index 0.  ``cert=None``
-    couples as ``couple_chains`` does.
+    couples as ``couple_chains`` does.  Each chunk of replicas runs on its
+    own stream, so any worker count gives the same arrays.
     """
     blocks = _blocks(body, law, cert)
     R = int(n_replicas)
@@ -79,18 +81,25 @@ def couple_chains_batch(body: ConvexBody, law: ReflectionLaw, s0: float,
         coupling_index=np.full(R, -1, dtype=np.int64),
         final_a=np.empty(R), final_b=np.empty(R))
     starts = body.wrap(np.array([float(s0), float(s0_b)]))
-    for lo, hi, gen in rngmod.chunk_streams(seed, "chain-batch", R):
+    chunks = rngmod.chunk_streams(seed, "chain-batch", R)
+    jobs = [(body, law, blocks, starts, hi - lo, gen, n_steps)
+            for lo, hi, gen in chunks]
+    for (lo, hi, _), res in zip(chunks, map_jobs(_chunk_job, jobs, workers)):
         sl = slice(lo, hi)
-        pairs = _Pairs(body, law, blocks, starts, hi - lo, gen)
-        for _ in pairs.run(n_steps):
-            pass
-        out.coupled[sl] = pairs.coupled
-        out.coupling_index[sl] = pairs.index
-        out.final_a[sl] = pairs.s[0]
-        out.final_b[sl] = pairs.s[1]
-        out.attempts += pairs.attempts
-        out.successes += pairs.successes
+        (out.coupled[sl], out.coupling_index[sl], out.final_a[sl],
+         out.final_b[sl], attempts, successes) = res
+        out.attempts += attempts
+        out.successes += successes
     return out
+
+
+def _chunk_job(args):
+    body, law, blocks, starts, n, rng, n_steps = args
+    pairs = _Pairs(body, law, blocks, starts, n, rng)
+    for _ in pairs.run(n_steps):
+        pass
+    return (pairs.coupled, pairs.index, pairs.s[0], pairs.s[1],
+            pairs.attempts, pairs.successes)
 
 
 def couple_chains(body: ConvexBody, law: ReflectionLaw, s0: float, s0_b: float,
@@ -257,8 +266,9 @@ class _Pairs:
         u0 = self.u[c, idx]
 
         def propose(rows):
-            u, path, _ = _walk(body, u0[rows],
-                               guarded_angles(law, rng, (n0, rows.size)))
+            path = np.empty((n0, rows.size))
+            u = _walk(body, u0[rows],
+                      guarded_angles(law, rng, (n0, rows.size)), path)
             path = path.T
             member = in_arcs(path[:, -1], arc_lo.take(rows, axis=1),
                              arc_len.take(rows, axis=1), body.perimeter)

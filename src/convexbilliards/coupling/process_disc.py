@@ -1,52 +1,36 @@
 """Two-stage coupling of the continuous-time billiard in a disc.
 
-Stage one repeatedly couples the *clocks*: after aligning within one
-diameter, each process makes two bounces and the accumulated hitting times
-are plateau-coupled on the certified two-bounce time window (floor delta,
-guaranteed overlap h).  On failure the earlier process bounces until its
-clock strictly passes the later one and the attempt repeats.
-
-Once the clocks agree, stage two attempts to couple landing position and
-time jointly on the product window of the pair profile; success makes the
-two processes share position, velocity and clock forever.  On failure the
-clocks are realigned and stage one resumes.
-
-The engine is vectorised across replicas: all replicas advance through the
-attempt state machine in lockstep under boolean masks, drawing from one
-counter-based stream per fixed-size replica chunk.  Both processes of a
-chunk live in one state (``_Processes``): row 0 of the landing-angle and
-clock arrays holds process a of every replica, row 1 process b, and a flat
-index addresses either row.  Each step of a tick is one vectorised call
-over both processes: one residual thinning loop over every failing
-process, one conditional-angle draw over every succeeding one, and one
-realignment over the lagging process of each replica.  The per-attempt
-success probabilities are exactly the certified plateau masses, so the
-recorded attempt statistics are directly comparable with the certificate
-constants.
+The disc's two stages on the lockstep engine of ``coupling.process``.  A
+block is two bounces.  Stage one plateau-couples the two-bounce hitting
+times on the certified window (floor delta, guaranteed overlap h): on
+success both processes draw their angle pairs from the conditional law of
+the two-bounce time (``_TwoBounceTables``), and on failure the residual
+two-bounce time law by thinning.  Stage two couples landing angle and time
+jointly on the product window of the pair profile, and its success pins
+both processes to one landing at one clock.  Realignment bounces run in
+closed form, several per lagging process at once.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .. import rng as rngmod
 from ..dynamics import guarded_angles
-from ..errors import HorizonExceeded, HypothesisViolated
+from ..errors import HypothesisViolated
 from ..geometry import Disc, TWO_PI
 from ..rates import RateCertificate, disc_pair_profile
 from ..reflection import ReflectionLaw
-from .base import (AttemptRecord, CouplingOutcome, _wrap_pi, arc_overlap,
-                   draw_arcs, in_arcs, thin_residual)
+from .base import (CouplingOutcome, _wrap_pi, arc_overlap, draw_arcs,
+                   in_arcs, thin_residual)
+from .process import (BatchCouplingResult, _both, _one_replica, _Processes,
+                      _run_batch)
 
 _T_GRID = 2049
 _T_CELLS = 512       # substituted-angle cells per w-node of the tables
 _U_GRID = 192        # probability steps of the conditional inverse CDF
-_REALIGN_BOUNCES = 4  # bounces drawn per lagging process per round
-_MAX_TICKS = 2_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -166,30 +150,6 @@ def _cached_two_bounce_tables(law) -> _TwoBounceTables:
     return _TwoBounceTables(law)
 
 
-# ---------------------------------------------------------------------------
-# batch engine
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BatchCouplingResult:
-    coupled: np.ndarray          # bool per replica
-    coupling_time: np.ndarray    # clock of coupling, NaN when uncoupled
-    stage1_attempts: np.ndarray
-    stage1_successes: np.ndarray
-    stage2_attempts: np.ndarray
-    stage2_successes: np.ndarray
-    # (replicas, 2, k) landing angles of processes a and b
-    first_bounces: np.ndarray | None = None
-
-    @property
-    def stage1_rate(self) -> float:
-        return float(self.stage1_successes.sum() / max(self.stage1_attempts.sum(), 1))
-
-    @property
-    def stage2_rate(self) -> float:
-        return float(self.stage2_successes.sum() / max(self.stage2_attempts.sum(), 1))
-
-
 def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
                               cert: RateCertificate, t_max: float,
                               n_replicas: int, seed: int,
@@ -201,7 +161,7 @@ def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
     ``start_*`` are (position, velocity) pairs anywhere in the closed disc.
     Replicas share the deterministic first flight and then evolve on
     independent chunk streams, so any worker count reproduces the same
-    outcome arrays.  ``record_first`` keeps the first k landing angles of
+    outcome arrays.  ``record_first`` keeps the first k landing arcs of
     both processes for marginal checks; ``trace`` (single replica only)
     collects per-attempt records.
     """
@@ -210,231 +170,65 @@ def couple_process_disc_batch(r: float, law: ReflectionLaw, start_a, start_b,
     width = cert.inputs["width"]
     if not (2.0 * math.pi / 3.0 < width < math.pi):
         raise HypothesisViolated("certified width outside (2*pi/3, pi)")
-    floor, eta, eps = (cert.inputs["floor"], cert.inputs["eta"],
-                       cert.inputs["eps"])
-    delta = cert.constants["delta"]
-    prof2 = disc_pair_profile(r, width, floor, eps)
-    tables = _cached_two_bounce_tables(law)
-
-    pos_a, vel_a = (np.asarray(start_a[0], float), np.asarray(start_a[1], float))
-    pos_b, vel_b = (np.asarray(start_b[0], float), np.asarray(start_b[1], float))
-    disc = Disc(r)
-    T0a, hit_a = disc.exit_ray(pos_a, vel_a / np.hypot(*vel_a))
-    T0b, hit_b = disc.exit_ray(pos_b, vel_b / np.hypot(*vel_b))
-    phi0a, phi0b = hit_a.s / r, hit_b.s / r
-
-    R = int(n_replicas)
-    out = BatchCouplingResult(
-        coupled=np.zeros(R, dtype=bool),
-        coupling_time=np.full(R, np.nan),
-        stage1_attempts=np.zeros(R, dtype=np.int64),
-        stage1_successes=np.zeros(R, dtype=np.int64),
-        stage2_attempts=np.zeros(R, dtype=np.int64),
-        stage2_successes=np.zeros(R, dtype=np.int64),
-        first_bounces=(np.full((R, 2, record_first), np.nan)
-                       if record_first else None),
-    )
-    if np.allclose(pos_a, pos_b) and np.allclose(vel_a, vel_b):
-        out.coupled[:] = True
-        out.coupling_time[:] = T0a
-        if record_first:
-            # both processes are one free chain from the common first hit
-            _fill_plain_chain(out.first_bounces.reshape(2 * R, -1),
-                              np.zeros(2 * R, dtype=np.int64),
-                              np.full(2 * R, phi0a), law,
-                              rngmod.substream(seed, "pd-fill"))
-        return out
-
-    from ..parallel import map_jobs
-    chunks = rngmod.chunk_streams(seed, "process-disc", R)
-    jobs = [(hi - lo, seed, idx, r, law, tables, delta, prof2, width, eta,
-             T0a, phi0a, T0b, phi0b, t_max, record_first,
-             trace if len(chunks) == 1 else None)
-            for idx, (lo, hi, _) in enumerate(chunks)]
-    results = map_jobs(_chunk_job, jobs, workers)
-    for (lo, hi, _), res in zip(chunks, results):
-        sl = slice(lo, hi)
-        for name in ("coupled", "coupling_time", "stage1_attempts",
-                     "stage1_successes", "stage2_attempts",
-                     "stage2_successes"):
-            getattr(out, name)[sl] = res[name]
-        if record_first:
-            out.first_bounces[sl] = res["first_bounces"]
-        if trace is not None and res.get("trace"):
-            trace.extend(res["trace"])
-    return out
+    setup = dict(tables=_cached_two_bounce_tables(law), width=width,
+                 eta=cert.inputs["eta"], delta=cert.constants["delta"],
+                 prof2=disc_pair_profile(r, width, cert.inputs["floor"],
+                                         cert.inputs["eps"]))
+    return _run_batch(_DiscProcesses, setup, Disc(r), law, start_a, start_b,
+                      t_max, n_replicas, seed, record_first, trace, workers)
 
 
-def _chunk_job(args):
-    (n, seed, chunk_idx, r, law, tables, delta, prof2, width, eta,
-     T0a, phi0a, T0b, phi0b, t_max, record_first, trace) = args
-    rng = rngmod.substream(seed, "process-disc", chunk_idx)
-    procs = _Processes(n, rng, r, law, tables, delta, prof2, width, eta,
-                       (phi0a, phi0b), (T0a, T0b), record_first,
-                       [] if trace is not None else None)
-    return procs.run(t_max)
+def couple_process_disc(r: float, law: ReflectionLaw, start, start_b,
+                        cert: RateCertificate, t_max: float,
+                        rng_or_seed) -> CouplingOutcome:
+    """Couple one pair of continuous-time processes in a disc: the
+    one-replica call of ``couple_process_disc_batch``, with the coupling
+    time (clock at the joint success) and per-attempt records."""
+    return _one_replica(couple_process_disc_batch,
+                        (r, law, start, start_b, cert), t_max, rng_or_seed)
 
 
-class _Processes:
-    """``n`` replica pairs of processes on one stream, coupled in lockstep.
+class _DiscProcesses(_Processes):
+    """The lockstep engine with the disc's blocks of two bounces; the
+    native coordinate is the landing angle."""
 
-    Row 0 of ``phi`` (landing angle) and ``clock`` (hitting time) holds
-    process a of every replica, row 1 process b.  Flat index ``f`` of the
-    views ``phi_f`` and ``clock_f`` addresses process ``f // n`` of replica
-    ``f % n``, so one call serves any set of processes of either row.
-    """
+    stream_tag = "process-disc"
 
-    def __init__(self, n, rng, r, law, tables, delta, prof2, width, eta,
-                 phi0, clock0, record_first, trace):
-        self.n, self.rng, self.r, self.law = n, rng, r, law
-        self.tables, self.delta = tables, delta
-        self.phi = np.repeat(np.asarray(phi0, float)[:, None], n, axis=1)
-        self.clock = np.repeat(np.asarray(clock0, float)[:, None], n, axis=1)
-        self.phi_f = self.phi.reshape(-1)
-        self.clock_f = self.clock.reshape(-1)
-        self.phase = np.ones(n, dtype=np.int8)
-        self.active = np.ones(n, dtype=bool)
-        self.coupled = np.zeros(n, dtype=bool)
-        self.that = np.full(n, np.nan)
-        self.s1a = np.zeros(n, dtype=np.int64)
-        self.s1s = np.zeros(n, dtype=np.int64)
-        self.s2a = np.zeros(n, dtype=np.int64)
-        self.s2s = np.zeros(n, dtype=np.int64)
-        # landing angles per process (flat index), and how many were kept;
-        # recording stops once every active process has its first k
-        self.bounces = (np.full((2 * n, record_first), np.nan)
-                        if record_first else None)
-        self.cursor = np.zeros(2 * n, dtype=np.int64)
-        self.recording = bool(record_first)
-        self.trace = trace
+    def __init__(self, *common, tables, width, eta, delta, prof2):
+        super().__init__(*common)
+        self.r = r = self.body.r
+        self.tables = tables
+        self.w1 = (4.0 * r * math.cos(0.5 * width) + eta, 4.0 * r - eta)
+        self.level1 = delta
+        self.level2, self.aw, self.B_lo, self.B_hi = (
+            prof2[k] for k in ("level", "angle_halfwidth", "t_lo", "t_hi"))
 
-        self.w1_lo = 4.0 * r * math.cos(0.5 * width) + eta
-        self.w1_hi = 4.0 * r - eta
-        self.level2 = prof2["level"]
-        self.aw = prof2["angle_halfwidth"]
-        self.B_lo, self.B_hi = prof2["t_lo"], prof2["t_hi"]
+    def _flights(self, f, th):
+        # the polar recursion summed in closed form over the round
+        return (np.mod(self.u_f[f][:, None]
+                       + np.cumsum(math.pi + 2.0 * th, axis=1), TWO_PI),
+                self.clock_f[f][:, None]
+                + np.cumsum(2.0 * self.r * np.cos(th), axis=1))
 
-    def run(self, t_max) -> dict:
-        for _ in range(_MAX_TICKS):
-            if not self.active.any():
-                break
-            i1 = np.flatnonzero(self.active & (self.phase == 1))
-            if i1.size:
-                self.stage1(i1)
-            i2 = np.flatnonzero(self.active & (self.phase == 2))
-            if i2.size:
-                self.stage2(i2)
-            self.active &= ~(self.coupled | (self.clock.min(axis=0) > t_max))
-            if self.recording:
-                short = self.cursor.reshape(2, -1) < self.bounces.shape[1]
-                self.recording = bool(short[:, self.active].any())
-        else:
-            raise HorizonExceeded("coupling state machine exceeded its tick"
-                                  " budget")
-        bounces = None
-        if self.bounces is not None:
-            _fill_plain_chain(self.bounces, self.cursor, self.phi_f, self.law,
-                              self.rng)
-            bounces = self.bounces.reshape(2, self.n, -1).transpose(1, 0, 2)
-        return {
-            "coupled": self.coupled,
-            "coupling_time": self.that,
-            "stage1_attempts": self.s1a,
-            "stage1_successes": self.s1s,
-            "stage2_attempts": self.s2a,
-            "stage2_successes": self.s2s,
-            "first_bounces": bounces,
-            "trace": self.trace,
-        }
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def attempted(self, stage, i, mass):
-        """One attempt per replica of ``i`` at the given plateau masses;
-        returns the success mask."""
-        suc = self.rng.random(i.size) < mass
-        att, ok = (self.s1a, self.s1s) if stage == 1 else (self.s2a, self.s2s)
-        att[i] += 1
-        ok[i[suc]] += 1
-        if self.trace is not None:
-            for m_, s_ in zip(mass, suc):
-                self.trace.append(AttemptRecord(stage, bool(s_), float(m_)))
-        return suc
-
-    def record(self, f, values):
-        cur = self.cursor[f]
-        ok = cur < self.bounces.shape[1]
-        self.bounces[f[ok], cur[ok]] = values[ok]
-        self.cursor[f] += 1
-
-    def land(self, f, th1, end):
-        """Move processes ``f`` by two bounces, the first launched at
-        ``th1``, to landing angle ``end``."""
-        if self.recording:
-            self.record(f, np.mod(self.phi_f[f] + math.pi + 2.0 * th1, TWO_PI))
-            self.record(f, end)
-        self.phi_f[f] = end
-
-    def realign(self, i):
-        """The earlier process of each replica in ``i`` bounces until its
-        clock strictly passes the other's; the later one stays put.
-
-        Each round draws a few bounces per lagging process and keeps them
-        up to the first crossing, found from cumulative clocks.
-        """
-        n, B = self.n, _REALIGN_BOUNCES
-        b_lags = self.clock[0, i] > self.clock[1, i]
-        f = i + n * b_lags
-        target = self.clock_f[i + n * ~b_lags]
-        while f.size:
-            th = guarded_angles(self.law, self.rng, (f.size, B))
-            clock = self.clock_f[f][:, None] + np.cumsum(
-                2.0 * self.r * np.cos(th), axis=1)
-            phi = self.phi_f[f][:, None] + np.cumsum(math.pi + 2.0 * th,
-                                                     axis=1)
-            # clocks increase along a row, so crossings end every row
-            crossed = clock > target[:, None]
-            last = B - np.maximum(crossed.sum(axis=1), 1)
-            if self.recording:
-                for b in range(B):
-                    kept = last >= b
-                    self.record(f[kept], np.mod(phi[kept, b], TWO_PI))
-            rows = np.arange(f.size)
-            self.phi_f[f] = np.mod(phi[rows, last], TWO_PI)
-            self.clock_f[f] = clock[rows, last]
-            more = ~crossed[:, -1]
-            f, target = f[more], target[more]
+    def land2(self, f, th1, end):
+        """Processes ``f`` bounce at ``th1`` and then land at ``end``."""
+        self.land(f, end, lambda: self.body.to_arc(
+            np.stack([self.u_f[f] + math.pi + 2.0 * th1, end])))
 
     # -- stage 1: clocks -----------------------------------------------------
 
-    def stage1(self, i):
-        n, r, rng = self.n, self.r, self.rng
-        c = self.clock[:, i]
-        lo = c.max(axis=0) + self.w1_lo
-        hi = c.min(axis=0) + self.w1_hi
-        wlen = hi - lo
-        suc = self.attempted(1, i, self.delta * np.maximum(wlen, 0.0))
+    def block_to(self, j, S):
+        f = np.concatenate([j, j + self.n])
+        th1, th2 = self.tables.conditional_pair(
+            (_both(S) - self.clock_f[f]) / (2.0 * self.r), self.rng)
+        self.land2(f, th1, np.mod(self.u_f[f] + TWO_PI + 2.0 * (th1 + th2),
+                                  TWO_PI))
 
-        if suc.any():
-            j = i[suc]
-            S = lo[suc] + rng.random(j.size) * wlen[suc]
-            f = np.concatenate([j, j + n])
-            th1, th2 = self.tables.conditional_pair(
-                (_both(S) - self.clock_f[f]) / (2.0 * r), rng)
-            self.land(f, th1, np.mod(self.phi_f[f] + TWO_PI
-                                     + 2.0 * (th1 + th2), TWO_PI))
-            self.clock[:, j] = S
-            self.phase[j] = 2
-            i, lo, hi = i[~suc], lo[~suc], hi[~suc]
-        if i.size:
-            self.residual_two_bounce(i, lo, hi)
-            self.realign(i)
-
-    def residual_two_bounce(self, k, lo, hi):
+    def block_residual(self, k, lo, hi):
         """Both processes of the replicas ``k`` make two bounces whose time
         lands in the clock window [lo, hi] with the plateau removed."""
         r, law, rng, tables, delta = (self.r, self.law, self.rng,
-                                      self.tables, self.delta)
+                                      self.tables, self.level1)
         f = np.concatenate([k, k + self.n])
         c0 = self.clock_f[f]
         lo, hi = _both(lo), _both(hi)
@@ -450,54 +244,43 @@ class _Processes:
             return (th1, th2, T), reject
 
         th1, th2, T = thin_residual(f.size, propose, rng)
-        self.land(f, th1, np.mod(self.phi_f[f] + TWO_PI + 2.0 * (th1 + th2),
-                                 TWO_PI))
+        self.land2(f, th1, np.mod(self.u_f[f] + TWO_PI + 2.0 * (th1 + th2),
+                                  TWO_PI))
         self.clock_f[f] += T
 
     # -- stage 2: position and time -----------------------------------------
 
-    def stage2(self, i):
-        n, r, rng = self.n, self.r, self.rng
-        # the joint window is anchored at the pre-attempt positions
+    def window2(self, i):
         aw = self.aw
-        arc_lo, arc_len = arc_overlap(self.phi[0, i] - aw, 2.0 * aw,
-                                      self.phi[1, i] - aw, 2.0 * aw, TWO_PI)
+        win = np.stack(arc_overlap(self.u[0, i] - aw, 2.0 * aw,
+                                   self.u[1, i] - aw, 2.0 * aw, TWO_PI))
         lenB = self.B_hi - self.B_lo
-        suc = self.attempted(
-            2, i, self.level2 * (arc_len[0] + arc_len[1]) * lenB)
+        return self.level2 * (win[1, 0] + win[1, 1]) * lenB, win
 
-        if suc.any():
-            j = i[suc]
-            phistar = draw_arcs(arc_lo[:, suc], arc_len[:, suc],
-                                rng.random(j.size), TWO_PI)
-            # both clocks agree in stage 2
-            dt = self.B_lo + rng.random(j.size) * lenB
-            tstar = self.clock[0, j] + dt
-            f = np.concatenate([j, j + n])
-            end = _both(phistar)
-            m = _wrap_pi(end - self.phi_f[f]) / 4.0
-            z = _both(dt) / (4.0 * r)
-            dd = np.arccos(np.clip(z / np.cos(m), -1.0, 1.0))
-            th1 = np.where(rng.random(f.size) < 0.5, m - dd, m + dd)
-            self.land(f, th1, end)
-            self.clock[:, j] = tstar
-            self.coupled[j] = True
-            self.that[j] = tstar
-            i, arc_lo, arc_len = i[~suc], arc_lo[:, ~suc], arc_len[:, ~suc]
-        if i.size:
-            self.residual_pair(i, arc_lo, arc_len)
-            self.realign(i)
-            self.phase[i] = 1
+    def couple2(self, j, win):
+        n, r, rng = self.n, self.r, self.rng
+        phistar = draw_arcs(win[0], win[1], rng.random(j.size), TWO_PI)
+        # both clocks agree in stage 2
+        dt = self.B_lo + rng.random(j.size) * (self.B_hi - self.B_lo)
+        tstar = self.clock[0, j] + dt
+        f = np.concatenate([j, j + n])
+        end = _both(phistar)
+        m = _wrap_pi(end - self.u_f[f]) / 4.0
+        z = _both(dt) / (4.0 * r)
+        dd = np.arccos(np.clip(z / np.cos(m), -1.0, 1.0))
+        th1 = np.where(rng.random(f.size) < 0.5, m - dd, m + dd)
+        self.land2(f, th1, end)
+        self.clock[:, j] = tstar
 
-    def residual_pair(self, k, arc_lo, arc_len):
+    def residual2(self, k, win):
         """Both processes of the replicas ``k`` make two bounces whose
         (landing, time) lies in the joint window with the plateau
         removed."""
         r, law, rng = self.r, self.law, self.rng
         level2, B_lo, B_hi = self.level2, self.B_lo, self.B_hi
         f = np.concatenate([k, k + self.n])
-        p0 = self.phi_f[f]
-        arc_lo, arc_len = _both(arc_lo), _both(arc_len)
+        p0 = self.u_f[f]
+        arc_lo, arc_len = _both(win[0]), _both(win[1])
 
         def propose(rows):
             th = guarded_angles(law, rng, (2, rows.size))
@@ -518,47 +301,5 @@ class _Processes:
             return (th1, T, phip), reject
 
         th1, T, phip = thin_residual(f.size, propose, rng)
-        self.land(f, th1, phip)
+        self.land2(f, th1, phip)
         self.clock_f[f] += T
-
-
-def _both(x):
-    """Per-replica values ``x`` (last axis) once for each process row."""
-    return np.concatenate([x, x], axis=-1)
-
-
-def _fill_plain_chain(bounces, cursor, phi, law, rng):
-    k_max = bounces.shape[1]
-    phi = phi.copy()
-    while True:
-        idx = np.flatnonzero(cursor < k_max)
-        if idx.size == 0:
-            break
-        th = guarded_angles(law, rng, idx.size)
-        phi[idx] = np.mod(phi[idx] + math.pi + 2.0 * th, TWO_PI)
-        bounces[idx, cursor[idx]] = phi[idx]
-        cursor[idx] += 1
-
-
-# ---------------------------------------------------------------------------
-# single-pair wrapper
-# ---------------------------------------------------------------------------
-
-def couple_process_disc(r: float, law: ReflectionLaw, start, start_b,
-                        cert: RateCertificate, t_max: float,
-                        rng_or_seed) -> CouplingOutcome:
-    """Couple one pair of continuous-time processes in a disc.
-
-    Accepts (position, velocity) starts; returns the coupling time (clock
-    at the joint success) and per-attempt records.  See the batch runner
-    for the construction.
-    """
-    seed = rng_or_seed if isinstance(rng_or_seed, (int, np.integer)) \
-        else int(rng_or_seed.integers(1 << 62))
-    trace: list[AttemptRecord] = []
-    res = couple_process_disc_batch(r, law, start, start_b, cert, t_max,
-                                    n_replicas=1, seed=seed, trace=trace)
-    return CouplingOutcome(
-        coupled=bool(res.coupled[0]),
-        coupling_time=(float(res.coupling_time[0]) if res.coupled[0] else None),
-        attempts=trace)

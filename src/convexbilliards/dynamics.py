@@ -16,7 +16,7 @@ provides
   native boundary coordinate between bounces; it steps one chain on
   scalars (``run_chain``, which also records angles and chord times) or
   many chains at once (``run_chain_ensemble``), and the coupling engines
-  take their plain bounces through it,
+  draw their residual blocks through it,
 * chord flight times from one boundary point (``chord_times``),
 * the closed-form polar recursion on discs (``disc_step_exact``), an
   independent oracle for the disc kernel and for ``exit_ray``,
@@ -96,20 +96,20 @@ def disc_step_exact(r: float, phi: float, theta: float) -> tuple[float, float]:
     return (math.pi + 2.0 * theta + phi) % TWO_PI, 2.0 * r * math.cos(theta)
 
 
-def _walk(body: ConvexBody, u, theta):
+def _walk(body: ConvexBody, u, theta, s, tau=None):
     """Plain bounces from native ``u`` on angles drawn up front.
 
     ``theta`` has shape (n,) for one chain from a scalar ``u`` or (n, m)
     for m chains; step k is one call of the bounce kernel on ``theta[k]``.
-    Returns the final native coordinate and the landing arcs and chord
-    times of every step, both shaped like ``theta``.
+    Writes step k's landing arc into ``s[k]``, and its chord time into
+    ``tau[k]`` if ``tau`` is given; returns the final native coordinate.
     """
-    s = np.empty(theta.shape)
-    tau = np.empty(theta.shape)
     for k in range(theta.shape[0]):
-        u, tau[k] = body.bounce(u, theta[k])
+        u, t = body.bounce(u, theta[k])
         s[k] = body.to_arc(u)
-    return u, s, tau
+        if tau is not None:
+            tau[k] = t
+    return u
 
 
 def run_chain(body: ConvexBody, law: ReflectionLaw, s0: float, n_steps: int,
@@ -125,7 +125,8 @@ def run_chain(body: ConvexBody, law: ReflectionLaw, s0: float, n_steps: int,
         raise ValueError("n_steps must be non-negative")
     s0 = float(body.wrap(s0))
     theta = guarded_angles(law, rng, n_steps)
-    _, s, tau = _walk(body, body.to_native(s0), theta)
+    s, tau = np.empty(n_steps), np.empty(n_steps)
+    _walk(body, body.to_native(s0), theta, s, tau)
     return Trajectory(
         s0=s0, step=np.arange(1, n_steps + 1, dtype=np.int64), s=s,
         phi=s / body.r if isinstance(body, Disc) else np.full(n_steps, np.nan),
@@ -142,8 +143,10 @@ def run_chain_ensemble(body: ConvexBody, law: ReflectionLaw, s0, n_steps: int,
     """
     s0 = body.wrap(np.atleast_1d(np.asarray(s0, dtype=float)))
     theta = guarded_angles(law, rng, (n_steps, s0.size))
-    return np.concatenate([s0[None], _walk(body, body.to_native(s0),
-                                           theta)[1]])
+    out = np.empty((n_steps + 1, s0.size))
+    out[0] = s0
+    _walk(body, body.to_native(s0), theta, out[1:])
+    return out
 
 
 # ---------------------------------------------------------------------------

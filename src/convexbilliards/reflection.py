@@ -245,11 +245,6 @@ class ReflectionLaw:
         return FloorCertificate(best[1], best[2])
 
 
-def sample_angle(law: ReflectionLaw, rng: np.random.Generator, size=None):
-    """Draw reflection angles i.i.d. from the law."""
-    return law.sample(rng, size)
-
-
 def certify_density_floor(law: ReflectionLaw, width: float | None = None) -> FloorCertificate:
     """Certified (floor, width) pair; see ReflectionLaw.certify_floor."""
     return law.certify_floor(width)

@@ -265,6 +265,42 @@ def test_couple_process_outcomes_csv(tmp_path):
     assert set(coupled) == {"1"}
 
 
+def test_couple_process_convex_default_starts(tmp_path):
+    # convex certificates run through the CLI too; without explicit starts
+    # each process leaves its boundary point along the inward normal
+    cfg = _base_chain_cfg(
+        scenario="couple_process", body={"ellipse": {"a": 2.0, "b": 1.0}},
+        law="uniform_half", rate={"kind": "convex_process"},
+        params={"eps": 5e-4, "beta": 1.5, "delta": 1.2, "zeta": 0.1},
+        t_max=20.0, replicas=12)
+    del cfg["n_max"]
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "cpc"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    rows = (out / "outcomes.csv").read_text().splitlines()
+    assert rows[0] == ("replica,coupled,index_or_time,attempts,"
+                      "stage1_successes,stage2_successes")
+    assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(12)]
+
+
+def test_couple_chains_worker_invariance(tmp_path):
+    # more replicas than one chunk, so two workers split the chunks
+    cfg = _base_chain_cfg(
+        scenario="couple_chains",
+        law={"truncated_uniform": {"theta_star": 0.75 * PI}},
+        rate={"kind": "disc_chain"}, n_max=6, replicas=5000, s0=0.0,
+        s0_alt=PI)
+    path = _write(tmp_path, "cfg.json", cfg)
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", "--config", path, "--out", str(out),
+                     "--workers", workers]) == 0
+        outs.append((out / "outcomes.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 5001
+
+
 def test_optimize_params_scenario(tmp_path):
     cfg = _base_chain_cfg(
         scenario="optimize_params",

@@ -15,6 +15,7 @@ from convexbilliards.coupling import (
     couple_chains,
     couple_chains_batch,
     couple_process_convex,
+    couple_process_convex_batch,
     couple_process_disc,
     couple_process_disc_batch,
 )
@@ -27,8 +28,8 @@ from convexbilliards.coupling.base import (
 from convexbilliards.coupling.process_convex import (
     _bridge_root,
     _chord_branches,
+    _ConvexProcesses,
     _realise_block_time,
-    _Process,
     box_slice_volume,
 )
 from convexbilliards.dynamics import (chord_times, landing_density,
@@ -478,6 +479,31 @@ def test_process_disc_worker_invariance(tu34_law):
                               equal_nan=True), name
 
 
+def test_process_disc_equal_first_hits_couple_at_once(tu34_law):
+    # starts are compared by their first hits: the same ray launched with
+    # a scaled velocity is the same process from its first hit on
+    cert = _ac6_cert()
+    pos, vel = STARTS[0]
+    res = couple_process_disc_batch(1.0, tu34_law, STARTS[0], (pos, 2.0 * vel),
+                                    cert, 1e6, 4, seed=1, record_first=3)
+    t0 = Disc(1.0).exit_ray(pos, vel / np.hypot(*vel))[0]
+    assert res.coupled.all() and np.all(res.coupling_time == t0)
+    assert res.stage1_attempts.sum() + res.stage2_attempts.sum() == 0
+    assert np.array_equal(res.first_bounces[:, 0], res.first_bounces[:, 1])
+
+
+def test_process_disc_close_starts_couple_by_attempts(tu34_law):
+    # a start 5e-9 away has its own first hit, so the pair is coupled by
+    # the stages, not declared coupled at the first hit
+    cert = _ac6_cert()
+    pos, vel = STARTS[0]
+    res = couple_process_disc_batch(1.0, tu34_law, STARTS[0],
+                                    (pos + 5e-9, vel), cert, 1e6, 4, seed=1)
+    assert res.coupled.all()
+    assert np.all(res.stage1_attempts > 0)
+    assert np.all(res.stage2_successes == 1)
+
+
 def test_law_tables_cached_by_value():
     # a config builds a new law object on every run; equal laws share tables
     law = ReflectionLaw.truncated_uniform(0.75 * PI)
@@ -580,26 +606,27 @@ def test_process_convex_identical_starts(ellipse, uniform_half_law):
 
 def test_process_convex_horizon_recorded(ellipse, uniform_half_law):
     cert, _ = _convex_cert(ellipse)
-    out = couple_process_convex(
+    trace = []
+    res = couple_process_convex_batch(
         ellipse, uniform_half_law,
         (np.array([1.0, 0.2]), np.array([0.5, 1.0])),
         (np.array([-1.0, -0.2]), np.array([-0.5, -1.0])),
-        cert, 150.0, stream(72, 0))
-    assert not out.coupled
-    assert out.coupling_time is None
-    n1 = sum(1 for a in out.attempts if a.stage == 1)
-    assert n1 > 0
+        cert, 150.0, 1, 72, record_first=8, trace=trace)
+    assert not res.coupled[0]
+    assert np.isnan(res.coupling_time[0])
+    n1 = sum(1 for a in trace if a.stage == 1)
+    assert n1 > 0 and n1 == res.stage1_attempts[0]
     # certified success is astronomically small: zero successes still
     # dominate it within three binomial sigmas
     p = cert.constants["p"]
     assert 0.0 >= p - 3.0 * math.sqrt(p * (1 - p) / max(n1, 1))
-    # trajectories stay on the boundary and clocks increase
-    assert np.all(np.diff(out.traj_a[:, 1]) > 0.0)
+    # the recorded landings stay on the boundary
+    first = res.first_bounces
+    assert np.all((first >= 0.0) & (first < ellipse.perimeter))
     # tail dominance is vacuously respected: at lambda_M/2 the certified
     # bound exceeds one on any finite grid, so full survival passes
     from convexbilliards.stats import survival_report
-    times = np.array([np.nan])  # the replica never coupled
-    rep = survival_report(times, cert, np.linspace(0.0, 150.0, 20))
+    rep = survival_report(res.coupling_time, cert, np.linspace(0.0, 150.0, 20))
     assert rep.passed
 
 
@@ -610,20 +637,64 @@ def test_process_convex_marginal(ellipse, uniform_half_law):
     starts = ((np.array([1.0, 0.2]), np.array([0.5, 1.0])),
               (np.array([-1.0, -0.2]), np.array([-0.5, -1.0])))
     n, k, seed = 2000, 4, 76
-    outs = [couple_process_convex(ellipse, uniform_half_law, *starts, cert,
-                                  30.0, stream(seed, i)) for i in range(n)]
+    res = couple_process_convex_batch(ellipse, uniform_half_law, *starts,
+                                      cert, 30.0, n, seed, record_first=k)
     P = ellipse.perimeter
-    for name in ("traj_a", "traj_b"):
-        trajs = [getattr(out, name) for out in outs]
-        assert min(len(t) for t in trajs) > k
-        first = trajs[0][0, 0]
-        landed = np.array([t[k, 0] for t in trajs])
+    for row, (pos, vel) in enumerate(starts):
+        first = ellipse.exit_ray(pos, vel / np.hypot(*vel))[1].s
         plain = run_chain_ensemble(ellipse, uniform_half_law,
                                    np.full(n, first), k,
-                                   stream(seed, n + (name == "traj_b")))[k]
-        h1 = Histogram.from_samples(landed, 30, 0.0, P, periodic=True)
+                                   stream(seed, n + row))[k]
+        h1 = Histogram.from_samples(res.first_bounces[:, row, k - 1], 30,
+                                    0.0, P, periodic=True)
         h2 = Histogram.from_samples(plain, 30, 0.0, P, periodic=True)
         assert two_sample_chi2(h1, h2)[1] > 1e-3
+
+
+def test_process_convex_worker_invariance(ellipse, uniform_half_law):
+    cert, _ = _convex_cert(ellipse)
+    starts = ((np.array([1.0, 0.2]), np.array([0.5, 1.0])),
+              (np.array([-1.0, -0.2]), np.array([-0.5, -1.0])))
+    r1 = couple_process_convex_batch(ellipse, uniform_half_law, *starts,
+                                     cert, 30.0, 4500, seed=77, workers=1)
+    r2 = couple_process_convex_batch(ellipse, uniform_half_law, *starts,
+                                     cert, 30.0, 4500, seed=77, workers=2)
+    assert r1.stage1_attempts.sum() > 4500
+    for name in ("coupled", "coupling_time", "stage1_attempts",
+                 "stage1_successes", "stage2_attempts", "stage2_successes"):
+        assert np.array_equal(getattr(r1, name), getattr(r2, name),
+                              equal_nan=True), name
+
+
+def test_process_convex_joint_success_bridges(uniform_half_law):
+    # a joint success on the disc run through the convex stages: both
+    # processes pass through the bisector patch and land on one target
+    # point at one clock within the time window
+    disc = Disc(1.0)
+    params = RateParams(eps=5e-4, beta=0.6, delta=0.4, zeta=0.5)
+    x, xt = point_at(disc, 0.0), point_at(disc, PI)
+    cert = convex_process_rate(disc, 1.0 / PI, params, x, xt)
+    procs = _ConvexProcesses(1, stream(78, 0), disc, uniform_half_law,
+                             disc.to_native(np.array([0.0, PI])), (5.0, 5.0),
+                             2, None, n0=cert.constants["n0"], zeta=0.5,
+                             w_box=2.0, level1=0.0, floor=1.0 / PI,
+                             params=params)
+    i = np.array([0])
+    mass, win = procs.window2(i)
+    assert mass[0] > 0.0
+    procs.couple2(i, win)
+    R1, R2, p_lo, p_len, t_lo, t_len, _ = win[:, 0]
+    clock = procs.clock[:, 0]
+    assert clock[0] == clock[1] and R1 <= clock[0] - 5.0 <= R2
+    assert procs.u[0, 0] == procs.u[1, 0]
+    (mid_a, land_a), (mid_b, land_b) = procs.bounces
+    assert land_a == land_b
+    assert in_arcs(land_a, np.array([t_lo]), np.array([t_len]), TWO_PI)
+    for w, mid in ((x, mid_a), (xt, mid_b)):
+        assert in_arcs(mid, np.array([p_lo]), np.array([p_len + 1e-12]),
+                       TWO_PI)
+        path = float(_path_time(disc, w.position, mid, land_a))
+        assert abs(path - (clock[0] - 5.0)) < 1e-9
 
 
 def test_process_convex_narrow_law_rejected(ellipse, tu34_law):
@@ -672,14 +743,17 @@ def test_box_slice_volume_matches_analytic():
 def test_block_time_bridge_hits_prescribed_total(ellipse, uniform_half_law):
     # stage-one common draw: realise a prescribed block flight time
     gen = stream(74, 0)
-    proc = _Process(ellipse, uniform_half_law, 1.0, 0.0)
+    u0 = ellipse.to_native(1.0)
     n0, w_box = 5, 2.0 / summarize(ellipse).curvature_max
     total = 0.5 * n0 * w_box
-    _realise_block_time(proc, gen, uniform_half_law, ellipse, total, n0,
-                        w_box)
-    assert abs(proc.clock - total) < 1e-8
-    assert len(proc.log_s) == n0 + 1
-    for s in proc.log_s:
+    path, taus = _realise_block_time(ellipse, uniform_half_law, u0, total,
+                                     n0, w_box, gen)
+    assert abs(taus.sum() - total) < 1e-8
+    assert len(path) == n0
+    # the flight times are the chords between the landings
+    xy = np.stack(ellipse.frame(np.r_[u0, path])[:2], axis=1)
+    assert np.allclose(np.hypot(*np.diff(xy, axis=0).T), taus, atol=1e-12)
+    for s in ellipse.to_arc(path):
         assert abs(ellipse.gauge(ellipse.position_at(s))) < 1e-8
 
 
@@ -701,7 +775,8 @@ def test_stage2_bridge_root(ellipse):
     t_land = 0.5 * (win.I_star[0] + win.I_star[1])
     u_time = 0.5 * (win.R1 + win.R2)
     for w in (x, xt):
-        s_mid = _bridge_root(ellipse, w.position, win, t_land, u_time)
+        s_mid = _bridge_root(ellipse, w.position, win.s_ybar - win.eps,
+                             win.s_ybar + win.eps, t_land, u_time)
         # the root lies in the bisector patch and realises the time exactly
         d = abs(math.remainder(s_mid - win.s_ybar, ellipse.perimeter))
         assert d <= params.eps + 1e-9
