@@ -12,6 +12,14 @@ Subcommands::
     convexbilliards validate-config --config exp.json
     convexbilliards schema
 
+Certificate kinds (``rate.kind``) per scenario: ``chain_rate``,
+``couple_chains`` and ``verify_dominance`` take the chain kinds
+(``disc_chain``, ``convex_chain``); ``process_rate`` and ``couple_process``
+take the process kinds (``disc_process``, ``convex_process``);
+``optimize_params`` takes any kind.  A ``disc_*`` kind needs a ``disc``
+body.  Both are checked before anything is simulated: a kind the scenario
+does not take exits 1, a ``disc_*`` kind on another body exits 2.
+
 Exit codes: 0 success, 1 config or engine error, 2 hypothesis violation,
 3 verification failure.
 """
@@ -34,22 +42,19 @@ from .coupling import couple_process_convex_batch, couple_process_disc_batch
 from .coupling.chains import couple_chains_batch
 from .dynamics import chord_times, run_chain, sample_process_at
 from .errors import BilliardError, ConfigError, HypothesisViolated, InvalidParams
-from .geometry import Disc, body_from_config
+from .geometry import Disc, body_from_config, point_at, summarize
 from .rates import (
     CERTIFICATE_SCHEMA,
+    KIND_PARAMS,
     RateCertificate,
     RateParams,
-    convex_chain_rate,
-    convex_process_rate,
-    disc_chain_rate,
+    build_for_kind,
     disc_pair_profile,
-    disc_process_rate,
     optimize_free_params,
     t2_density_floor,
 )
 from .reflection import law_from_config
 from .stats import dominance_report, empirical_tv_curve, lb_check
-from .geometry import point_at, summarize
 
 SCENARIOS = [
     "simulate_chain", "simulate_process", "chain_rate", "process_rate",
@@ -141,33 +146,49 @@ def _law_floor(cfg, law):
     return float(width), float(floor), params
 
 
-def _rate_inputs(cfg, body, law):
-    """Resolve (kind, width, floor, params) for rate-based scenarios."""
+# the certificate axis of each scenario; optimize_params takes any kind
+_SCENARIO_AXIS = {
+    "chain_rate": "step", "couple_chains": "step", "verify_dominance": "step",
+    "process_rate": "time", "couple_process": "time",
+}
+
+
+def _certificate_inputs(cfg, body, law):
+    """(kind, fixed inputs of every kind, params) of the configured
+    certificate, once its kind suits the scenario and the body."""
     kind = cfg.get("rate", {}).get("kind")
-    if kind not in ("disc_chain", "disc_process", "convex_chain",
-                    "convex_process"):
+    if kind not in KIND_PARAMS:
         raise ConfigError(f"rate.kind missing or unknown: {kind!r}")
+    axis = "step" if kind.endswith("_chain") else "time"
+    need = _SCENARIO_AXIS.get(cfg["scenario"], axis)
+    if axis != need:
+        raise ConfigError(f"{cfg['scenario']} needs a {need}-axis"
+                          f" certificate, not {kind}")
+    if kind.startswith("disc_") and not isinstance(body, Disc):
+        raise HypothesisViolated(f"{kind} certificate needs a disc body")
     width, floor, params = _law_floor(cfg, law)
-    return kind, width, floor, params
+    fixed = {"width": width, "floor": floor,
+             "r": body.r if isinstance(body, Disc) else None,
+             "summary": summarize(body), "body": body,
+             "x": point_at(body, cfg.get("s0", 0.0)),
+             "xt": point_at(body, cfg.get("s0_alt", 0.5 * body.perimeter))}
+    return kind, fixed, params
 
 
 def build_certificate(cfg, body, law) -> RateCertificate:
-    kind, width, floor, params = _rate_inputs(cfg, body, law)
-    if kind == "disc_chain":
-        return disc_chain_rate(width, floor, params.eps)
-    if kind == "disc_process":
-        if not isinstance(body, Disc):
-            raise HypothesisViolated("disc_process rate needs a disc body")
-        if not (2.0 * math.pi / 3.0 < width < math.pi):
-            raise HypothesisViolated(
-                f"certified width {width:.6f} outside the admissible range"
-                f" (2*pi/3, pi) required by the process certificate")
-        return disc_process_rate(body.r, width, floor, params.eta, params.eps)
-    if kind == "convex_chain":
-        return convex_chain_rate(summarize(body), width, floor, params.eps)
-    x = point_at(body, cfg.get("s0", 0.0))
-    xt = point_at(body, cfg.get("s0_alt", 0.5 * body.perimeter))
-    return convex_process_rate(body, floor, params, x, xt)
+    return build_for_kind(*_certificate_inputs(cfg, body, law))
+
+
+# compiled once: jsonschema.validate checks the schema itself on every call
+_CERTIFICATE_VALIDATOR = jsonschema.Draft202012Validator(CERTIFICATE_SCHEMA)
+
+
+def _write_certificate(out, cert) -> str:
+    data = cert.to_json_dict()
+    _CERTIFICATE_VALIDATOR.validate(data)
+    (out / "certificate.json").write_text(json.dumps(data, indent=2,
+                                                     sort_keys=True))
+    return "certificate.json"
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +225,7 @@ def _scenario_simulate_process(cfg, body, law, out, workers):
 
 
 def _scenario_rate(cfg, body, law, out, workers):
-    cert = build_certificate(cfg, body, law)
-    data = cert.to_json_dict()
-    jsonschema.validate(data, CERTIFICATE_SCHEMA)
-    (out / "certificate.json").write_text(json.dumps(data, indent=2,
-                                                     sort_keys=True))
-    return 0, ["certificate.json"]
+    return 0, [_write_certificate(out, build_certificate(cfg, body, law))]
 
 
 def _scenario_couple_chains(cfg, body, law, out, workers):
@@ -233,8 +249,6 @@ def _scenario_couple_chains(cfg, body, law, out, workers):
 
 def _scenario_couple_process(cfg, body, law, out, workers):
     cert = build_certificate(cfg, body, law)
-    if cert.kind not in ("disc_process", "convex_process"):
-        raise ConfigError("couple_process needs a process certificate")
     starts = []
     for key, s in (("start", cfg.get("s0", 0.0)),
                    ("start_alt", cfg.get("s0_alt", 0.5 * body.perimeter))):
@@ -268,13 +282,10 @@ def _scenario_verify_dominance(cfg, body, law, out, workers):
     write_csv(out / "tv_curve.csv",
               ["n", "empirical", "sigma", "bound", "pass"],
               report.rows())
-    data = cert.to_json_dict()
-    (out / "certificate.json").write_text(json.dumps(data, indent=2,
-                                                     sort_keys=True))
     (out / "report.json").write_text(json.dumps(
         {"passed": bool(report.passed), "points": len(report.points)},
         indent=2))
-    files = ["tv_curve.csv", "certificate.json", "report.json"]
+    files = ["tv_curve.csv", _write_certificate(out, cert), "report.json"]
     return (0 if report.passed else 3), files
 
 
@@ -330,22 +341,11 @@ def _scenario_verify_lb(cfg, body, law, out, workers):
 
 
 def _scenario_optimize(cfg, body, law, out, workers):
-    kind, width, floor, _ = _rate_inputs(cfg, body, law)
-    fixed = {"width": width, "floor": floor}
-    if kind == "disc_process":
-        fixed["r"] = body.r
-    if kind == "convex_chain":
-        fixed = {"summary": summarize(body), "width": width, "floor": floor}
-    if kind == "convex_process":
-        fixed = {"body": body, "floor": floor,
-                 "x": point_at(body, cfg.get("s0", 0.0)),
-                 "xt": point_at(body, cfg.get("s0_alt", 0.5 * body.perimeter))}
+    kind, fixed, _ = _certificate_inputs(cfg, body, law)
     params, cert = optimize_free_params(kind, fixed, cfg["grid"])
     (out / "best_params.json").write_text(json.dumps(params.as_dict(),
                                                      indent=2))
-    (out / "certificate.json").write_text(json.dumps(cert.to_json_dict(),
-                                                     indent=2, sort_keys=True))
-    return 0, ["best_params.json", "certificate.json"]
+    return 0, ["best_params.json", _write_certificate(out, cert)]
 
 
 _RUNNERS = {
@@ -366,8 +366,11 @@ def run(cfg: dict, out_dir: str, workers: int = 1) -> int:
     t_start = time.time()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    body = body_from_config(cfg["body"])
-    law = law_from_config(cfg["law"])
+    try:
+        body = body_from_config(cfg["body"])
+        law = law_from_config(cfg["law"])
+    except (ValueError, KeyError, OSError) as exc:
+        raise ConfigError(f"cannot build body or law: {exc!r}") from exc
     code, artifacts = _RUNNERS[cfg["scenario"]](cfg, body, law, out, workers)
     manifest = {
         "config_sha256": hashlib.sha256(

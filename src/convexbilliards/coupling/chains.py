@@ -39,7 +39,7 @@ import numpy as np
 from .. import rng as rngmod
 from ..dynamics import (_walk, guarded_angles, landing_density,
                         transition_matrix)
-from ..errors import ResidualSamplingError
+from ..errors import HypothesisViolated, ResidualSamplingError
 from ..geometry import ConvexBody, Disc, TWO_PI
 from ..parallel import map_jobs
 from ..rates import RateCertificate, disc_chain_rate
@@ -141,6 +141,10 @@ class _Blocks:
 
 
 def _blocks(body, law, cert) -> _Blocks:
+    if cert is not None and (cert.axis != "step" or (
+            cert.kind == "disc_chain" and not isinstance(body, Disc))):
+        raise HypothesisViolated(f"a {cert.kind} certificate cannot couple"
+                                 f" chains on a {type(body).__name__}")
     if cert is None and isinstance(body, Disc):
         fc = law.certify_floor()
         eps = 0.5 * fc.width if fc.width <= 0.5 * math.pi else None

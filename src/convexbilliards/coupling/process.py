@@ -43,8 +43,8 @@ class BatchCouplingResult:
     stage1_successes: np.ndarray
     stage2_attempts: np.ndarray
     stage2_successes: np.ndarray
-    # (replicas, 2, k) landing arcs of processes a and b (polar angles on
-    # the unit disc)
+    # (replicas, 2, k) landing arcs on any body of processes a and b; the
+    # two rows of a coupled replica agree from their common landing on
     first_bounces: np.ndarray | None = None
 
     @property
@@ -283,15 +283,30 @@ class _Processes:
             f, target = f[more], target[more]
 
     def fill(self):
-        """Plain bounces until every process has its first k landings."""
+        """Plain bounces until every process has its first k landings.
+
+        A coupled replica is one chain from its common landing, written
+        into both rows at their own cursors.  Every pending row still draws
+        one angle per round, so no fill depends on which replicas coupled.
+        """
+        n, k = self.n, self.bounces.shape[1]
         u = self.u_f.copy()
         while True:
-            f = np.flatnonzero(self.cursor < self.bounces.shape[1])
+            f = np.flatnonzero(self.cursor < k)
             if f.size == 0:
                 break
             th = guarded_angles(self.law, self.rng, f.size)
+            # row b of a coupled replica follows its pending row a
+            lead = ~(self.coupled[f % n] & (f >= n)
+                     & (self.cursor[f % n] < k))
+            f, th = f[lead], th[lead]
             u[f] = self.body.bounce(u[f], th)[0]
-            self.record(f, self.body.to_arc(u[f]))
+            arcs = self.body.to_arc(u[f])
+            self.record(f, arcs)
+            joint = self.coupled[f % n]
+            mate = (f[joint] + n) % (2 * n)
+            u[mate] = u[f[joint]]
+            self.record(mate, arcs[joint])
 
 
 def _both(x):

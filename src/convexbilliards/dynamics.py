@@ -230,7 +230,7 @@ def transition_density_row(body: ConvexBody, law: ReflectionLaw,
 
 
 def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
-                            x: BoundaryPoint, tol: float = 1e-9) -> float:
+                            x: BoundaryPoint) -> float:
     """Integral of the transition density over the whole boundary.
 
     Equals one for every valid law/body pair.  The launch angle is monotone

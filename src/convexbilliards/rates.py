@@ -9,8 +9,9 @@ with its bound curve:
 * ``convex_process_rate`` -- continuous process on a convex body
 
 plus the numerical construction behind the convex pair-coupling window
-(``bisector_window_geometry``) and a deterministic grid search over the free
-slack parameters (``optimize_free_params``).
+(``bisector_window_geometry``), the one map from a kind to its constructor
+(``build_for_kind``) and a deterministic grid search over the free slack
+parameters (``optimize_free_params``).
 
 Block counts are computed by direct search on their defining conditions
 ("first block length whose landing/time window clears the threshold");
@@ -683,7 +684,7 @@ def convex_process_rate(body: ConvexBody, floor: float, params: RateParams,
 # free-parameter search
 # ---------------------------------------------------------------------------
 
-_KIND_PARAMS = {
+KIND_PARAMS = {
     "disc_chain": ("eps",),
     "disc_process": ("eta", "eps"),
     "convex_chain": ("eps",),
@@ -701,9 +702,9 @@ def optimize_free_params(kind: str, fixed_inputs: dict,
     lambda_M.  Ties keep the lexicographically smallest parameter vector
     (grids are traversed in ascending order).
     """
-    if kind not in _KIND_PARAMS:
+    if kind not in KIND_PARAMS:
         raise InvalidParams(f"unknown certificate kind {kind!r}")
-    names = [n for n in _KIND_PARAMS[kind] if n in grid_spec]
+    names = [n for n in KIND_PARAMS[kind] if n in grid_spec]
     if not names:
         raise InvalidParams("grid_spec names no free parameter of this kind")
     axes = []
@@ -725,7 +726,7 @@ def optimize_free_params(kind: str, fixed_inputs: dict,
     for combo in itertools.product(*axes):
         params = RateParams(**dict(zip(names, map(float, combo))))
         try:
-            cert = _build_for_kind(kind, fixed_inputs, params)
+            cert = build_for_kind(kind, fixed_inputs, params)
         except (InvalidParams, NonPositiveAlpha, NonPositiveP,
                 DegenerateBound, NoAdmissibleWindow, GeometryDegenerate):
             continue
@@ -740,7 +741,11 @@ def optimize_free_params(kind: str, fixed_inputs: dict,
     return best[1], best[2]
 
 
-def _build_for_kind(kind, fixed, params: RateParams) -> RateCertificate:
+def build_for_kind(kind, fixed, params: RateParams) -> RateCertificate:
+    """The certificate of ``kind`` from the free ``params`` and the fixed
+    inputs its constructor reads: ``width``, ``floor`` and ``r`` (disc
+    kinds), ``summary`` (convex chain), ``body``, ``x`` and ``xt`` (convex
+    process)."""
     if kind == "disc_chain":
         return disc_chain_rate(fixed["width"], fixed["floor"], params.eps)
     if kind == "disc_process":

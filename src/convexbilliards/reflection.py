@@ -7,7 +7,7 @@ inward normal rotated by an angle drawn from f, independently at each bounce.
 Built-in variants
 -----------------
 * ``cosine``              f(t) = cos(t)/2          (uniform stationary law)
-* ``uniform_half``        f(t) = 1/pi              (full half-circle)
+* ``uniform_half``        f(t) = 1/pi              (``truncated_uniform``, w = pi)
 * ``truncated_uniform``   f(t) = 1/w on [-w/2, w/2]
 * ``table``               piecewise-linear density from (angle, value) rows
 
@@ -130,9 +130,7 @@ class ReflectionLaw:
         if self.kind == "cosine":
             out = 0.5 * np.cos(t)
             out = np.where(np.abs(t) <= HALF_PI, np.maximum(out, 0.0), 0.0)
-        elif self.kind == "uniform_half":
-            out = np.where(np.abs(t) <= HALF_PI, 1.0 / math.pi, 0.0)
-        elif self.kind == "truncated_uniform":
+        elif self.kind in ("uniform_half", "truncated_uniform"):
             half = 0.5 * self.support_width
             out = np.where(np.abs(t) <= half, 1.0 / self.support_width, 0.0)
         else:
@@ -144,9 +142,7 @@ class ReflectionLaw:
         t = np.asarray(theta, dtype=float)
         if self.kind == "cosine":
             out = 0.5 * (np.sin(np.clip(t, -HALF_PI, HALF_PI)) + 1.0)
-        elif self.kind == "uniform_half":
-            out = (np.clip(t, -HALF_PI, HALF_PI) + HALF_PI) / math.pi
-        elif self.kind == "truncated_uniform":
+        elif self.kind in ("uniform_half", "truncated_uniform"):
             half = 0.5 * self.support_width
             out = (np.clip(t, -half, half) + half) / self.support_width
         else:
@@ -164,9 +160,7 @@ class ReflectionLaw:
         u = rng.random(size)
         if self.kind == "cosine":
             return np.arcsin(2.0 * u - 1.0)
-        if self.kind == "uniform_half":
-            return math.pi * (u - 0.5)
-        if self.kind == "truncated_uniform":
+        if self.kind in ("uniform_half", "truncated_uniform"):
             return self.support_width * (u - 0.5)
         return self._table_ppf(u)
 
@@ -204,9 +198,7 @@ class ReflectionLaw:
         """Infimum of the density over [-width/2, width/2] on a fine grid."""
         if self.kind == "cosine":
             return float(0.5 * math.cos(0.5 * width))
-        if self.kind == "uniform_half":
-            return 1.0 / math.pi
-        if self.kind == "truncated_uniform":
+        if self.kind in ("uniform_half", "truncated_uniform"):
             if width > self.support_width + 1e-15:
                 return 0.0
             return 1.0 / self.support_width

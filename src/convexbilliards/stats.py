@@ -10,6 +10,7 @@ so every comparison against a theoretical bound carries an explicit
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -224,18 +225,6 @@ class LbReport:
     windows: list[LbWindowResult] = field(default_factory=list)
 
 
-def _dyadic_intervals(lo: float, hi: float, max_depth: int = 16):
-    """Sub-intervals at dyadic resolutions 1, 2, 4, 8, ..., max_depth."""
-    spans = []
-    d = 1
-    while d <= max_depth:
-        width = (hi - lo) / d
-        for k in range(d):
-            spans.append((lo + k * width, lo + (k + 1) * width))
-        d *= 2
-    return spans
-
-
 def lb_check(samples, window, level: float, confidence: float = norm.sf(3.0),
              min_samples: int = 10_000) -> LbReport:
     """Verify a density (or pair-density) lower bound statistically.
@@ -247,53 +236,36 @@ def lb_check(samples, window, level: float, confidence: float = norm.sf(3.0),
 
     where sigma is the binomial standard deviation at the boundary
     hypothesis and z_crit = Phi^{-1}(1 - confidence).  Samples are a 1-d
-    array for scalar windows or an (N, 2) array with a pair of intervals.
+    array for scalar windows or an (N, 2) array with a pair of intervals;
+    the sub-windows are the boxes of every power-of-two split per axis
+    whose product is at most 16.
     """
     arr = np.asarray(samples, dtype=float)
-    z_crit = float(norm.isf(confidence))
     if arr.ndim == 1:
-        n = arr.size
-        if n < min_samples:
-            raise InsufficientSamples(f"need at least {min_samples} samples")
-        subs = [(iv,) for iv in _dyadic_intervals(*window)]
-        def measure(sub):
-            return sub[0][1] - sub[0][0]
-        def count(sub):
-            lo, hi = sub[0]
-            return int(np.count_nonzero((arr >= lo) & (arr < hi)))
-    elif arr.ndim == 2 and arr.shape[1] == 2:
-        n = arr.shape[0]
-        if n < min_samples:
-            raise InsufficientSamples(f"need at least {min_samples} samples")
-        (alo, ahi), (blo, bhi) = window
-        subs = []
-        d1 = 1
-        while d1 <= 16:
-            d2 = 1
-            while d1 * d2 <= 16:
-                w1 = (ahi - alo) / d1
-                w2 = (bhi - blo) / d2
-                for i in range(d1):
-                    for j in range(d2):
-                        subs.append(((alo + i * w1, alo + (i + 1) * w1),
-                                     (blo + j * w2, blo + (j + 1) * w2)))
-                d2 *= 2
-            d1 *= 2
-        def measure(sub):
-            return (sub[0][1] - sub[0][0]) * (sub[1][1] - sub[1][0])
-        def count(sub):
-            (l0, h0), (l1, h1) = sub
-            m = (arr[:, 0] >= l0) & (arr[:, 0] < h0) \
-                & (arr[:, 1] >= l1) & (arr[:, 1] < h1)
-            return int(np.count_nonzero(m))
-    else:
+        arr, window = arr[:, None], (window,)
+    elif not (arr.ndim == 2 and arr.shape[1] == 2):
         raise ValueError("samples must be 1-d or (N, 2)")
+    n = arr.shape[0]
+    if n < min_samples:
+        raise InsufficientSamples(f"need at least {min_samples} samples")
+    z_crit = float(norm.isf(confidence))
+    subs = []
+    for splits in itertools.product((1, 2, 4, 8, 16), repeat=len(window)):
+        if math.prod(splits) > 16:
+            continue
+        steps = [(lo, (hi - lo) / d, d) for (lo, hi), d in zip(window, splits)]
+        subs += itertools.product(*(
+            [(lo + k * w, lo + (k + 1) * w) for k in range(d)]
+            for lo, w, d in steps))
 
     results = []
     worst = -math.inf
     for sub in subs:
-        required = level * measure(sub)
-        observed = count(sub) / n
+        required = level * math.prod(hi - lo for lo, hi in sub)
+        inside = np.ones(n, dtype=bool)
+        for col, (lo, hi) in zip(arr.T, sub):
+            inside &= (col >= lo) & (col < hi)
+        observed = int(np.count_nonzero(inside)) / n
         # variance at the boundary hypothesis, floored so degenerate cases
         # (claimed mass at or beyond one) still produce finite verdicts
         var = max(required * max(1.0 - required, 0.0), 1e-9)

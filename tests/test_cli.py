@@ -103,6 +103,66 @@ def test_process_rate_out_of_range_width_exit_2(tmp_path):
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
 
 
+ELLIPSE = {"ellipse": {"a": 2.0, "b": 1.0}}
+TU34 = {"truncated_uniform": {"theta_star": 0.75 * PI}}
+DISC_PROCESS = {"rate": {"kind": "disc_process"},
+                "params": {"eta": 0.12, "eps": 0.09}}
+RUN_KEYS = {"n_max": 4, "t_max": 10.0, "replicas": 8, "bins": 10,
+            "grid": {"eta": [0.12], "eps": [0.09]}}
+
+# (scenario, body, certificate keys, exit code): a kind the scenario does
+# not take exits 1, a disc kind on another body exits 2
+MISMATCHES = [
+    ("chain_rate", ELLIPSE, {"rate": {"kind": "disc_chain"}}, 2),
+    ("verify_dominance", ELLIPSE, {"rate": {"kind": "disc_chain"}}, 2),
+    ("couple_chains", ELLIPSE, {"rate": {"kind": "disc_chain"}}, 2),
+    ("optimize_params", ELLIPSE, DISC_PROCESS, 2),
+    ("couple_process", ELLIPSE, DISC_PROCESS, 2),
+    ("couple_chains", {"disc": {"r": 1.0}}, DISC_PROCESS, 1),
+    ("verify_dominance", {"disc": {"r": 1.0}}, DISC_PROCESS, 1),
+    ("chain_rate", {"disc": {"r": 1.0}}, DISC_PROCESS, 1),
+    ("process_rate", {"disc": {"r": 1.0}}, {"rate": {"kind": "disc_chain"}}, 1),
+    ("couple_process", {"disc": {"r": 1.0}}, {"rate": {"kind": "disc_chain"}},
+     1),
+]
+
+
+@pytest.mark.parametrize("scenario,body,cert,code", MISMATCHES, ids=[
+    f"{s}-{c['rate']['kind']}-{next(iter(b))}" for s, b, c, _ in MISMATCHES])
+def test_mismatched_certificate_rejected_before_simulating(
+        tmp_path, monkeypatch, capsys, scenario, body, cert, code):
+    from convexbilliards import cli
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("simulated a mismatched certificate")
+
+    for name in ("empirical_tv_curve", "couple_chains_batch",
+                 "couple_process_disc_batch", "couple_process_convex_batch"):
+        monkeypatch.setattr(cli, name, simulated)
+    cfg = {"scenario": scenario, "seed": 1, "body": body, "law": TU34,
+           **cert, **RUN_KEYS}
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
+        == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 1
+                          else "hypothesis violation:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("spec", [
+    lambda tmp: {"law": "bogus"},
+    lambda tmp: {"body": {"disc": {"r": -1}}},
+    lambda tmp: {"body": {"curvature_table": {"path": str(tmp / "no.csv")}}},
+    lambda tmp: {"law": {"truncated_uniform": {}}},
+], ids=["unknown-law", "negative-radius", "missing-table", "no-theta-star"])
+def test_bad_body_or_law_is_a_config_error(tmp_path, capsys, spec):
+    path = _write(tmp_path, "cfg.json", _base_chain_cfg(**spec(tmp_path)))
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
 def test_chain_rate_certificate_roundtrips(tmp_path):
     cfg = _base_chain_cfg(
         scenario="chain_rate",

@@ -287,6 +287,15 @@ def test_batch_engine_close_starts(disc, tu34_law):
     assert surv <= (1.0 - alpha) + 3.0 * sigma
 
 
+def test_batch_engine_rejects_certificates_it_cannot_run(disc, ellipse,
+                                                         tu34_law):
+    # a process certificate, and a disc certificate on another body
+    for body, cert in ((disc, _ac6_cert()),
+                       (ellipse, disc_chain_rate(0.75 * PI, 4.0 / (3.0 * PI)))):
+        with pytest.raises(HypothesisViolated):
+            couple_chains_batch(body, tu34_law, 0.0, 1.0, cert, 2, 4, seed=0)
+
+
 def test_batch_engine_marginal_ellipse(ellipse, uniform_half_law):
     cert = convex_chain_rate(summarize(ellipse), 2.8, 1.0 / PI)
     res = couple_chains_batch(ellipse, uniform_half_law, 0.0,
@@ -502,6 +511,24 @@ def test_process_disc_close_starts_couple_by_attempts(tu34_law):
     assert res.coupled.all()
     assert np.all(res.stage1_attempts > 0)
     assert np.all(res.stage2_successes == 1)
+
+
+def test_process_disc_coupled_rows_share_their_continuation(tu34_law):
+    # after the coupling landing the pair is one process, so both rows of
+    # the recorded first bounces continue alike from that landing, each
+    # at its own bounce count
+    cert = _ac6_cert()
+    pos, vel = STARTS[0]
+    res = couple_process_disc_batch(1.0, tu34_law, STARTS[0],
+                                    (pos + 5e-9, vel), cert, 1e6, 4, seed=1,
+                                    record_first=4000)
+    assert res.coupled.all() and not np.isnan(res.first_bounces).any()
+    for a, b in res.first_bounces:
+        landing = a[np.isin(a, b)][0]
+        ia, ib = np.flatnonzero(a == landing)[0], np.flatnonzero(b == landing)[0]
+        m = min(a.size - ia, b.size - ib)
+        assert m > 1
+        assert np.array_equal(a[ia:ia + m], b[ib:ib + m])
 
 
 def test_law_tables_cached_by_value():
