@@ -103,6 +103,11 @@ _REQUIRED = {
 
 def fmt(x) -> str:
     """17 significant digits, '.' decimal, no locale."""
+    # exact-type checks first: the plain Python ints and floats of most rows
+    if type(x) is int:
+        return str(x)
+    if type(x) is float:
+        return format(x, ".17g")
     if isinstance(x, (bool, np.bool_)):
         return "1" if x else "0"
     if isinstance(x, (int, np.integer)):
@@ -113,7 +118,7 @@ def fmt(x) -> str:
 def write_csv(path: Path, header: list[str], rows) -> None:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+        lines.append(",".join(map(fmt, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -235,12 +240,10 @@ def _scenario_couple_chains(cfg, body, law, out, workers):
                               cfg.get("s0_alt", 0.5 * body.perimeter),
                               cert, cfg["n_max"], cfg["replicas"],
                               cfg["seed"], workers=workers)
-    rows = [(i, int(res.coupled[i]),
-             res.coupling_index[i] if res.coupled[i] else -1,
-             res.coupling_index[i] // n0 if res.coupled[i]
-             else cfg["n_max"] // n0,
-             int(res.coupled[i]), 0)
-            for i in range(cfg["replicas"])]
+    rows = [(i, int(c), k if c else -1,
+             k // n0 if c else cfg["n_max"] // n0, int(c), 0)
+            for i, (c, k) in enumerate(zip(res.coupled.tolist(),
+                                           res.coupling_index.tolist()))]
     write_csv(out / "outcomes.csv",
               ["replica", "coupled", "index_or_time", "attempts",
                "stage1_successes", "stage2_successes"], rows)
@@ -261,11 +264,12 @@ def _scenario_couple_process(cfg, body, law, out, workers):
         res = couple_process_disc_batch(body.r, *args, workers=workers)
     else:
         res = couple_process_convex_batch(body, *args, workers=workers)
-    rows = [(i, int(res.coupled[i]),
-             res.coupling_time[i] if res.coupled[i] else -1.0,
-             int(res.stage1_attempts[i] + res.stage2_attempts[i]),
-             int(res.stage1_successes[i]), int(res.stage2_successes[i]))
-            for i in range(cfg["replicas"])]
+    columns = zip(res.coupled.tolist(), res.coupling_time.tolist(),
+                  (res.stage1_attempts + res.stage2_attempts).tolist(),
+                  res.stage1_successes.tolist(),
+                  res.stage2_successes.tolist())
+    rows = [(i, int(c), t if c else -1.0, tries, ok1, ok2)
+            for i, (c, t, tries, ok1, ok2) in enumerate(columns)]
     write_csv(out / "outcomes.csv",
               ["replica", "coupled", "index_or_time", "attempts",
                "stage1_successes", "stage2_successes"], rows)

@@ -301,8 +301,10 @@ class Ellipse(ConvexBody):
     """Ellipse x^2/a^2 + y^2/b^2 = 1 with a >= b > 0.
 
     Arc length is computed from the incomplete elliptic integral of the
-    second kind; the inverse map s -> parameter angle uses a dense monotone
-    table refined by Newton steps to machine precision.
+    second kind at 4097 equally spaced parameter angles and read between
+    them from the interpolating cubic spline, its cell looked up by index;
+    the inverse map s -> parameter angle starts from the same table and is
+    refined by Newton steps to machine precision.
     """
 
     variant = "ellipse"
@@ -320,10 +322,12 @@ class Ellipse(ConvexBody):
         self.curvature_max = self.a / self.b ** 2
         t = np.linspace(0.0, TWO_PI, self._TABLE + 1)
         self._t_grid = t
+        self._t_knots = _UniformKnots(t)
         self._s_grid = self._s_of_t(t)
         # spline surrogate of the (slow) elliptic integral; interpolation
-        # error is far below tol_geom at this table density
-        self._s_spline = CubicSpline(t, self._s_grid)
+        # error is far below tol_geom at this table density.  Only its
+        # coefficients are kept, evaluated by ``_UniformKnots.cubic``.
+        self._s_coef = CubicSpline(t, self._s_grid).c
         self._validate()
 
     # parameter angle t <-> arc length s ------------------------------------
@@ -342,7 +346,7 @@ class Ellipse(ConvexBody):
         s = self.wrap(np.asarray(s, dtype=float))
         t = np.interp(s, self._s_grid, self._t_grid)
         for _ in range(3):  # Newton refinement; ds/dt = speed > 0
-            t = t - (self._s_spline(np.clip(t, 0.0, TWO_PI)) - s) / self._speed(t)
+            t = t - (self.to_arc(np.clip(t, 0.0, TWO_PI)) - s) / self._speed(t)
         return t
 
     # bounce kernel: native coordinate is the parameter angle t -------------
@@ -351,8 +355,9 @@ class Ellipse(ConvexBody):
         return self._t_of_s(s)
 
     def to_arc(self, t):
-        # t in [0, 2*pi], as to_native and bounce return it
-        return self._s_spline(t)
+        # t in [0, 2*pi], as to_native and bounce return it; outside, the
+        # end cells' cubics extrapolate
+        return self._t_knots.cubic(self._s_coef, t)
 
     def frame(self, t):
         ct, st, nx, ny = self._unit_frame(t)
@@ -397,7 +402,7 @@ class Ellipse(ConvexBody):
     def arc_of_point(self, point) -> float:
         p = np.asarray(point, dtype=float)
         t = math.atan2(p[1] / self.b, p[0] / self.a) % TWO_PI
-        return float(self._s_spline(t))
+        return float(self.to_arc(t))
 
     def _exit_tau(self, origin, direction) -> float:
         tau = float(self._unit_chord(origin[0] / self.a, origin[1] / self.b,
@@ -468,6 +473,7 @@ class CurvatureTable(ConvexBody):
         y -= cy
 
         self._s_dense = s
+        self._dense = _UniformKnots(s)
         self._x = CubicSpline(s, x)
         self._y = CubicSpline(s, y)
         # the bounce kernel's view of the same splines: coefficients (4,
@@ -526,9 +532,7 @@ class CurvatureTable(ConvexBody):
     def _cell(self, s):
         """Dense-grid cells of wrapped arc lengths s and the offsets into
         them."""
-        j = np.clip(np.searchsorted(self._s_dense, s, side="right") - 1,
-                    0, self._DENSE - 1)
-        return j, s - self._s_dense[j]
+        return self._dense.cell(s)
 
     def bounce(self, s, theta):
         # One solve in arc length with the same fixed steps for every chord,
@@ -681,6 +685,54 @@ def _safeguarded_newton(fn, ta, tb, steps):
             t = np.where(np.isnan(t_new), 0.5 * (ta + tb),
                          np.clip(t_new, ta, tb))
     return t
+
+
+class _UniformKnots:
+    """Equally spaced knots from 0 (as ``np.linspace(0, span, n + 1)``
+    makes them), whose cells are looked up by index, not by binary search.
+    """
+
+    def __init__(self, knots):
+        self.knots = knots
+        n = knots.size - 1
+        self._scale = n / float(knots[n])
+        self._last = float(n - 1)
+        # the knots that a cell guess is checked against, with NaN for the
+        # two end knots: no comparison with NaN holds, so no correction
+        # moves a cell past an end cell, which clamps it
+        fenced = knots.copy()
+        fenced[0] = fenced[n] = np.nan
+        self._lower, self._upper = fenced[:-1], fenced[1:]
+
+    def cell(self, x):
+        """Cells of x and the offsets into them.
+
+        The cell is the i in [0, n - 1], n the number of cells, with
+        knots[i] <= x < knots[i + 1], clamped to the end cells: what
+        ``clip(searchsorted(knots, x, "right") - 1, 0, n - 1)`` and scipy's
+        interval search return.  The guess x * n / span is off by at most
+        one cell, so one knot comparison each way makes it exact.  NaN gets
+        a valid cell and a NaN offset.
+        """
+        x = np.asarray(x, dtype=float)
+        j = np.fmax(np.fmin(x * self._scale, self._last), 0.0).astype(np.intp)
+        j -= x < self._lower[j]
+        j += x >= self._upper[j]
+        return j, x - self.knots[j]
+
+    def cubic(self, c, x):
+        """Piecewise cubic with coefficients c (4, n), highest power first,
+        at x; the end cells extrapolate.
+
+        Bit for bit the value of scipy's ``PPoly`` (so ``CubicSpline``) with
+        the same coefficients and knots: the cell is the same, and the
+        pieces are summed in its order, powers of the offset as running
+        products.
+        """
+        j, dt = self.cell(x)
+        c = c.take(j, axis=1)
+        dt2 = dt * dt
+        return 0.0 + c[3] + c[2] * dt + c[1] * dt2 + c[0] * (dt2 * dt)
 
 
 def _horner(c, t):

@@ -57,7 +57,9 @@ class Histogram:
                      periodic: bool = False) -> "Histogram":
         v = np.asarray(values, dtype=float)
         if periodic:
-            v = lo + np.mod(v - lo, hi - lo)
+            # from lo = 0 the wrap is one mod, without two passes that
+            # change no bin
+            v = np.mod(v, hi) if lo == 0.0 else lo + np.mod(v - lo, hi - lo)
         counts, _ = np.histogram(v, bins=bins, range=(lo, hi))
         return Histogram(lo=lo, hi=hi, counts=counts.astype(np.int64),
                          periodic=periodic)
@@ -173,8 +175,8 @@ def _hist_job(args):
     body, law, s0, n_max, bins, seed, kind, count, chunk_idx = args
     gen = rngmod.substream(seed, kind, chunk_idx)
     arcs = run_chain_ensemble(body, law, np.full(count, s0), n_max, gen)
-    return [np.histogram(np.mod(arcs[n], body.perimeter), bins=bins,
-                         range=(0.0, body.perimeter))[0].astype(np.int64)
+    return [Histogram.from_samples(arcs[n], bins, 0.0, body.perimeter,
+                                   periodic=True).counts
             for n in range(n_max + 1)]
 
 

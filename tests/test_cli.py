@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from convexbilliards.cli import load_config, main, run
+import convexbilliards
+from convexbilliards.cli import load_config, main, run, write_csv
 from convexbilliards.errors import ConfigError
 from convexbilliards.rates import CERTIFICATE_SCHEMA, RateCertificate
 
@@ -201,6 +203,16 @@ def test_verify_lb_positive_exit_0(tmp_path):
     assert main(["run", "--config", path, "--out", str(tmp_path / "pos")]) == 0
 
 
+def test_write_csv_golden_bytes(tmp_path):
+    row = [7, np.int64(-3), True, np.bool_(False), 0.5, np.float64(2.25),
+           -1.0, math.nan, math.inf, -0.0, 1e-300, 0.1]
+    path = tmp_path / "golden.csv"
+    write_csv(path, [f"c{i}" for i in range(len(row))], [row])
+    assert path.read_bytes() == (
+        b"c0,c1,c2,c3,c4,c5,c6,c7,c8,c9,c10,c11\n"
+        b"7,-3,1,0,0.5,2.25,-1,nan,inf,-0,1e-300,0.10000000000000001\n")
+
+
 def test_couple_chains_outcomes_csv(tmp_path):
     cfg = _base_chain_cfg(
         scenario="couple_chains",
@@ -378,8 +390,14 @@ def test_optimize_params_scenario(tmp_path):
 
 
 def test_console_entry_point_runs():
+    # the child imports the package from where this process found it, so
+    # the test also runs with the package on pytest's path only
+    src = str(Path(convexbilliards.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "convexbilliards.cli", "schema"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "scenario" in proc.stdout

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from convexbilliards import (
     CurvatureTable,
@@ -288,3 +289,66 @@ def test_curvature_table_rejects_negative():
     k[3] = -0.1
     with pytest.raises(ValueError):
         CurvatureTable(s, k)
+
+
+# ---------------------------------------------------------------------------
+# arc-length tables looked up by index
+# ---------------------------------------------------------------------------
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _with_neighbours(knots):
+    """Every knot and the next float on either side of it."""
+    return np.concatenate([knots, np.nextafter(knots, -np.inf),
+                           np.nextafter(knots, np.inf)])
+
+
+def test_ellipse_arc_lookup_matches_cubic_spline_bits(ellipse):
+    # the evaluator reads CubicSpline's own coefficients; its cell and its
+    # sum must be scipy's, so every value agrees to the bit, also where the
+    # end cells extrapolate
+    spline = CubicSpline(ellipse._t_grid, ellipse._s_grid)
+    probes = {
+        "random": stream(31, 0).uniform(0.0, 2.0 * math.pi, 10 ** 5),
+        "knots": _with_neighbours(ellipse._t_grid),
+        "ends": np.array([0.0, 2.0 * math.pi]),
+        "extrapolated": np.array([-1e-17, 2.0 * math.pi + 1e-15]),
+    }
+    for name, t in probes.items():
+        assert np.array_equal(_bits(ellipse.to_arc(t)), _bits(spline(t))), name
+    assert np.isnan(ellipse.to_arc(np.array([0.5, np.nan]))[1])
+    assert math.isnan(ellipse.to_arc(math.nan))
+    # one scalar: the same bits, and arc_of_point still returns a float
+    assert _bits(ellipse.to_arc(1.25)) == _bits(spline(1.25))
+    x, y = ellipse.position_at(1.0)
+    s = ellipse.arc_of_point([x, y])
+    assert type(s) is float
+    t = math.atan2(y / ellipse.b, x / ellipse.a) % (2.0 * math.pi)
+    assert s == float(spline(t))
+
+
+def test_ellipse_to_native_matches_spline_newton(ellipse):
+    # reference: the s -> t inversion's three Newton steps on CubicSpline
+    spline = CubicSpline(ellipse._t_grid, ellipse._s_grid)
+    s = np.concatenate([stream(32, 0).uniform(-5.0, 15.0, 10 ** 4),
+                        ellipse._s_grid])
+    sw = ellipse.wrap(s)
+    t = np.interp(sw, ellipse._s_grid, ellipse._t_grid)
+    for _ in range(3):
+        t = t - (spline(np.clip(t, 0.0, 2.0 * math.pi)) - sw) \
+            / ellipse._speed(t)
+    assert np.array_equal(_bits(ellipse.to_native(s)), _bits(t))
+
+
+def test_curvature_table_cell_matches_searchsorted():
+    body = CurvatureTable(*_ellipse_curvature_table())
+    knots = body._s_dense
+    N = knots.size - 1
+    s = np.concatenate([stream(33, 0).uniform(0.0, body.perimeter, 10 ** 5),
+                        _with_neighbours(knots)])
+    j, offset = body._cell(s)
+    ref = np.clip(np.searchsorted(knots, s, "right") - 1, 0, N - 1)
+    assert np.array_equal(j, ref)
+    assert np.array_equal(_bits(offset), _bits(s - knots[ref]))
