@@ -12,15 +12,15 @@ the block:
 * the level is the certificate's block-kernel floor per unit arc length.
   On a general body with blocks of two or more bounces, and on any body but
   a disc without a certificate, it is capped at 0.999 times the minimum of
-  the discretised block kernel over the overlap, which keeps the residual
-  valid even where the printed kernel bound is optimistic;
+  the block kernel over the overlap, which keeps the residual valid even
+  where the printed kernel bound is optimistic;
 * the residual is n0 plain bounces, thinned on the block's landing density
-  at the block's end: ``landing_density`` for one bounce, circular
-  convolutions of the angle law on a disc (``_BlockTables``) and powers of
-  the discretised kernel elsewhere (``_ConvexKernelTables``);
+  at the block's end: ``landing_density`` for one bounce, and for longer
+  blocks the block table (``_BlockKernel``), the powers of the exact cell
+  kernel ``dynamics.cell_kernel`` read bilinearly between cell midpoints;
 * on success both chains land on one uniform point of the overlap, and a
-  block of two or more bounces fills in its inner bounces with bridges
-  sampled from the same tables.
+  block of two or more bounces fills in its inner bounces with a bridge
+  drawn cell by cell from the same powers.
 
 After a success the chains share one stream and remain equal entry for
 entry.  ``couple_chains_batch`` advances many replica pairs in lockstep on
@@ -37,17 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from ..dynamics import (_walk, guarded_angles, landing_density,
-                        transition_matrix)
+from ..dynamics import _walk, cell_kernel, guarded_angles, landing_density
 from ..errors import HypothesisViolated, ResidualSamplingError
-from ..geometry import ConvexBody, Disc, TWO_PI
+from ..geometry import ConvexBody, Disc
 from ..parallel import map_jobs
 from ..rates import RateCertificate, disc_chain_rate
 from ..reflection import ReflectionLaw
-from .base import (CouplingOutcome, _wrap_pi, arc_overlap, draw_arcs,
-                   in_arcs, thin_residual)
+from .base import (CouplingOutcome, arc_overlap, draw_arcs, in_arcs,
+                   thin_residual)
 
-_GRID = 8192
 # extreme launch angle of the reachable arc, clear of the tangency guard
 _REACH_LIMIT = 0.5 * math.pi - 1e-6
 
@@ -136,8 +134,7 @@ class _Blocks:
     width: float     # certified launch-angle window
     eps: float       # arc-length slack per extra bounce of a window
     level: float     # plateau level per unit arc length; inf: numeric only
-    disc: _BlockTables | None = None             # block densities, disc
-    kernel: _ConvexKernelTables | None = None    # block rows of the cap
+    kernel: _BlockKernel | None = None   # n0 >= 2, or a numeric level
 
 
 def _blocks(body, law, cert) -> _Blocks:
@@ -154,15 +151,14 @@ def _blocks(body, law, cert) -> _Blocks:
                        kernel=_cached_tables(body, law, 1))
     width, n0 = cert.inputs["width"], cert.constants["n0"]
     eps = cert.inputs.get("eps", 0.0)
+    kernel = _cached_tables(body, law, n0) if n0 > 1 else None
     if cert.kind == "disc_chain":
         # per radian of landing angle, (floor/2)^n0 eps^(n0-1)
         level = (0.5 * cert.inputs["floor"]) ** n0 * eps ** (n0 - 1) / body.r
-        return _Blocks(n0, width, eps * body.r, level,
-                       disc=_cached_block_tables(law, n0) if n0 > 1 else None)
+        return _Blocks(n0, width, eps * body.r, level, kernel)
     reach = 4.0 * width / body.summarize().curvature_max
     level = cert.constants["q_min"] ** n0 * reach ** (n0 - 1)
-    return _Blocks(n0, width, eps, level,
-                   kernel=_cached_tables(body, law, n0) if n0 > 1 else None)
+    return _Blocks(n0, width, eps, level, kernel)
 
 
 class _Pairs:
@@ -225,9 +221,10 @@ class _Pairs:
                 *_reach_window(body, self.s[1, i], self.u[1, i], blocks.width,
                                n0, blocks.eps), P)
             level = np.full(i.size, blocks.level)
-            rows = (None, None)
-            if blocks.kernel is not None:
-                rows = tuple(blocks.kernel.block_rows(self.u[c, i])
+            if blocks.kernel is not None and not isinstance(body, Disc):
+                # a disc's certified level is proven; elsewhere cap it
+                rows = tuple(blocks.kernel.block_rows(self.s[c, i],
+                                                      self.u[c, i])
                              for c in (0, 1))
                 level = blocks.kernel.capped_level(level, rows, arc_lo,
                                                    arc_len)
@@ -241,9 +238,9 @@ class _Pairs:
                                    arc_len.compress(hit, axis=1),
                                    rng.random(j2.size), P)
                 if n0 > 1:
-                    for p, t in zip(j2, target):
-                        for c in (0, 1):
-                            inner[:, c, p] = self._bridge(c, p, t)
+                    for c in (0, 1):
+                        inner[:, c, j2] = blocks.kernel.bridge(
+                            self.s[c, j2], target, rng)
                 self.s[:, j2] = target
                 self.u[:, j2] = body.to_native(self.s[0, j2])
                 self.coupled[j2] = True
@@ -254,12 +251,11 @@ class _Pairs:
                 for c in (0, 1):
                     inner[:, c, k] = self._residual(
                         c, k, arc_lo.compress(miss, axis=1),
-                        arc_len.compress(miss, axis=1), level[miss],
-                        None if rows[c] is None else rows[c][miss]).T
+                        arc_len.compress(miss, axis=1), level[miss]).T
         yield from inner
         yield self.s.copy()
 
-    def _residual(self, c, idx, arc_lo, arc_len, level, row):
+    def _residual(self, c, idx, arc_lo, arc_len, level):
         """Residual blocks of chain ``c`` of the pairs ``idx``.
 
         Each candidate is n0 plain bounces, thinned by level / block
@@ -267,7 +263,7 @@ class _Pairs:
         positions and returns the inner landings, shape (len(idx), n0 - 1).
         """
         body, law, rng, n0 = self.body, self.law, self.rng, self.blocks.n0
-        u0 = self.u[c, idx]
+        s0, u0 = self.s[c, idx], self.u[c, idx]
 
         def propose(rows):
             path = np.empty((n0, rows.size))
@@ -276,8 +272,7 @@ class _Pairs:
             path = path.T
             member = in_arcs(path[:, -1], arc_lo.take(rows, axis=1),
                              arc_len.take(rows, axis=1), body.perimeter)
-            dens = self._block_density(u0[rows], u, path[:, -1],
-                                       None if row is None else row[rows])
+            dens = self._block_density(s0[rows], u0[rows], u, path[:, -1])
             reject = np.where(
                 member,
                 np.minimum(level[rows] / np.maximum(dens, 1e-300), 1.0), 0.0)
@@ -288,30 +283,14 @@ class _Pairs:
         self.u[c, idx] = u
         return path[:, :-1]
 
-    def _block_density(self, u0, u, s, row):
+    def _block_density(self, s0, u0, u, s):
         """Density per unit arc length of landing at native ``u`` (arc
-        ``s``) n0 bounces after native ``u0``."""
-        body, blocks = self.body, self.blocks
-        if blocks.n0 == 1:
+        ``s``) n0 bounces after arc ``s0`` (native ``u0``)."""
+        body = self.body
+        if self.blocks.n0 == 1:
             return landing_density(body, self.law, body.frame(u0),
                                    body.frame(u))
-        if blocks.disc is not None:
-            rel = _wrap_pi(u - u0 - blocks.n0 * math.pi)
-            return blocks.disc.circular_density(blocks.n0, rel) / body.r
-        return blocks.kernel.row_value(row, s)
-
-    def _bridge(self, c, p, target):
-        """Inner landings of chain ``c`` of pair ``p`` given that its block
-        ends at arc ``target``."""
-        body, blocks = self.body, self.blocks
-        if blocks.disc is None:
-            return blocks.kernel.bridge(
-                body.point_of(self.s[c, p], self.u[c, p]), target, self.rng)
-        phi = self.u[c, p]
-        rel = float(_wrap_pi(target / body.r - phi - blocks.n0 * math.pi))
-        total = blocks.disc.pick_branch(blocks.n0, rel, self.rng)
-        thetas = blocks.disc.bridge(blocks.n0, total, self.rng)
-        return body.to_arc(phi + np.cumsum(math.pi + 2.0 * thetas[:-1]))
+        return self.blocks.kernel.density(s0, s)
 
 
 def _reach_window(body, s, u, width, n0, eps):
@@ -342,179 +321,93 @@ def _reach_window(body, s, u, width, n0, eps):
 
 
 # ---------------------------------------------------------------------------
-# block tables: disc
+# the block table
 # ---------------------------------------------------------------------------
 
-class _BlockTables:
-    """Densities of twice the sum of k reflection angles, on a line grid."""
+class _BlockKernel:
+    """Block kernels of up to n0 bounces on equal arc cells.
 
-    def __init__(self, law: ReflectionLaw, n0: int):
-        m = 0.5 * law.support_width
-        half = max(2.0 * m, 1e-3)
-        n = _GRID
-        grids = []
-        # density of y = 2*theta on [-2m, 2m]
-        x1 = np.linspace(-half, half, int(n / n0) + 1)
-        g1 = 0.5 * law.density(0.5 * x1)
-        grids.append((x1, g1))
-        for _ in range(1, n0):
-            xk, gk = grids[-1]
-            xn, gn = _convolve(xk, gk, x1, g1)
-            grids.append((xn, gn))
-        self.grids = grids
-
-    def density(self, k: int, x):
-        xk, gk = self.grids[k - 1]
-        return np.interp(np.asarray(x, dtype=float), xk, gk,
-                         left=0.0, right=0.0)
-
-    def _branches(self, k: int, rel):
-        """Line preimages of a circle value under reduction mod 2*pi."""
-        xk, _ = self.grids[k - 1]
-        shift = TWO_PI * math.ceil((xk[0] - rel) / TWO_PI)
-        out = []
-        while rel + shift <= xk[-1]:
-            out.append(rel + shift)
-            shift += TWO_PI
-        return out
-
-    def circular_density(self, k: int, rel):
-        """Density of (2 * sum of k angles) mod 2*pi at rel in [-pi, pi)."""
-        xk, _ = self.grids[k - 1]
-        rel = np.asarray(rel, dtype=float)
-        branch = rel + TWO_PI * np.ceil((xk[0] - rel) / TWO_PI)
-        out = np.zeros_like(rel)
-        while np.any(branch <= xk[-1]):
-            out += self.density(k, branch)
-            branch = branch + TWO_PI
-        return out
-
-    def pick_branch(self, k: int, rel, rng) -> float:
-        """Sample the line-value of the block sum given its circle class."""
-        branches = self._branches(k, rel)
-        weights = np.array([float(self.density(k, b)) for b in branches])
-        keep = weights > 0.0
-        branches = [b for b, ok in zip(branches, keep) if ok]
-        weights = weights[keep]
-        idx = int(rng.choice(len(branches), p=weights / weights.sum()))
-        return branches[idx]
-
-    def bridge(self, n0: int, total: float, rng) -> np.ndarray:
-        """Sample the n0 individual angles given their doubled sum."""
-        ys = []
-        remaining = total
-        for k in range(n0, 1, -1):
-            x1, g1 = self.grids[0]
-            w = g1 * self.density(k - 1, remaining - x1)
-            y = _grid_sample(x1, w, rng)
-            ys.append(y)
-            remaining -= y
-        ys.append(remaining)
-        return 0.5 * np.asarray(ys)
-
-
-@functools.lru_cache(maxsize=16)
-def _cached_block_tables(law, n0) -> _BlockTables:
-    # laws compare by value, so repeated runs of one law share the
-    # convolution grids, the per-call bottleneck otherwise
-    return _BlockTables(law, n0)
-
-
-def _convolve(xa, ga, xb, gb):
-    dx = xa[1] - xa[0]
-    g = np.convolve(ga, gb) * dx
-    x = (xa[0] + xb[0]) + np.arange(g.size) * dx
-    return x, g
-
-
-def _grid_sample(x, w, rng) -> float:
-    w = np.maximum(np.asarray(w, dtype=float), 0.0)
-    cdf = np.cumsum(w)
-    if cdf[-1] <= 0.0:
-        raise ResidualSamplingError("bridge conditional has no mass")
-    u = rng.random() * cdf[-1]
-    i = int(np.searchsorted(cdf, u))
-    frac = (u - (cdf[i - 1] if i else 0.0)) / max(w[i], 1e-300)
-    return float(x[i] + (min(frac, 1.0) - 0.5) * (x[1] - x[0]))
-
-
-# ---------------------------------------------------------------------------
-# block tables: general body
-# ---------------------------------------------------------------------------
-
-class _ConvexKernelTables:
-    """Block kernel rows of a general body, on midpoint nodes."""
+    ``P[k - 1]`` holds the k-bounce masses between the cells' midpoints,
+    the k-th power of the exact one-step ``cell_kernel``; the block's
+    density per unit arc length is read off ``P[n0 - 1] / ds`` between
+    midpoints.
+    """
 
     def __init__(self, body: ConvexBody, law: ReflectionLaw, n0: int,
-                 n_nodes: int = 512):
+                 n_cells: int = 512):
         self.body = body
         self.law = law
         self.n0 = n0
-        self.nodes, self.M = transition_matrix(body, law, n_nodes)
+        self.nodes = (np.arange(n_cells) + 0.5) * body.perimeter / n_cells
         self.frames = body.frame(body.to_native(self.nodes))
-        self.ds = body.perimeter / n_nodes
-        # the kernel of the block's last n0 - 1 bounces
-        self.K_tail = np.linalg.matrix_power(self.M * self.ds, n0 - 1)
+        self.ds = body.perimeter / n_cells
+        self.P = [cell_kernel(body, law, n_cells)]
+        for _ in range(1, n0):
+            self.P.append(self.P[-1] @ self.P[0])
+        self.block = self.P[-1] / self.ds
 
-    def block_rows(self, u) -> np.ndarray:
-        """Block kernel from each native coordinate ``u`` to every node,
-        shape (len(u), nodes)."""
-        x = tuple(c[:, None] for c in self.body.frame(u))
-        rows = landing_density(self.body, self.law, x, self.frames)
-        return rows @ self.K_tail if self.n0 > 1 else rows
+    def _between(self, s):
+        """Cells (i0, i0 + 1) of the midpoints around arcs ``s`` and the
+        weight of the upper one."""
+        pos = np.mod(s, self.body.perimeter) / self.ds - 0.5
+        lo = np.floor(pos)
+        i0 = lo.astype(np.intp) % self.nodes.size
+        return i0, (i0 + 1) % self.nodes.size, pos - lo
+
+    def density(self, s0, s) -> np.ndarray:
+        """Block density from each arc in ``s0`` to its arc in ``s``,
+        bilinear between midpoints."""
+        i0, i1, f = self._between(s0)
+        j0, j1, g = self._between(s)
+        B = self.block
+        return ((1.0 - f) * ((1.0 - g) * B[i0, j0] + g * B[i0, j1])
+                + f * ((1.0 - g) * B[i1, j0] + g * B[i1, j1]))
+
+    def block_rows(self, s, u) -> np.ndarray:
+        """Block density from each start (arc ``s``, native ``u``) to every
+        midpoint, shape (len(s), cells): the exact landing density for one
+        bounce, rows of the block table between midpoints otherwise."""
+        if self.n0 == 1:
+            x = tuple(c[:, None] for c in self.body.frame(u))
+            return landing_density(self.body, self.law, x, self.frames)
+        i0, i1, f = self._between(s)
+        f = f[:, None]
+        return (1.0 - f) * self.block[i0] + f * self.block[i1]
 
     def capped_level(self, level, rows, arc_lo, arc_len):
         """``level`` capped at 0.999 times the smaller block row's minimum
-        over the overlap; zero where the overlap holds no node."""
+        over the overlap; zero where the overlap holds no midpoint."""
         inside = in_arcs(self.nodes, arc_lo[..., None], arc_len[..., None],
                          self.body.perimeter)
         low = np.where(inside, np.minimum(*rows), np.inf).min(axis=1)
         return np.where(inside.any(axis=1),
                         np.minimum(level, 0.999 * low), 0.0)
 
-    def row_value(self, row, s) -> np.ndarray:
-        """Each row of ``row`` interpolated at its arc length in ``s``."""
-        pos = np.mod(s, self.body.perimeter) / self.ds - 0.5
-        i0 = np.floor(pos).astype(np.intp) % self.nodes.size
-        i1 = (i0 + 1) % self.nodes.size
-        frac = pos - np.floor(pos)
-        r = np.arange(len(s))
-        return (1.0 - frac) * row[r, i0] + frac * row[r, i1]
+    def bridge(self, s, target, rng) -> np.ndarray:
+        """Inner landings of blocks from arcs ``s`` that end at arcs
+        ``target``, shape (n0 - 1, len(s)).
 
-    def bridge(self, x, target_s, rng):
-        """Intermediate landing points given the block endpoint."""
-        body = self.body
-        points = []
-        cur = x
+        Each inner landing draws its cell from the one-step row of the
+        previous cell times the column of the bounces left into the
+        target's cell, then a uniform offset inside it.
+        """
+        N = self.nodes.size
+        i = np.floor(self.body.wrap(s) / self.ds).astype(np.intp) % N
+        j = np.floor(self.body.wrap(target) / self.ds).astype(np.intp) % N
+        out = np.empty((self.n0 - 1, i.size))
         for k in range(self.n0 - 1):
-            row = landing_density(body, self.law, cur.frame, self.frames)
-            tail = self._target_column(target_s, self.n0 - 1 - k)
-            idx = _categorical(row * tail, rng)
-            s_mid = self.nodes[idx] + (rng.random() - 0.5) * self.ds
-            points.append(float(np.mod(s_mid, body.perimeter)))
-            cur = body.point_at(points[-1])
-        return points
-
-    def _target_column(self, target_s, steps_left) -> np.ndarray:
-        """Density of reaching target_s in steps_left bounces, per node."""
-        body = self.body
-        col = landing_density(body, self.law, self.frames,
-                              body.point_at(target_s).frame)
-        for _ in range(steps_left - 1):
-            col = (self.M * self.ds) @ col
-        return col
-
-
-def _categorical(w, rng) -> int:
-    w = np.maximum(w, 0.0)
-    tot = w.sum()
-    if tot <= 0.0:
-        raise ResidualSamplingError("empty bridge conditional on convex body")
-    return int(rng.choice(w.size, p=w / tot))
+            w = self.P[0][i] * self.P[self.n0 - 2 - k][:, j].T
+            cdf = np.cumsum(np.maximum(w, 0.0), axis=1)
+            if np.any(cdf[:, -1] <= 0.0):
+                raise ResidualSamplingError("bridge conditional has no mass")
+            u = rng.random(i.size) * cdf[:, -1]
+            i = np.minimum((cdf <= u[:, None]).sum(axis=1), N - 1)
+            out[k] = self.body.wrap((i + rng.random(i.size)) * self.ds)
+        return out
 
 
 @functools.lru_cache(maxsize=8)
-def _cached_tables(body, law, n0) -> _ConvexKernelTables:
-    # bodies are immutable and keyed by identity, laws by value; the
-    # discretised kernel is the dominant per-call cost otherwise
-    return _ConvexKernelTables(body, law, n0)
+def _cached_tables(body, law, n0) -> _BlockKernel:
+    # bodies are immutable and keyed by identity, laws by value, so repeated
+    # runs of one config share the kernel powers
+    return _BlockKernel(body, law, n0)

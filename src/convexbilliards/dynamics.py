@@ -22,7 +22,8 @@ provides
   independent oracle for the disc kernel and for ``exit_ray``,
 * the one-step landing density, the transition density built on it
   (``transition_density`` / ``transition_density_row``) and its row
-  integral and discretised matrix.
+  integral, and the exact cell kernel (``cell_kernel``): the one-step
+  masses between equal arc cells, which compose multi-bounce blocks.
 """
 
 from __future__ import annotations
@@ -263,14 +264,27 @@ def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
     return float(val)
 
 
-def transition_matrix(body: ConvexBody, law: ReflectionLaw,
-                      n_nodes: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Midpoint discretisation (nodes, matrix) of the transition kernel.
+def cell_kernel(body: ConvexBody, law: ReflectionLaw,
+                n_cells: int = 512) -> np.ndarray:
+    """Exact one-step masses between N equal arc cells (Ulam's method).
 
-    M[i, j] approximates density(node_i -> node_j); multiplying on the right
-    by (M * ds) composes steps.  Used for multi-bounce landing profiles.
+    K[i, j] is the probability that a bounce from the midpoint of cell i
+    lands in cell j, cell j spanning arc lengths [j, j + 1) * perimeter / N.
+    As the landing point runs counterclockwise from the start the launch
+    angle rises monotonically from -pi/2 to pi/2, so a cell's mass is the
+    law's CDF at the launch angle toward its far edge minus that toward its
+    near edge; the start cell takes both end pieces.  Every row sums to one
+    up to rounding, and ``K @ K`` composes steps on the midpoints.
     """
-    nodes = (np.arange(n_nodes) + 0.5) * body.perimeter / n_nodes
-    frames = body.frame(body.to_native(nodes))
-    M = landing_density(body, law, tuple(c[:, None] for c in frames), frames)
-    return nodes, M
+    ds = body.perimeter / n_cells
+    edges = np.arange(n_cells) * ds
+    mx, my, nx, ny = (c[:, None] for c in
+                      body.frame(body.to_native(edges + 0.5 * ds)))
+    ex, ey = body.frame(body.to_native(edges))[:2]
+    dx, dy = ex - mx, ey - my
+    # G[i, j]: the CDF of the launch angle from midpoint i toward edge j
+    G = law.cdf(np.arctan2(nx * dy - ny * dx, dx * nx + dy * ny))
+    K = np.roll(G, -1, axis=1) - G
+    K[np.diag_indices(n_cells)] += (law.cdf(0.5 * math.pi)
+                                    - law.cdf(-0.5 * math.pi))
+    return K

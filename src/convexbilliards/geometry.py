@@ -524,7 +524,7 @@ class CurvatureTable(ConvexBody):
         # the normal turns the x, y splines' own unit tangent, the launch
         # reference of ``bounce``
         j, t = self._cell(self.wrap(np.asarray(s, dtype=float)))
-        c = self._z[:, j]
+        c = self._z.take(j, axis=1)
         p, d = _horner(c, t), _horner_d(c, t)
         d = d / np.abs(d)
         return p.real, p.imag, -d.imag, d.real
@@ -551,7 +551,7 @@ class CurvatureTable(ConvexBody):
         N = self._DENSE
         # the origin's dense-grid cell j0 and its offset ts into it
         j0, ts = self._cell(s)
-        c0 = self._z[:, j0]
+        c0 = self._z.take(j0, axis=1)
         o = _horner(c0, ts)
         d = _horner_d(c0, ts)
         w = np.conj(d) / np.abs(d) * np.exp(-1j * theta)
@@ -573,7 +573,7 @@ class CurvatureTable(ConvexBody):
         j = (j0 + lo) % N
         a = self._knots_ext[j0 + lo] - s
         b = self.perimeter - a
-        c = self._z[:, j]
+        c = self._z.take(j, axis=1)
 
         def newton_g(t):
             g = ((_horner(c, t) - o) * w).real

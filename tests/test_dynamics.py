@@ -6,13 +6,13 @@ from scipy.stats import chi2 as chi2_dist
 
 from convexbilliards import CurvatureTable, Disc, Ellipse, point_at
 from convexbilliards.dynamics import (
+    cell_kernel,
     chord_times,
     disc_step_exact,
     run_chain,
     run_chain_ensemble,
     sample_process_at,
     transition_density,
-    transition_matrix,
     transition_row_integral,
 )
 from convexbilliards.errors import BeyondHorizon, CoincidentPoints
@@ -216,21 +216,18 @@ def test_kernel_stochastic_rows(body_name, law_name, disc, ellipse,
 
 
 def test_markov_two_step_surrogate(disc, cosine_law):
-    # empirical two-step landing distribution versus the kernel composed
-    # with itself on a grid
+    # empirical two-step landing distribution versus the cell kernel
+    # composed with itself, from the midpoint of cell 0
     n = 100_000
-    arcs = run_chain_ensemble(disc, cosine_law, np.zeros(n), 2, stream(17, 0))
-    # 16 node cells per histogram bin so cell and bin edges align exactly
+    # 16 cells per histogram bin so cell and bin edges align exactly
     bins = 50
-    nodes, M = transition_matrix(disc, cosine_law, 16 * bins)
-    ds = disc.perimeter / nodes.size
-    x = point_at(disc, 0.0)
-    from convexbilliards.dynamics import transition_density_row
-    row1 = transition_density_row(disc, cosine_law, x, nodes)
-    two_step = (row1 * ds) @ (M * ds)  # probability mass per node cell
+    cells = 16 * bins
+    P = cell_kernel(disc, cosine_law, cells)
+    s0 = 0.5 * disc.perimeter / cells
+    arcs = run_chain_ensemble(disc, cosine_law, np.full(n, s0), 2,
+                              stream(17, 0))
     counts, _ = np.histogram(arcs[2], bins=bins, range=(0.0, disc.perimeter))
-    probs = two_step.reshape(bins, -1).sum(axis=1)
-    probs /= probs.sum()
+    probs = (P @ P)[0].reshape(bins, -1).sum(axis=1)
     expected = probs * n
     keep = expected > 20
     stat = float(np.sum((counts[keep] - expected[keep]) ** 2 / expected[keep]))
