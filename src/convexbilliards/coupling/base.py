@@ -42,7 +42,7 @@ def arc_overlap(lo_a, len_a, lo_b, len_b, period):
     """Intersection of the arcs [lo_a, lo_a + len_a) and [lo_b, lo_b + len_b).
 
     Returns ``(lo, length)`` of its two pieces stacked on axis 0, in the
-    unwrapped frame of the first arc.
+    unwrapped frame of the first arc, as one array of shape (2, 2, ...).
     """
     len_a = np.minimum(len_a, period)
     len_b = np.minimum(len_b, period)
@@ -51,10 +51,11 @@ def arc_overlap(lo_a, len_a, lo_b, len_b, period):
     # piece 1: b starting inside [0, len_a)
     p_len = np.where(d < len_a,
                      np.maximum(np.minimum(d + len_b, len_a) - d, 0.0), 0.0)
+    out = np.empty((2, 2) + p_len.shape)
+    out[0, 0], out[0, 1], out[1, 0] = lo_a + d, lo_a + 0.0, p_len
     # piece 2: b wrapped around (start at d - P)
-    q_len = np.maximum(np.minimum(d + len_b - period, len_a), 0.0)
-    return (np.stack([lo_a + d, lo_a + np.zeros_like(d)]),
-            np.stack([p_len, q_len]))
+    out[1, 1] = np.maximum(np.minimum(d + len_b - period, len_a), 0.0)
+    return out
 
 
 def in_arcs(x, lo, length, period):

@@ -330,7 +330,7 @@ class _BlockKernel:
     ``P[k - 1]`` holds the k-bounce masses between the cells' midpoints,
     the k-th power of the exact one-step ``cell_kernel``; the block's
     density per unit arc length is read off ``P[n0 - 1] / ds`` between
-    midpoints.
+    midpoints.  One-bounce blocks read exact landing densities instead.
     """
 
     def __init__(self, body: ConvexBody, law: ReflectionLaw, n0: int,
@@ -341,10 +341,11 @@ class _BlockKernel:
         self.nodes = (np.arange(n_cells) + 0.5) * body.perimeter / n_cells
         self.frames = body.frame(body.to_native(self.nodes))
         self.ds = body.perimeter / n_cells
-        self.P = [cell_kernel(body, law, n_cells)]
-        for _ in range(1, n0):
-            self.P.append(self.P[-1] @ self.P[0])
-        self.block = self.P[-1] / self.ds
+        if n0 > 1:
+            self.P = [cell_kernel(body, law, n_cells)]
+            for _ in range(1, n0):
+                self.P.append(self.P[-1] @ self.P[0])
+            self.block = self.P[-1] / self.ds
 
     def _between(self, s):
         """Cells (i0, i0 + 1) of the midpoints around arcs ``s`` and the

@@ -12,6 +12,8 @@ probabilities are exactly the certified plateau masses.
 ``_Processes`` runs this state machine for many replicas in lockstep on one
 stream per fixed-size replica chunk: the tick loop and its budget, attempt
 counters and trace, realignment, first hits and first-bounce recording.
+A tick (``ticks`` sums them over chunks) gives each live replica one or two
+attempts and costs mostly numpy's call overhead (disc: 0.3 ms, 2 x86 cores).
 ``process_disc`` (two-bounce tables and the pair profile of a disc) and
 ``process_convex`` (time boxes and bisector windows of a general body)
 subclass it with their blocks and joint windows.
@@ -46,6 +48,7 @@ class BatchCouplingResult:
     # (replicas, 2, k) landing arcs on any body of processes a and b; the
     # two rows of a coupled replica agree from their common landing on
     first_bounces: np.ndarray | None = None
+    ticks: int = 0               # 0 when the first hits agree
 
     @property
     def stage1_rate(self) -> float:
@@ -99,6 +102,7 @@ def _run_batch(cls, setup, body, law, start_a, start_b, t_max, n_replicas,
             getattr(out, name)[sl] = res[name]
         if record_first:
             out.first_bounces[sl] = res["first_bounces"]
+        out.ticks += res["ticks"]
         if trace is not None and res.get("trace"):
             trace.extend(res["trace"])
     return out
@@ -142,13 +146,12 @@ class _Processes:
         self.u_f = self.u.reshape(-1)
         self.clock_f = self.clock.reshape(-1)
         self.phase = np.ones(n, dtype=np.int8)
-        self.active = np.ones(n, dtype=bool)
         self.coupled = np.zeros(n, dtype=bool)
         self.coupling_time = np.full(n, np.nan)
         # attempts and successes of stage one, then of stage two
         self.counts = np.zeros((2, 2, n), dtype=np.int64)
         # landing arcs per process (flat index), and how many were kept;
-        # recording stops once every active process has its first k
+        # recording stops once every live process has its first k
         self.bounces = (np.full((2 * n, record_first), np.nan)
                         if record_first else None)
         self.cursor = np.zeros(2 * n, dtype=np.int64)
@@ -156,19 +159,21 @@ class _Processes:
         self.trace = trace
 
     def run(self, t_max) -> dict:
-        for _ in range(_MAX_TICKS):
-            if not self.active.any():
+        live = np.arange(self.n)   # replicas neither coupled nor past t_max
+        for ticks in range(_MAX_TICKS):
+            if not live.size:
                 break
-            i1 = np.flatnonzero(self.active & (self.phase == 1))
+            i1 = live[self.phase[live] == 1]
             if i1.size:
                 self.stage1(i1)
-            i2 = np.flatnonzero(self.active & (self.phase == 2))
+            i2 = live[self.phase[live] == 2]
             if i2.size:
                 self.stage2(i2)
-            self.active &= ~(self.coupled | (self.clock.min(axis=0) > t_max))
+            a, b = self.clock[0][live], self.clock[1][live]
+            live = live[~(self.coupled[live] | (np.minimum(a, b) > t_max))]
             if self.recording:
-                short = self.cursor.reshape(2, -1) < self.bounces.shape[1]
-                self.recording = bool(short[:, self.active].any())
+                self.recording = bool((self.cursor.reshape(2, -1)[:, live]
+                                       < self.bounces.shape[1]).any())
         else:
             raise HorizonExceeded("coupling state machine exceeded its tick"
                                   " budget")
@@ -178,18 +183,17 @@ class _Processes:
             bounces = self.bounces.reshape(2, self.n, -1).transpose(1, 0, 2)
         return dict(zip(_FIELDS, (self.coupled, self.coupling_time,
                                   *self.counts.reshape(4, -1))),
-                    first_bounces=bounces, trace=self.trace)
+                    first_bounces=bounces, trace=self.trace, ticks=ticks)
 
     # -- the two stages ------------------------------------------------------
 
     def stage1(self, i):
-        c = self.clock[:, i]
-        lo = c.max(axis=0) + self.w1[0]
-        hi = c.min(axis=0) + self.w1[1]
+        a, b = self.clock[0][i], self.clock[1][i]
+        lo = np.maximum(a, b) + self.w1[0]
+        hi = np.minimum(a, b) + self.w1[1]
         wlen = hi - lo
-        suc = self.attempted(1, i, self.level1 * np.maximum(wlen, 0.0))
-        if suc.any():
-            j = i[suc]
+        suc, j = self.attempted(1, i, self.level1 * np.maximum(wlen, 0.0))
+        if j.size:
             S = lo[suc] + self.rng.random(j.size) * wlen[suc]
             self.block_to(j, S)
             self.clock[:, j] = S
@@ -202,12 +206,11 @@ class _Processes:
     def stage2(self, i):
         # windows at the pre-attempt positions, one replica per last index
         mass, win = self.window2(i)
-        suc = self.attempted(2, i, mass)
-        if suc.any():
-            j = i[suc]
+        suc, j = self.attempted(2, i, mass)
+        if j.size:
             self.couple2(j, win[..., suc])
             self.coupled[j] = True
-            self.coupling_time[j] = self.clock[0, j]
+            self.coupling_time[j] = self.clock[0][j]
             i, win = i[~suc], win[..., ~suc]
         if i.size:
             self.residual2(i, win)
@@ -218,15 +221,15 @@ class _Processes:
 
     def attempted(self, stage, i, mass):
         """One attempt per replica of ``i`` at the given plateau masses;
-        returns the success mask."""
+        returns the success mask and the replicas that succeeded."""
         suc = self.rng.random(i.size) < mass
-        att, ok = self.counts[stage - 1]
-        att[i] += 1
-        ok[i[suc]] += 1
+        j = i[suc]
+        self.counts[stage - 1, 0][i] += 1
+        self.counts[stage - 1, 1][j] += 1
         if self.trace is not None:
             for m_, s_ in zip(mass, suc):
                 self.trace.append(AttemptRecord(stage, bool(s_), float(m_)))
-        return suc
+        return suc, j
 
     def record(self, f, arcs):
         cur = self.cursor[f]
@@ -263,24 +266,24 @@ class _Processes:
         up to the first crossing.
         """
         n, B = self.n, _REALIGN_BOUNCES
-        b_lags = self.clock[0, i] > self.clock[1, i]
-        f = i + n * b_lags
-        target = self.clock_f[i + n * ~b_lags]
+        a, b = self.clock[0][i], self.clock[1][i]
+        f = i + n * (a > b)
+        target = np.maximum(a, b)
         while f.size:
             u, clock = self._flights(
                 f, guarded_angles(self.law, self.rng, (f.size, B)))
             # clocks increase along a row, so crossings end every row
-            crossed = clock > target[:, None]
-            last = B - np.maximum(crossed.sum(axis=1), 1)
+            crossings = (clock > target[:, None]).sum(axis=1)
+            last = B - np.maximum(crossings, 1)
             if self.recording:
-                for b in range(B):
-                    kept = last >= b
-                    self.record(f[kept], self.body.to_arc(u[kept, b]))
+                for k in range(B):
+                    kept = last >= k
+                    self.record(f[kept], self.body.to_arc(u[kept, k]))
             rows = np.arange(f.size)
             self.u_f[f] = u[rows, last]
             self.clock_f[f] = clock[rows, last]
-            more = ~crossed[:, -1]
-            f, target = f[more], target[more]
+            behind = crossings == 0
+            f, target = f[behind], target[behind]
 
     def fill(self):
         """Plain bounces until every process has its first k landings.

@@ -68,8 +68,8 @@ class _TwoBounceTables:
         = w with both angles on the support, and t_hi = sqrt of the width
         of the range of u."""
         cos_m = math.cos(self.m)
-        u_lo = np.arccos(np.clip(np.minimum(w - cos_m, 1.0), -1.0, 1.0))
-        u_hi = np.arccos(np.clip(np.maximum(w - 1.0, cos_m), -1.0, 1.0))
+        u_lo = np.arccos(np.minimum(w - cos_m, 1.0).clip(-1.0, 1.0))
+        u_hi = np.arccos(np.maximum(w - 1.0, cos_m).clip(-1.0, 1.0))
         return u_hi, np.sqrt(np.maximum(u_hi - u_lo, 1e-300))
 
     def _grid(self, w, n):
@@ -83,11 +83,6 @@ class _TwoBounceTables:
         wgt = self.law.density(u) * self.law.density(v) / sin_v * t
         return wgt, t_hi
 
-    def pdf(self, w):
-        """Density of the cosine sum, interpolated from the table."""
-        return np.interp(np.asarray(w, dtype=float), self.w_grid,
-                         self.pdf_grid, left=0.0, right=0.0)
-
     def conditional_pair(self, w_targets, rng: np.random.Generator):
         """Sample (angle1, angle2) given cos(angle1) + cos(angle2) = w.
 
@@ -96,8 +91,8 @@ class _TwoBounceTables:
         w - cos(angle1), so the constraint holds to rounding.
         """
         w = np.atleast_1d(np.asarray(w_targets, dtype=float))
-        pos = np.clip((w - self.w_grid[0]) / (self.w_grid[1] - self.w_grid[0]),
-                      0.0, _T_GRID - 1.0)
+        w0, dw = self.w_grid[0], self.w_grid[1] - self.w_grid[0]
+        pos = ((w - w0) / dw).clip(0.0, _T_GRID - 1.0)
         i0 = np.minimum(pos.astype(np.intp), _T_GRID - 2)
         fw = pos - i0
         p = rng.random(w.size) * _U_GRID
@@ -120,7 +115,7 @@ def _partner(w, u):
     Computed from sin(v/2)^2 = (2 - w)/2 - sin(u/2)^2, which keeps its
     precision as w nears 2, where w - cos(u) rounds to 1.
     """
-    h = np.clip(0.5 * (2.0 - w) - np.sin(0.5 * u) ** 2, 0.0, 1.0)
+    h = (0.5 * (2.0 - w) - np.sin(0.5 * u) ** 2).clip(0.0, 1.0)
     return 2.0 * np.arcsin(np.sqrt(h))
 
 
@@ -206,31 +201,31 @@ class _DiscProcesses(_Processes):
     def _flights(self, f, th):
         # the polar recursion summed in closed form over the round
         return (np.mod(self.u_f[f][:, None]
-                       + np.cumsum(math.pi + 2.0 * th, axis=1), TWO_PI),
+                       + np.add.accumulate(math.pi + 2.0 * th, 1), TWO_PI),
                 self.clock_f[f][:, None]
-                + np.cumsum(2.0 * self.r * np.cos(th), axis=1))
+                + np.add.accumulate(2.0 * self.r * np.cos(th), 1))
 
-    def land2(self, f, th1, end):
-        """Processes ``f`` bounce at ``th1`` and then land at ``end``."""
+    def land2(self, f, u0, th1, end):
+        """Processes ``f`` leave ``u0`` at ``th1`` and land at ``end``."""
         self.land(f, end, lambda: self.body.to_arc(
-            np.stack([self.u_f[f] + math.pi + 2.0 * th1, end])))
+            np.stack([u0 + math.pi + 2.0 * th1, end])))
 
     # -- stage 1: clocks -----------------------------------------------------
 
     def block_to(self, j, S):
         f = np.concatenate([j, j + self.n])
+        u0 = self.u_f[f]
         th1, th2 = self.tables.conditional_pair(
             (_both(S) - self.clock_f[f]) / (2.0 * self.r), self.rng)
-        self.land2(f, th1, np.mod(self.u_f[f] + TWO_PI + 2.0 * (th1 + th2),
-                                  TWO_PI))
+        self.land2(f, u0, th1, np.mod(u0 + TWO_PI + 2.0 * (th1 + th2), TWO_PI))
 
     def block_residual(self, k, lo, hi):
         """Both processes of the replicas ``k`` make two bounces whose time
         lands in the clock window [lo, hi] with the plateau removed."""
-        r, law, rng, tables, delta = (self.r, self.law, self.rng,
-                                      self.tables, self.level1)
+        r, law, rng, delta = self.r, self.law, self.rng, self.level1
+        w_grid, pdf_grid = self.tables.w_grid, self.tables.pdf_grid
         f = np.concatenate([k, k + self.n])
-        c0 = self.clock_f[f]
+        u0, c0 = self.u_f[f], self.clock_f[f]
         lo, hi = _both(lo), _both(hi)
 
         def propose(rows):
@@ -238,22 +233,22 @@ class _DiscProcesses(_Processes):
             T = 2.0 * r * (np.cos(th1) + np.cos(th2))
             S = c0[rows] + T
             inw = (S >= lo[rows]) & (S <= hi[rows])
-            dens = tables.pdf(T / (2.0 * r)) / (2.0 * r)
+            dens = np.interp(T / (2.0 * r), w_grid, pdf_grid,
+                             left=0.0, right=0.0) / (2.0 * r)
             reject = np.where(inw, np.minimum(delta / np.maximum(dens, 1e-300),
                                               1.0), 0.0)
             return (th1, th2, T), reject
 
         th1, th2, T = thin_residual(f.size, propose, rng)
-        self.land2(f, th1, np.mod(self.u_f[f] + TWO_PI + 2.0 * (th1 + th2),
-                                  TWO_PI))
-        self.clock_f[f] += T
+        self.land2(f, u0, th1, np.mod(u0 + TWO_PI + 2.0 * (th1 + th2), TWO_PI))
+        self.clock_f[f] = c0 + T
 
     # -- stage 2: position and time -----------------------------------------
 
     def window2(self, i):
         aw = self.aw
-        win = np.stack(arc_overlap(self.u[0, i] - aw, 2.0 * aw,
-                                   self.u[1, i] - aw, 2.0 * aw, TWO_PI))
+        win = arc_overlap(self.u[0][i] - aw, 2.0 * aw,
+                          self.u[1][i] - aw, 2.0 * aw, TWO_PI)
         lenB = self.B_hi - self.B_lo
         return self.level2 * (win[1, 0] + win[1, 1]) * lenB, win
 
@@ -264,12 +259,13 @@ class _DiscProcesses(_Processes):
         dt = self.B_lo + rng.random(j.size) * (self.B_hi - self.B_lo)
         tstar = self.clock[0, j] + dt
         f = np.concatenate([j, j + n])
+        u0 = self.u_f[f]
         end = _both(phistar)
-        m = _wrap_pi(end - self.u_f[f]) / 4.0
+        m = _wrap_pi(end - u0) / 4.0
         z = _both(dt) / (4.0 * r)
         dd = np.arccos(np.clip(z / np.cos(m), -1.0, 1.0))
         th1 = np.where(rng.random(f.size) < 0.5, m - dd, m + dd)
-        self.land2(f, th1, end)
+        self.land2(f, u0, th1, end)
         self.clock[:, j] = tstar
 
     def residual2(self, k, win):
@@ -279,17 +275,16 @@ class _DiscProcesses(_Processes):
         r, law, rng = self.r, self.law, self.rng
         level2, B_lo, B_hi = self.level2, self.B_lo, self.B_hi
         f = np.concatenate([k, k + self.n])
-        p0 = self.u_f[f]
-        arc_lo, arc_len = _both(win[0]), _both(win[1])
+        u0 = self.u_f[f]
+        win = _both(win)
 
         def propose(rows):
             th = guarded_angles(law, rng, (2, rows.size))
-            th1, th2 = th
+            th1, th2 = th[0], th[1]
             T = 2.0 * r * (np.cos(th1) + np.cos(th2))
-            phip = np.mod(p0[rows] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
+            phip = np.mod(u0[rows] + TWO_PI + 2.0 * (th1 + th2), TWO_PI)
             member = ((T >= B_lo) & (T <= B_hi)
-                      & in_arcs(phip, arc_lo.take(rows, axis=1),
-                                arc_len.take(rows, axis=1), TWO_PI))
+                      & in_arcs(phip, *win.take(rows, axis=-1), TWO_PI))
             m = 0.5 * (th1 + th2)
             dd = 0.5 * (th1 - th2)
             dens = law.density(th)
@@ -301,5 +296,5 @@ class _DiscProcesses(_Processes):
             return (th1, T, phip), reject
 
         th1, T, phip = thin_residual(f.size, propose, rng)
-        self.land2(f, th1, phip)
+        self.land2(f, u0, th1, phip)
         self.clock_f[f] += T

@@ -42,7 +42,7 @@ from .reflection import ReflectionLaw
 TANGENCY_GUARD = 1e-9
 
 
-def guarded_angles(law: ReflectionLaw, rng: np.random.Generator, size=None):
+def guarded_angles(law: ReflectionLaw, rng: np.random.Generator, size):
     """Reflection angles drawn from ``law``, kept off tangency.
 
     The package's one tangency policy: an angle within TANGENCY_GUARD of
@@ -52,7 +52,7 @@ def guarded_angles(law: ReflectionLaw, rng: np.random.Generator, size=None):
     probability zero, but floating point can reach it.
     """
     lim = 0.5 * math.pi - TANGENCY_GUARD
-    return np.clip(law.sample(rng, size), -lim, lim)
+    return law.sample(rng, size).clip(-lim, lim)
 
 
 @dataclass(frozen=True)

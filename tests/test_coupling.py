@@ -40,6 +40,7 @@ from convexbilliards.rates import (
     convex_chain_rate,
     convex_process_rate,
     disc_chain_rate,
+    disc_pair_profile,
     disc_process_rate,
     optimize_free_params,
 )
@@ -515,6 +516,73 @@ def test_process_disc_worker_invariance(tu34_law):
                  "stage1_successes", "stage2_attempts", "stage2_successes"):
         assert np.array_equal(getattr(r1, name), getattr(r2, name),
                               equal_nan=True), name
+    assert r1.ticks == r2.ticks > 0
+
+
+def test_process_disc_ticks_bound_attempts(tu34_law):
+    # an active replica makes one or two attempts per tick (stage one,
+    # stage two, or both), and one chunk ticks until its slowest replica
+    # is done
+    cert = _ac6_cert()
+    res = couple_process_disc_batch(1.0, tu34_law, STARTS[0], STARTS[1],
+                                    cert, 1e6, 64, seed=66)
+    a = res.stage1_attempts + res.stage2_attempts
+    assert a.max() / 2 <= res.ticks <= a.max()
+
+
+def _disc_processes(law, n, record_first):
+    """A lockstep disc engine of ``n`` replicas on the AC-6 certificate."""
+    cert = _ac6_cert()
+    width = cert.inputs["width"]
+    return process_disc._DiscProcesses(
+        n, stream(109, 1), Disc(1.0), law, (0.0, 0.0), (0.0, 0.0),
+        record_first, None, tables=process_disc._cached_two_bounce_tables(law),
+        width=width, eta=cert.inputs["eta"], delta=cert.constants["delta"],
+        prof2=disc_pair_profile(1.0, width, cert.inputs["floor"],
+                                cert.inputs["eps"]))
+
+
+@pytest.mark.parametrize("record_first", [0, 60])
+def test_process_disc_realign_invariants(tu34_law, record_first):
+    # realignment moves only the lagging process of each listed replica
+    # (process a on a tie), strictly past the other's clock; the leading
+    # process, unlisted replicas and arcs recorded before stay as they were
+    n = 6
+    procs = _disc_processes(tu34_law, n, record_first)
+    gen = stream(109, 0)
+    procs.u[:] = gen.random((2, n)) * TWO_PI
+    procs.clock[:] = gen.random((2, n)) * 6.0
+    procs.clock[1, 0] = procs.clock[0, 0]
+    procs.clock[1, 5] = procs.clock[0, 5] + 20.0   # several rounds
+    if record_first:
+        procs.record(np.arange(2 * n), procs.body.to_arc(procs.u_f))
+    u0, c0, cur0 = procs.u.copy(), procs.clock.copy(), procs.cursor.copy()
+    rec0 = procs.bounces.copy() if record_first else None
+    i = np.array([0, 1, 2, 4, 5])
+    procs.realign(i)
+    lag = (c0[0, i] > c0[1, i]).astype(int)
+    lead = 1 - lag
+    assert np.all(procs.clock[lag, i] > c0[lead, i])
+    assert np.array_equal(procs.u[lead, i], u0[lead, i])
+    assert np.array_equal(procs.clock[lead, i], c0[lead, i])
+    assert np.all(procs.clock >= c0)
+    assert np.array_equal(procs.u[:, 3], u0[:, 3])
+    assert np.array_equal(procs.clock[:, 3], c0[:, 3])
+    if record_first:
+        f_lag = i + n * lag
+        moved = np.zeros(2 * n, dtype=bool)
+        moved[f_lag] = True
+        assert np.array_equal(procs.bounces[:, 0], rec0[:, 0])
+        assert np.array_equal(procs.bounces[~moved], rec0[~moved],
+                              equal_nan=True)
+        assert np.array_equal(procs.cursor[~moved], cur0[~moved])
+        # each lagging process recorded every kept landing, the last of
+        # them where it now stands
+        assert np.all(procs.cursor[f_lag] > cur0[f_lag])
+        assert np.all(procs.cursor < record_first)
+        last = procs.bounces[f_lag, procs.cursor[f_lag] - 1]
+        assert np.array_equal(last, procs.body.to_arc(procs.u_f[f_lag]))
+        assert procs.cursor[f_lag[-1]] - cur0[f_lag[-1]] > 4
 
 
 def test_process_disc_equal_first_hits_couple_at_once(tu34_law):
@@ -527,6 +595,7 @@ def test_process_disc_equal_first_hits_couple_at_once(tu34_law):
     t0 = Disc(1.0).exit_ray(pos, vel / np.hypot(*vel))[0]
     assert res.coupled.all() and np.all(res.coupling_time == t0)
     assert res.stage1_attempts.sum() + res.stage2_attempts.sum() == 0
+    assert res.ticks == 0
     assert np.array_equal(res.first_bounces[:, 0], res.first_bounces[:, 1])
 
 
@@ -589,7 +658,7 @@ def test_two_bounce_pdf_matches_monte_carlo(law):
     counts, _ = np.histogram(w, edges)
     # the table's mass per bin, by the trapezoid rule on 64 steps a bin
     fine = np.linspace(edges[0], edges[-1], 64 * bins + 1)
-    pdf = tables.pdf(fine)
+    pdf = np.interp(fine, tables.w_grid, tables.pdf_grid, left=0.0, right=0.0)
     cells = 0.5 * (pdf[1:] + pdf[:-1]) * np.diff(fine)
     expected = n * cells.reshape(bins, 64).sum(axis=1)
     stat = float(np.sum((counts - expected) ** 2 / expected))
