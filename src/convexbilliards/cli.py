@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 import time
 from pathlib import Path
@@ -87,6 +88,8 @@ CONFIG_SCHEMA = {
     },
     "additionalProperties": False,
 }
+# compiled once; load_config reports the best match, as jsonschema.validate
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 _REQUIRED = {
     "simulate_chain": ["n_max"],
@@ -127,10 +130,11 @@ def load_config(path: str) -> dict:
         cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(
+        _CONFIG_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(
+            f"config schema violation: {error.message}") from error
     missing = [k for k in _REQUIRED[cfg["scenario"]] if k not in cfg]
     if missing:
         raise ConfigError(
@@ -184,13 +188,32 @@ def build_certificate(cfg, body, law) -> RateCertificate:
     return build_for_kind(*_certificate_inputs(cfg, body, law))
 
 
-# compiled once: jsonschema.validate checks the schema itself on every call
-_CERTIFICATE_VALIDATOR = jsonschema.Draft202012Validator(CERTIFICATE_SCHEMA)
+# Compiled once: jsonschema.validate checks the schema itself on every call.
+# bound_curve is typed as a plain array here; validate_certificate checks its
+# rows in one pass (item by item, jsonschema took 6 ms per 256-point curve).
+_CERTIFICATE_VALIDATOR = jsonschema.Draft202012Validator(
+    {**CERTIFICATE_SCHEMA, "properties": {**CERTIFICATE_SCHEMA["properties"],
+                                          "bound_curve": {"type": "array"}}})
+
+
+def _is_number(v) -> bool:
+    """jsonschema's "number": a numbers.Number that is not a bool."""
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+def validate_certificate(data: dict) -> None:
+    """Raise jsonschema.ValidationError unless data meets CERTIFICATE_SCHEMA."""
+    _CERTIFICATE_VALIDATOR.validate(data)
+    for row in data["bound_curve"]:
+        if not (isinstance(row, list) and len(row) == 2
+                and _is_number(row[0]) and _is_number(row[1])):
+            raise jsonschema.ValidationError(
+                f"bound_curve row {row!r} is not two numbers")
 
 
 def _write_certificate(out, cert) -> str:
     data = cert.to_json_dict()
-    _CERTIFICATE_VALIDATOR.validate(data)
+    validate_certificate(data)
     (out / "certificate.json").write_text(json.dumps(data, indent=2,
                                                      sort_keys=True))
     return "certificate.json"

@@ -98,9 +98,11 @@ class _TwoBounceTables:
         p = rng.random(w.size) * _U_GRID
         j0 = np.minimum(p.astype(np.intp), _U_GRID - 1)
         fp = p - j0
-        q = self.quantiles
-        tau = ((1.0 - fw) * ((1.0 - fp) * q[i0, j0] + fp * q[i0, j0 + 1])
-               + fw * ((1.0 - fp) * q[i0 + 1, j0] + fp * q[i0 + 1, j0 + 1]))
+        # one flat index reads the same elements as q[i0, j0] and neighbours
+        row = _U_GRID + 1
+        q, k = self.quantiles.ravel(), i0 * row + j0
+        tau = ((1.0 - fw) * ((1.0 - fp) * q[k] + fp * q[k + 1])
+               + fw * ((1.0 - fp) * q[k + row] + fp * q[k + row + 1]))
         u_hi, t_hi = self._u_range(w)
         t = tau * t_hi
         u = u_hi - t * t

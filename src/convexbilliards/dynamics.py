@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import BeyondHorizon, CoincidentPoints
@@ -259,6 +258,7 @@ def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
     def integrand(ds: float) -> float:
         return transition_density(body, law, x, body.point_at(x.s + ds))
 
+    from scipy.integrate import quad
     val, _ = quad(integrand, lo, hi, limit=400, epsabs=1e-10, epsrel=1e-10)
     # the inset near a full-support law's endpoints drops an O(inset) sliver
     return float(val)

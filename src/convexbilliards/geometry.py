@@ -502,15 +502,7 @@ class CurvatureTable(ConvexBody):
     def _diameter_search(self) -> float:
         pts = np.stack([self._x(self._s_dense[:-1]), self._y(self._s_dense[:-1])], axis=-1)
         sub = pts[:: max(1, pts.shape[0] // 4096)]
-        # farthest candidate pair, the first maximum in row-major order,
-        # scanned in row blocks so no (n, n, 2) temporary is built
-        x, y = sub[:, 0], sub[:, 1]
-        best, i, j = -1.0, 0, 0
-        for r in range(0, x.size, 64):
-            d2 = (x[r:r + 64, None] - x) ** 2 + (y[r:r + 64, None] - y) ** 2
-            k = int(np.argmax(d2))
-            if d2.flat[k] > best:
-                best, i, j = d2.flat[k], r + k // x.size, k % x.size
+        i, j = _farthest_pair(sub[:, 0], sub[:, 1])
         return _refine_diameter(self, sub[i], sub[j])
 
     # bounce kernel: native coordinate is arc length ------------------------
@@ -760,6 +752,24 @@ def _monotone_lift(seq, period):
         while out[i] < out[i - 1]:
             out[i] += period
     return out
+
+
+def _farthest_pair(x, y) -> tuple[int, int]:
+    """(i, j) of the first maximum of (x_i - x_j)^2 + (y_i - y_j)^2 in
+    row-major order.
+
+    Scanned in row blocks so no (n, n) temporary is built.  d2(i, j) and
+    d2(j, i) are the same bits, so that maximum has i < j and the block of
+    rows from r needs only the columns from r on.
+    """
+    best, i, j = -1.0, 0, 0
+    for r in range(0, x.size, 64):
+        xs, ys = x[r:], y[r:]
+        d2 = (x[r:r + 64, None] - xs) ** 2 + (y[r:r + 64, None] - ys) ** 2
+        k = int(np.argmax(d2))
+        if d2.flat[k] > best:
+            best, i, j = d2.flat[k], r + k // xs.size, r + k % xs.size
+    return i, j
 
 
 def _refine_diameter(body: ConvexBody, p, q) -> float:

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NoPositiveCore
 from .geometry import BoundaryPoint
@@ -186,6 +185,7 @@ class ReflectionLaw:
         if self.kind == "table":
             # piecewise linear: the trapezoid rule is the exact integral
             return float(np.trapezoid(self._tv, self._ta))
+        from scipy.integrate import quad
         val, _ = quad(lambda t: float(self.density(t)), -HALF_PI, HALF_PI,
                       limit=200,
                       points=[-0.5 * self.support_width,

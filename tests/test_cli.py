@@ -401,3 +401,91 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "scenario" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# certificate validation and package import
+# ---------------------------------------------------------------------------
+
+MALFORMED_CURVES = {
+    "string-item": [[0.0, 1.0], ["1", 0.5]],
+    "bool-item": [[0.0, 1.0], [1.0, True]],
+    "short-row": [[0.0, 1.0], [1.0]],
+    "long-row": [[0.0, 1.0], [1.0, 0.5, 0.25]],
+    "not-a-list": {"0": 1.0},
+}
+
+
+def _disc_chain_certificate():
+    from convexbilliards.rates import disc_chain_rate
+    return disc_chain_rate(1.0, 0.75 * PI, 1.0 / (1.5 * PI)).to_json_dict()
+
+
+def test_certificate_validation_matches_schema():
+    # the certificate's curve rows are checked in one pass; each check
+    # must reject what the published schema rejects
+    import jsonschema
+    from convexbilliards.cli import validate_certificate
+    data = _disc_chain_certificate()
+    jsonschema.validate(data, CERTIFICATE_SCHEMA)
+    validate_certificate(data)
+    for curve in MALFORMED_CURVES.values():
+        bad = {**data, "bound_curve": curve}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, CERTIFICATE_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError):
+            validate_certificate(bad)
+
+
+def test_config_errors_name_the_best_match(tmp_path):
+    # three violations: the message is jsonschema.validate's best match,
+    # not the first error found
+    import jsonschema
+    from convexbilliards.cli import CONFIG_SCHEMA
+    cfg = _base_chain_cfg(seed=1.5, body=3, bogus=1)
+    with pytest.raises(jsonschema.ValidationError) as ref:
+        jsonschema.validate(cfg, CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as exc:
+        load_config(_write(tmp_path, "cfg.json", cfg))
+    assert str(exc.value) == f"config schema violation: {ref.value.message}"
+
+
+# small configs of the scenarios the benchmark runs, plus verify_lb
+IMPORT_GUARD_CONFIGS = [
+    _base_chain_cfg(scenario="verify_dominance", law=TU34,
+                    rate={"kind": "disc_chain"}, s0=0.0, s0_alt=PI,
+                    n_max=3, replicas=2000, bins=20),
+    _base_chain_cfg(scenario="couple_chains", law=TU34,
+                    rate={"kind": "disc_chain"}, n_max=5, replicas=20),
+    _base_chain_cfg(scenario="couple_process", law=TU34, **DISC_PROCESS,
+                    t_max=1e6, replicas=8),
+    _base_chain_cfg(scenario="verify_lb", law=TU34, lb_profile="t2",
+                    replicas=10_000),
+]
+
+
+def test_scenarios_do_not_import_scipy_stats_or_integrate(tmp_path):
+    # one fresh interpreter: import the CLI, run each scenario, then list
+    # the scipy subpackages that only tests use
+    paths = []
+    for k, cfg in enumerate(IMPORT_GUARD_CONFIGS):
+        paths.append([_write(tmp_path, f"cfg{k}.json", cfg),
+                      str(tmp_path / f"out{k}")])
+    code = (
+        "import json, sys\n"
+        "from convexbilliards.cli import main\n"
+        "codes = [main(['run', '--config', c, '--out', o])"
+        " for c, o in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.stats', 'scipy.integrate')))\n"
+        "print(json.dumps([codes, loaded]))\n")
+    src = str(Path(convexbilliards.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(paths)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0] * len(IMPORT_GUARD_CONFIGS)
+    assert loaded == []

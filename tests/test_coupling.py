@@ -678,6 +678,42 @@ def test_two_bounce_conditional_pair_constraint(law):
     assert np.max(np.abs(th1)) <= tables.m and np.max(np.abs(th2)) <= tables.m
 
 
+def _conditional_pair_2d(tables, w, rng):
+    # conditional_pair as it read the quantile table by 2-d gathers
+    T, U = process_disc._T_GRID, process_disc._U_GRID
+    w0, dw = tables.w_grid[0], tables.w_grid[1] - tables.w_grid[0]
+    pos = ((w - w0) / dw).clip(0.0, T - 1.0)
+    i0 = np.minimum(pos.astype(np.intp), T - 2)
+    fw = pos - i0
+    p = rng.random(w.size) * U
+    j0 = np.minimum(p.astype(np.intp), U - 1)
+    fp = p - j0
+    q = tables.quantiles
+    tau = ((1.0 - fw) * ((1.0 - fp) * q[i0, j0] + fp * q[i0, j0 + 1])
+           + fw * ((1.0 - fp) * q[i0 + 1, j0] + fp * q[i0 + 1, j0 + 1]))
+    u_hi, t_hi = tables._u_range(w)
+    t = tau * t_hi
+    u = u_hi - t * t
+    v = process_disc._partner(w, u)
+    signs = np.where(rng.random((2, w.size)) < 0.5, -1.0, 1.0)
+    return signs[0] * u, signs[1] * v
+
+
+@pytest.mark.parametrize("law", TWO_BOUNCE_LAWS.values(),
+                         ids=TWO_BOUNCE_LAWS.keys())
+def test_two_bounce_conditional_pair_flat_gather(law):
+    # one flat index reads the same table elements as q[i0, j0] and its
+    # neighbours: the draws are the same bits
+    tables = process_disc._cached_two_bounce_tables(law)
+    lo, hi = tables.w_grid[0], tables.w_grid[-1]
+    w = np.concatenate([tables.w_grid, [lo - 0.5, hi + 0.5],
+                        stream(74, 1).uniform(lo, hi, 50_000)])
+    got = tables.conditional_pair(w, stream(74, 0))
+    ref = _conditional_pair_2d(tables, w, stream(74, 0))
+    for a, b in zip(got, ref):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 # w near the low end, in the middle and near 2, per law
 CONDITIONAL_POINTS = {"truncated_uniform": (0.9, 1.4, 1.99),
                       "cosine": (0.75, 1.2, 1.99)}

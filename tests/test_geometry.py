@@ -352,3 +352,27 @@ def test_curvature_table_cell_matches_searchsorted():
     ref = np.clip(np.searchsorted(knots, s, "right") - 1, 0, N - 1)
     assert np.array_equal(j, ref)
     assert np.array_equal(_bits(offset), _bits(s - knots[ref]))
+
+
+@pytest.mark.parametrize("a,n,shift", [(2.0, 1024, 0.0), (1.1, 512, 0.3)])
+def test_curvature_table_diameter_scan_matches_full_scan(a, n, shift):
+    # the half scan finds the full scan's first row-major maximum: on the
+    # benchmark's table (Ellipse(2, 1), 1024 samples) and on a rounder one
+    # whose arc origin is moved, so the pair is not in the first row block
+    from convexbilliards.geometry import _farthest_pair, _refine_diameter
+    e = Ellipse(a, 1.0)
+    s = np.arange(n) * (e.perimeter / n)
+    kappa = e.curvature_at(s + shift * e.perimeter)
+    body = CurvatureTable(s, np.asarray(kappa))
+    dense = body._s_dense[:-1]
+    pts = np.stack([body._x(dense), body._y(dense)], axis=-1)
+    sub = pts[:: max(1, pts.shape[0] // 4096)]
+    x, y = sub[:, 0], sub[:, 1]
+    best, i, j = -1.0, 0, 0
+    for r in range(0, x.size, 64):   # every column of each row block
+        d2 = (x[r:r + 64, None] - x) ** 2 + (y[r:r + 64, None] - y) ** 2
+        k = int(np.argmax(d2))
+        if d2.flat[k] > best:
+            best, i, j = d2.flat[k], r + k // x.size, k % x.size
+    assert _farthest_pair(sub[:, 0], sub[:, 1]) == (i, j)
+    assert body.diameter == _refine_diameter(body, sub[i], sub[j])

@@ -104,6 +104,47 @@ def test_two_sample_chi2_same_and_different(rng):
         two_sample_chi2(h(a[:500]), h(b[:500]))
 
 
+def test_two_sample_chi2_p_value_is_scipy_stats(rng):
+    # the p-value comes from scipy.special; it must be chi2.sf's bits
+    from scipy.stats import chi2
+    h = lambda v: Histogram.from_samples(np.clip(v, -4, 4), 40, -4.0, 4.0)
+    for loc in (0.0, 0.02, 0.05, 0.2):
+        h1, h2 = h(rng.normal(size=5_000)), h(rng.normal(loc, size=7_000))
+        stat, pval = two_sample_chi2(h1, h2)
+        dof = int(np.count_nonzero(h1.counts + h2.counts)) - 1
+        assert pval == float(chi2.sf(stat, dof))
+    # all samples in one bin: no degree of freedom and, at these sizes, a
+    # statistic of one rounding error above 0; scipy.stats says nan
+    one = Histogram.from_samples(np.full(1_500, 0.5), 4, 0.0, 1.0)
+    other = Histogram.from_samples(np.full(7_000, 0.5), 4, 0.0, 1.0)
+    stat, pval = two_sample_chi2(one, other)
+    assert stat > 0.0 and math.isnan(pval) and math.isnan(chi2.sf(stat, 0))
+
+
+def test_lb_check_confidence_and_z_crit_are_scipy_stats(monkeypatch):
+    # the default confidence and the critical z come from scipy.special;
+    # they must be scipy.stats.norm's bits
+    import inspect
+    from scipy.stats import norm
+    from convexbilliards import stats
+    default = inspect.signature(lb_check).parameters["confidence"].default
+    assert default == norm.sf(3.0)
+    seen, real = [], stats.ndtri
+
+    def spy(q):
+        seen.append(-real(q))
+        return real(q)
+
+    monkeypatch.setattr(stats, "ndtri", spy)
+    samples = substream(93, "lbz").random(20_000)
+    for confidence in (default, 0.05, 1e-6):
+        rep = lb_check(samples, (0.0, 1.0), 0.99, confidence=confidence)
+        z_crit = norm.isf(confidence)
+        assert seen.pop() == z_crit
+        assert [w.passed for w in rep.windows] \
+            == [w.z <= z_crit for w in rep.windows]
+
+
 # ---------------------------------------------------------------------------
 # two-start curves
 # ---------------------------------------------------------------------------
