@@ -8,9 +8,10 @@ the slice of the box (through box-slice volumes) and then, at each hop, a
 launch angle with that chord time, weighted over the inverse chord-time
 branches.  Stage two couples landing point and time on the bisector
 windows, where the bridge is deterministic because the two-leg path time
-is strictly monotone in the first landing.  Residual blocks are plain
-bounces of ``dynamics._walk``, thinned by the level over their density.
-
+is strictly monotone in the first landing.  Chord times and bridges are
+inverted for many pairs at once, bracketed by one scan and solved by
+``geometry._safeguarded_newton`` on exact derivatives.  Residual blocks are
+plain bounces of ``dynamics._walk``, thinned by the level over their density.
 Certified per-attempt masses are tiny on realistic bodies, so finite
 horizons routinely end uncoupled, and the outcome records that.
 """
@@ -20,12 +21,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ..dynamics import _walk, guarded_angles, landing_density
 from ..errors import (GeometryDegenerate, HypothesisViolated,
                       NoAdmissibleWindow, ResidualSamplingError)
-from ..geometry import ConvexBody
+from ..geometry import (ConvexBody, _safeguarded_newton, _sign_change_cells,
+                        _turn)
 from ..rates import (RateCertificate, RateParams, _path_time, _path_time_dds,
                      bisector_window_geometry)
 from ..reflection import ReflectionLaw
@@ -76,32 +77,43 @@ def _slice_conditional_times(total: float, n: int, w: float,
 
 
 # ---------------------------------------------------------------------------
-# chord-time inversion at one boundary point
+# chord-time inversion
 # ---------------------------------------------------------------------------
 
-def _chord_branches(body, law, u, tau: float, n_scan: int = 129):
-    """Angles whose chord time from native ``u`` equals tau, with weights
-    f(theta)/|tau'|."""
-    def chord(theta):
-        return body.bounce(u, theta)[1]
+# launch angles scanned for chord-time roots, short of the tangents
+_THETA_SCAN = np.linspace(-(0.5 * math.pi - 1e-7), 0.5 * math.pi - 1e-7, 129)
+_CHORD_NEWTON, _BRIDGE_NEWTON = 8, 4  # Newton steps of the two inversions
 
-    lim = 0.5 * math.pi - 1e-7
-    grid = np.linspace(-lim, lim, n_scan)
-    vals = chord(grid) - tau
-    roots = []
-    for i in range(n_scan - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            roots.append(brentq(lambda th: chord(th) - tau,
-                                grid[i], grid[i + 1], xtol=1e-13))
-    out = []
-    dth = 1e-6
-    for th in roots:
-        d = (chord(min(th + dth, lim))
-             - chord(max(th - dth, -lim))) / (2.0 * dth)
-        weight = float(law.density(th)) / max(abs(d), 1e-12)
-        if weight > 0.0:
-            out.append((th, weight))
-    return out
+
+def _chord_branches(body, law, u, tau):
+    """Launch angles whose chord time from native ``u`` equals ``tau``, for
+    1-d arrays of (u, tau) pairs: (pair index, angle, weight) of every root
+    of weight f(theta)/|d tau/d theta| > 0, a pair's roots in increasing
+    angle.  Cells of one scan bracket the roots, and Newton steps solve
+    them on the exact d tau/d theta = -tau (e' . n)/(e . n), e the launch
+    direction, e' e turned by pi/2, n the inward normal at the landing."""
+    u, tau = np.atleast_1d(u), np.atleast_1d(tau)
+    vals = body.bounce(u[:, None], _THETA_SCAN)[1] - tau[:, None]
+    k, i = _sign_change_cells(vals, periodic=False)
+    lo, hi = _THETA_SCAN[i], _THETA_SCAN[i + 1]
+    _, _, nx, ny = body.frame(u[k])
+    sign = np.where(vals[k, i] > 0.0, 1.0, -1.0)  # Newton's f > 0 at lo
+
+    def chord(theta):
+        land, t = body.bounce(u[k], theta)
+        ex, ey = _turn(nx, ny, theta)
+        _, _, mx, my = body.frame(land)
+        return t - tau[k], -t * (ex * my - ey * mx) / (ex * mx + ey * my)
+
+    def newton(theta):
+        g, dg = chord(theta)
+        return sign * g, g / dg
+
+    theta = np.where(vals[k, i] == 0.0, lo,
+                     _safeguarded_newton(newton, lo, hi, _CHORD_NEWTON))
+    weight = law.density(theta) / np.maximum(np.abs(chord(theta)[1]), 1e-12)
+    keep = weight > 0.0
+    return k[keep], theta[keep], weight[keep]
 
 
 def couple_process_convex_batch(body: ConvexBody, law: ReflectionLaw,
@@ -183,17 +195,17 @@ class _ConvexProcesses(_Processes):
             T = tau.sum(axis=0)
             member = ((c0[rows] + T >= lo[rows]) & (c0[rows] + T <= hi[rows])
                       & np.all(tau <= w_box, axis=0))
+            m = np.flatnonzero(member)
+            # the block's time density: the slice of the box times the hop
+            # time densities along the path, one row per hop
+            u_prev = np.vstack([u0[rows[m]], body.to_native(s[:-1, m])])
+            pair, _, w = _chord_branches(body, law, u_prev.ravel(),
+                                         tau[:, m].ravel())
+            hop = np.bincount(pair, w, minlength=u_prev.size).reshape(n0, -1)
+            box = box_slice_volume(T[m], n0, w_box)
             reject = np.zeros(rows.size)
-            for m in np.flatnonzero(member):
-                # the block's time density: the slice of the box times the
-                # hop time densities along the path
-                ratio = self.level1 / max(box_slice_volume(T[m], n0, w_box),
-                                          1e-300)
-                u_prev = np.r_[u0[rows[m]], body.to_native(s[:-1, m])]
-                for t_k, u_k in zip(tau[:, m], u_prev):
-                    ratio /= max(sum(w for _, w in _chord_branches(
-                        body, law, u_k, t_k)), 1e-300)
-                reject[m] = min(ratio, 1.0)
+            reject[m] = np.minimum(self.level1 / np.maximum(box, 1e-300)
+                                   / np.maximum(hop, 1e-300).prod(axis=0), 1.0)
             return (s.T, u, T), reject
 
         s, u, T = thin_residual(f.size, propose, rng)
@@ -231,9 +243,9 @@ class _ConvexProcesses(_Processes):
 
         def arcs():
             # the bridge's first landing realises the common time
-            mid = [_bridge_root(body, *a) for a in zip(
-                pos, *_both(np.stack([p_lo, p_lo + p_len, t_land, u_time])))]
-            return np.stack([mid, _both(t_land)])
+            lo, t, target = _both(np.stack([p_lo, t_land, u_time]))
+            mid = _bridge_roots(body, pos, lo, lo + _both(p_len), t, target)
+            return np.stack([mid, t])
 
         self.land(f, _both(body.to_native(t_land)), arcs)
         self.clock[:, j] = self.clock[0, j] + u_time
@@ -282,24 +294,25 @@ def _realise_block_time(body, law, u, total, n0, w_box, rng):
     at each hop a launch angle with that chord time."""
     path, taus = np.empty(n0), np.empty(n0)
     for k, tau in enumerate(_slice_conditional_times(total, n0, w_box, rng)):
-        branches = _chord_branches(body, law, u, float(tau))
-        if not branches:
+        _, theta, weights = _chord_branches(body, law, u, tau)
+        if not theta.size:
             raise ResidualSamplingError(
                 "no chord realises the prescribed flight time")
-        weights = np.array([w for _, w in branches])
-        theta = branches[int(rng.choice(len(branches),
-                                        p=weights / weights.sum()))][0]
+        theta = theta[int(rng.choice(theta.size, p=weights / weights.sum()))]
         u, taus[k] = body.bounce(u, theta)
         path[k] = u
     return path, taus
 
 
-def _bridge_root(body, w_pos, s1, s2, t_land, u_time) -> float:
-    """First landing coordinate in the bisector patch [s1, s2] realising
-    the prescribed two-leg time.
+def _bridge_roots(body, w_pos, s1, s2, t_land, u_time):
+    """First landings in the bisector patches [s1, s2] realising the
+    prescribed two-leg times, one per row of ``w_pos``: unique as the path
+    time is strictly monotone there, and bracketed by the window extrema."""
+    # Newton's f > 0 at s1 where the path time falls through the patch
+    sign = np.where(_path_time_dds(body, w_pos, s1, t_land) < 0.0, 1.0, -1.0)
 
-    Unique in the patch because the path time is strictly monotone there;
-    the window extrema bracket the target by construction.
-    """
-    f = lambda s: float(_path_time(body, w_pos, s, t_land)) - u_time
-    return float(body.wrap(brentq(f, s1, s2, xtol=1e-13 * body.perimeter)))
+    def newton(s):
+        g = _path_time(body, w_pos, s, t_land) - u_time
+        return sign * g, g / _path_time_dds(body, w_pos, s, t_land)
+
+    return body.wrap(_safeguarded_newton(newton, s1, s2, _BRIDGE_NEWTON))

@@ -48,6 +48,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+_GOLDEN_STEPS = 60  # golden-section steps of the diameter polish
 
 
 @dataclass(frozen=True)
@@ -489,10 +490,9 @@ class CurvatureTable(ConvexBody):
         rad = np.hypot(x[:-1], y[:-1])
         psi_ext = np.concatenate([psi, [psi[0] + TWO_PI]])
         rad_ext = np.concatenate([rad, [rad[0]]])
-        s_by_psi = np.concatenate([s[:-1], [self.perimeter]])
         self._psi0 = psi[0]
         self._radial = CubicSpline(psi_ext, rad_ext, bc_type="periodic")
-        self._s_of_psi = CubicSpline(psi_ext, _monotone_lift(s_by_psi, self.perimeter))
+        self._s_of_psi = CubicSpline(psi_ext, s)
 
         self.curvature_min = float(np.min(k))
         self.curvature_max = float(np.max(k))
@@ -515,16 +515,11 @@ class CurvatureTable(ConvexBody):
     def frame(self, s):
         # the normal turns the x, y splines' own unit tangent, the launch
         # reference of ``bounce``
-        j, t = self._cell(self.wrap(np.asarray(s, dtype=float)))
+        j, t = self._dense.cell(self.wrap(np.asarray(s, dtype=float)))
         c = self._z.take(j, axis=1)
         p, d = _horner(c, t), _horner_d(c, t)
         d = d / np.abs(d)
         return p.real, p.imag, -d.imag, d.real
-
-    def _cell(self, s):
-        """Dense-grid cells of wrapped arc lengths s and the offsets into
-        them."""
-        return self._dense.cell(s)
 
     def bounce(self, s, theta):
         # One solve in arc length with the same fixed steps for every chord,
@@ -542,7 +537,7 @@ class CurvatureTable(ConvexBody):
         s, theta = s.ravel(), theta.ravel()
         N = self._DENSE
         # the origin's dense-grid cell j0 and its offset ts into it
-        j0, ts = self._cell(s)
+        j0, ts = self._dense.cell(s)
         c0 = self._z.take(j0, axis=1)
         o = _horner(c0, ts)
         d = _horner_d(c0, ts)
@@ -666,6 +661,8 @@ def _safeguarded_newton(fn, ta, tb, steps):
     Each step shrinks the bracket to the side of t that holds the root and
     clips the Newton iterate into it, so a root at a bracket end (where
     rounding put it) is reached in one step; an undefined step bisects.
+    Solves the table's chords and the convex process coupling's chord
+    times and bridges, each root with the bits it gets alone.
     """
     t = 0.5 * (ta + tb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -677,6 +674,15 @@ def _safeguarded_newton(fn, ta, tb, steps):
             t = np.where(np.isnan(t_new), 0.5 * (ta + tb),
                          np.clip(t_new, ta, tb))
     return t
+
+
+def _sign_change_cells(vals, *, periodic):
+    """``np.nonzero`` of the cells i of sample rows that bracket a root:
+    vals[..., i] == 0 or vals[..., i] * vals[..., i + 1] < 0.  With
+    ``periodic`` the last cell closes the circle to the first sample."""
+    nxt = np.roll(vals, -1, axis=-1) if periodic else vals[..., 1:]
+    cur = vals if periodic else vals[..., :-1]
+    return np.nonzero((cur == 0.0) | (cur * nxt < 0.0))
 
 
 class _UniformKnots:
@@ -745,15 +751,6 @@ def _cumtrapz(values, s):
     return out
 
 
-def _monotone_lift(seq, period):
-    """Lift a cyclically increasing sequence to a strictly increasing one."""
-    out = np.asarray(seq, dtype=float).copy()
-    for i in range(1, out.size):
-        while out[i] < out[i - 1]:
-            out[i] += period
-    return out
-
-
 def _farthest_pair(x, y) -> tuple[int, int]:
     """(i, j) of the first maximum of (x_i - x_j)^2 + (y_i - y_j)^2 in
     row-major order.
@@ -789,13 +786,12 @@ def _refine_diameter(body: ConvexBody, p, q) -> float:
     return dist(si, sj)
 
 
-def _golden_max(fn, lo, hi, iters=60):
+def _golden_max(fn, a, b):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -37,7 +37,8 @@ from .errors import (
     NonPositiveAlpha,
     NonPositiveP,
 )
-from .geometry import BodySummary, BoundaryPoint, ConvexBody
+from .geometry import (BodySummary, BoundaryPoint, ConvexBody,
+                       _sign_change_cells)
 
 TWO_PI = 2.0 * math.pi
 
@@ -483,29 +484,22 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     if float(np.hypot(d[0], d[1])) < body.tol_geom:
         raise GeometryDegenerate("pair coupling needs two distinct points")
 
+    def dist_gap(s):
+        g = body.position_at(s)
+        return (np.hypot(g[..., 0] - x.position[0], g[..., 1] - x.position[1])
+                - np.hypot(g[..., 0] - xt.position[0], g[..., 1] - xt.position[1]))
+
     # intersections of the perpendicular bisector with the boundary; the
     # scan grid is offset by an incommensurate fraction so symmetric roots
     # do not land on grid points, and the wrap pair closes the circle
     grid = np.linspace(0.0, P, 4097)[:-1] + P / 9973.0
-    pos = body.position_at(grid)
-    diff = (np.hypot(pos[:, 0] - x.position[0], pos[:, 1] - x.position[1])
-            - np.hypot(pos[:, 0] - xt.position[0], pos[:, 1] - xt.position[1]))
-
-    def dist_gap(s):
-        g = body.position_at(s)
-        return (float(np.hypot(g[0] - x.position[0], g[1] - x.position[1]))
-                - float(np.hypot(g[0] - xt.position[0], g[1] - xt.position[1])))
-
-    roots = []
-    for i in range(grid.size):
-        j = (i + 1) % grid.size
-        lo, hi = grid[i], grid[j] + (P if j == 0 else 0.0)
-        if diff[i] == 0.0:
-            roots.append(float(body.wrap(lo)))
-        elif diff[i] * diff[j] < 0.0:
-            roots.append(float(body.wrap(
-                brentq(dist_gap, lo, hi, xtol=1e-13 * P))))
-    roots = sorted(set(round(r, 12) for r in roots))
+    diff = dist_gap(grid)
+    (cells,) = _sign_change_cells(diff, periodic=True)
+    ends = np.append(grid[1:], grid[0] + P)
+    roots = [grid[i] if diff[i] == 0.0
+             else brentq(dist_gap, grid[i], ends[i], xtol=1e-13 * P)
+             for i in cells]
+    roots = sorted(set(round(float(body.wrap(r)), 12) for r in roots))
     if len(roots) < 2:
         raise GeometryDegenerate("bisector intersections not found")
     dists = [float(np.hypot(*(body.position_at(s) - x.position))) for s in roots]
@@ -519,9 +513,8 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     s_ybar = float(roots[order[-1]])
 
     # landing coordinates where the path-time derivative vanishes at s_ybar
-    t_z = {}
-    for tag, w in (("x", x), ("xt", xt)):
-        t_z[tag] = _find_stationary_landing(body, w.position, s_ybar, P)
+    t_z = {tag: _find_stationary_landing(body, w.position, s_ybar, P)
+           for tag, w in (("x", x), ("xt", xt))}
 
     # admissible landing region, then a centred interval of length h*eps/2
     target_len = 0.5 * h * eps
@@ -572,14 +565,14 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
 
 def _find_stationary_landing(body, w_pos, s_ybar, P):
     """Landing coordinate t != s_ybar where d/ds path time vanishes at s_ybar."""
-    offsets = np.linspace(0.004, 0.996, 512) * P
-    ts = s_ybar + offsets
+    ts = s_ybar + np.linspace(0.004, 0.996, 512) * P
     vals = _path_time_dds(body, w_pos, np.full(ts.shape, s_ybar), ts)
-    for i in range(ts.size - 1):
-        if vals[i] == 0.0 or vals[i] * vals[i + 1] < 0.0:
-            f = lambda t: float(_path_time_dds(body, w_pos, s_ybar, t))
-            return float(body.wrap(brentq(f, ts[i], ts[i + 1], xtol=1e-13 * P)))
-    raise GeometryDegenerate("no stationary landing coordinate found")
+    (cells,) = _sign_change_cells(vals, periodic=False)
+    if not cells.size:
+        raise GeometryDegenerate("no stationary landing coordinate found")
+    i = cells[0]
+    f = lambda t: float(_path_time_dds(body, w_pos, s_ybar, t))
+    return float(body.wrap(brentq(f, ts[i], ts[i + 1], xtol=1e-13 * P)))
 
 
 def _free_components(P, guards):
@@ -605,8 +598,6 @@ def _free_components(P, guards):
         nxt = merged[(i + 1) % len(merged)][0] + (P if i + 1 == len(merged) else 0.0)
         if nxt > hi:
             free.append((hi, nxt))
-    if not merged:
-        free = [(0.0, P)]
     return free
 
 

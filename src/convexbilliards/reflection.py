@@ -28,6 +28,7 @@ from .errors import NoPositiveCore
 from .geometry import BoundaryPoint
 
 HALF_PI = 0.5 * math.pi
+FLOOR_GRID = 10_000  # points of the floor and width search grids
 
 
 @dataclass(frozen=True)
@@ -194,7 +195,7 @@ class ReflectionLaw:
 
     # -- floor certification --------------------------------------------------
 
-    def floor_on(self, width: float, n_grid: int = 10_000) -> float:
+    def floor_on(self, width: float) -> float:
         """Infimum of the density over [-width/2, width/2] on a fine grid."""
         if self.kind == "cosine":
             return float(0.5 * math.cos(0.5 * width))
@@ -202,13 +203,12 @@ class ReflectionLaw:
             if width > self.support_width + 1e-15:
                 return 0.0
             return 1.0 / self.support_width
-        grid = np.linspace(-0.5 * width, 0.5 * width, n_grid)
+        grid = np.linspace(-0.5 * width, 0.5 * width, FLOOR_GRID)
         nodes = self._ta[(self._ta >= grid[0]) & (self._ta <= grid[-1])]
         grid = np.concatenate([grid, nodes])
         return float(np.min(self.density(grid)))
 
-    def certify_floor(self, width: float | None = None,
-                      n_grid: int = 10_000) -> FloorCertificate:
+    def certify_floor(self, width: float | None = None) -> FloorCertificate:
         """Certify a (floor, width) pair for this law.
 
         With ``width`` given, certify that exact window.  Otherwise search a
@@ -216,17 +216,17 @@ class ReflectionLaw:
         which is the default heuristic feeding the rate certificates.
         """
         if width is not None:
-            floor = self.floor_on(width, n_grid)
+            floor = self.floor_on(width)
             if floor <= 0.0:
                 raise NoPositiveCore(f"density not positive on width {width}")
             return FloorCertificate(floor, width)
-        candidates = np.linspace(math.pi / n_grid, math.pi, n_grid)
+        candidates = np.linspace(math.pi / FLOOR_GRID, math.pi, FLOOR_GRID)
         if self.kind == "table":
             candidates = np.unique(np.concatenate([candidates, 2.0 * np.abs(self._ta)]))
             candidates = candidates[(candidates > 0) & (candidates <= math.pi)]
         best = None
         for w in candidates:
-            fl = self.floor_on(float(w), n_grid)
+            fl = self.floor_on(float(w))
             if fl <= 0.0:
                 continue
             score = fl * w

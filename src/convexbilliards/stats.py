@@ -5,7 +5,7 @@ Total variation between two binned samples is half the L1 distance of the
 normalised counts.  Monte-Carlo margins follow the normal approximation: for
 two equal laws the TV estimator concentrates around a positive noise floor,
 so every comparison against a theoretical bound carries an explicit
-(bias + n_sigma * sd) margin rather than a bare 3-sigma.
+(bias + SIGMA_MARGIN * sd) margin rather than a bare 3-sigma.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from . import rng as rngmod
 from .dynamics import run_chain_ensemble
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+SIGMA_MARGIN = 3.0
+LB_MIN_SAMPLES = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +147,8 @@ class TVCurve:
     bias: np.ndarray
     sd: np.ndarray
 
-    def margin(self, n_sigma: float = 3.0) -> np.ndarray:
-        return self.bias + n_sigma * self.sd
+    def margin(self) -> np.ndarray:
+        return self.bias + SIGMA_MARGIN * self.sd
 
 
 def empirical_tv_curve(body: ConvexBody, law: ReflectionLaw, s0: float,
@@ -226,8 +228,8 @@ class LbReport:
     windows: list[LbWindowResult] = field(default_factory=list)
 
 
-def lb_check(samples, window, level: float, confidence: float = ndtr(-3.0),
-             min_samples: int = 10_000) -> LbReport:
+def lb_check(samples, window, level: float,
+             confidence: float = ndtr(-3.0)) -> LbReport:
     """Verify a density (or pair-density) lower bound statistically.
 
     For every dyadic sub-window W' down to 1/16 of the stated window the
@@ -247,8 +249,8 @@ def lb_check(samples, window, level: float, confidence: float = ndtr(-3.0),
     elif not (arr.ndim == 2 and arr.shape[1] == 2):
         raise ValueError("samples must be 1-d or (N, 2)")
     n = arr.shape[0]
-    if n < min_samples:
-        raise InsufficientSamples(f"need at least {min_samples} samples")
+    if n < LB_MIN_SAMPLES:
+        raise InsufficientSamples(f"need at least {LB_MIN_SAMPLES} samples")
     z_crit = float(-ndtri(confidence))
     subs = []
     for splits in itertools.product((1, 2, 4, 8, 16), repeat=len(window)):
@@ -302,31 +304,28 @@ class DominanceReport:
                 for p in self.points]
 
 
-def dominance_report(curve: TVCurve, certificate, sigma_margin: float = 3.0,
-                     skip_zero: bool = True) -> DominanceReport:
+def dominance_report(curve: TVCurve, certificate) -> DominanceReport:
     """Pointwise comparison of an empirical curve against a certificate bound.
 
-    Passes where empirical <= bound + bias + sigma_margin * sd.  The n = 0
-    point is skipped by default (the bound is vacuous there for distinct
-    starts).
+    Passes where empirical <= bound + bias + SIGMA_MARGIN * sd.  The n = 0
+    point is skipped (the bound is vacuous there for distinct starts).
     """
     if curve.axis != certificate.axis:
         raise AxisMismatch(
             f"curve axis {curve.axis!r} vs certificate axis {certificate.axis!r}")
     points = []
-    for i, x in enumerate(curve.grid):
-        if skip_zero and x == 0.0:
+    for x, emp, margin in zip(curve.grid.tolist(), curve.tv.tolist(),
+                              curve.margin().tolist()):
+        if x == 0.0:
             continue
         bound = float(certificate.bound(x))
-        margin = float(curve.bias[i] + sigma_margin * curve.sd[i])
-        emp = float(curve.tv[i])
-        points.append(DominancePoint(float(x), emp, margin, bound,
+        points.append(DominancePoint(x, emp, margin, bound,
                                      emp <= bound + margin))
     return DominanceReport(passed=all(p.passed for p in points),
                            axis=curve.axis, points=points)
 
 
-def survival_report(times, certificate, grid, sigma_margin: float = 3.0) -> DominanceReport:
+def survival_report(times, certificate, grid) -> DominanceReport:
     """Compare an empirical survival tail P(T > t) against a bound curve.
 
     ``times`` may contain NaN for replicas that never coupled; they count as
@@ -337,9 +336,9 @@ def survival_report(times, certificate, grid, sigma_margin: float = 3.0) -> Domi
     points = []
     for x in np.asarray(grid, dtype=float):
         surv = float(np.mean(~(t <= x)))  # NaN-safe: NaN survives
-        sd = math.sqrt(max(surv * (1.0 - surv), 1.0 / n) / n)
+        margin = SIGMA_MARGIN * math.sqrt(max(surv * (1.0 - surv), 1.0 / n) / n)
         bound = float(certificate.bound(x))
-        points.append(DominancePoint(float(x), surv, sigma_margin * sd,
-                                     bound, surv <= bound + sigma_margin * sd))
+        points.append(DominancePoint(float(x), surv, margin, bound,
+                                     surv <= bound + margin))
     return DominanceReport(passed=all(p.passed for p in points),
                            axis=certificate.axis, points=points)

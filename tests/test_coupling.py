@@ -1,5 +1,7 @@
+import ast
 import functools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from convexbilliards.coupling.base import (
     thin_residual,
 )
 from convexbilliards.coupling.process_convex import (
-    _bridge_root,
+    _bridge_roots,
     _chord_branches,
     _ConvexProcesses,
     _realise_block_time,
@@ -921,12 +923,66 @@ def test_block_time_bridge_hits_prescribed_total(ellipse, uniform_half_law):
 
 def test_chord_branches_invert_flight_time(ellipse, uniform_half_law):
     target = 0.8
-    branches = _chord_branches(ellipse, uniform_half_law,
-                               ellipse.to_native(2.0), target)
-    assert branches
-    for theta, weight in branches:
-        assert abs(chord_times(ellipse, 2.0, theta)[0] - target) < 1e-9
-        assert weight > 0.0
+    pair, theta, weight = _chord_branches(ellipse, uniform_half_law,
+                                          ellipse.to_native(2.0), target)
+    assert theta.size and np.all(pair == 0)
+    for th, w in zip(theta, weight):
+        assert abs(chord_times(ellipse, 2.0, th)[0] - target) < 1e-9
+        assert w > 0.0
+
+
+def test_chord_branches_disc_oracle(disc, cosine_law):
+    # on a disc the chord time is 2r cos(theta): the branches are
+    # -+arccos(tau / 2r), each weighted f(theta) / (2r |sin theta|)
+    gen = stream(79, 0)
+    u = disc.to_native(gen.random(50) * disc.perimeter)
+    tau = 2.0 * disc.r * (0.005 + 0.99 * gen.random(50))
+    pair, theta, weight = _chord_branches(disc, cosine_law, u, tau)
+    assert np.array_equal(pair, np.repeat(np.arange(50), 2))
+    root = np.arccos(tau / (2.0 * disc.r))
+    exact = np.stack([-root, root], axis=-1).ravel()
+    assert np.allclose(theta, exact, rtol=0.0, atol=1e-12)
+    oracle = cosine_law.density(exact) / (2.0 * disc.r * np.abs(np.sin(exact)))
+    assert np.allclose(weight, oracle, rtol=1e-12, atol=0.0)
+    # a time met exactly at a scan angle returns that angle
+    from convexbilliards.coupling.process_convex import _THETA_SCAN
+    tau = disc.bounce(u[0], _THETA_SCAN[70])[1]
+    _, theta, _ = _chord_branches(disc, cosine_law, u[0], tau)
+    assert theta.size == 2 and theta[1] == _THETA_SCAN[70]
+    assert abs(theta[0] + theta[1]) < 1e-15
+
+
+@pytest.mark.parametrize("name", ["ellipse", "table"])
+def test_chord_branches_batch_matches_single(name, cosine_law):
+    # one call over many pairs gives each pair the bits it gets alone
+    body = _one_bounce_case(name)[0]
+    gen = stream(80, 0)
+    u = body.to_native(gen.random(40) * body.perimeter)
+    tau = gen.random(40) * body.diameter
+    pair, theta, weight = _chord_branches(body, cosine_law, u, tau)
+    assert theta.size > 40
+    for j in range(u.size):
+        one, th, w = _chord_branches(body, cosine_law, u[j], tau[j])
+        assert np.all(one == 0)
+        assert np.array_equal(theta[pair == j], th)
+        assert np.array_equal(weight[pair == j], w)
+
+
+def test_coupling_imports_no_scipy_optimize():
+    # the coupling solves its roots with geometry's safeguarded Newton
+    # steps, not with a second solver
+    for path in sorted(Path(base.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module] + [f"{node.module}.{a.name}"
+                                         for a in node.names]
+            else:
+                continue
+            assert not any(n == "scipy.optimize"
+                           or n.startswith("scipy.optimize.")
+                           for n in names), path.name
 
 
 def test_stage2_bridge_root(ellipse):
@@ -936,9 +992,11 @@ def test_stage2_bridge_root(ellipse):
     win = bisector_window_geometry(ellipse, x, xt, params)
     t_land = 0.5 * (win.I_star[0] + win.I_star[1])
     u_time = 0.5 * (win.R1 + win.R2)
-    for w in (x, xt):
-        s_mid = _bridge_root(ellipse, w.position, win.s_ybar - win.eps,
-                             win.s_ybar + win.eps, t_land, u_time)
+    both = lambda v: np.full(2, v)
+    mids = _bridge_roots(ellipse, np.stack([x.position, xt.position]),
+                         both(win.s_ybar - win.eps), both(win.s_ybar + win.eps),
+                         both(t_land), both(u_time))
+    for w, s_mid in zip((x, xt), mids):
         # the root lies in the bisector patch and realises the time exactly
         d = abs(math.remainder(s_mid - win.s_ybar, ellipse.perimeter))
         assert d <= params.eps + 1e-9

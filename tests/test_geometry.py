@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
@@ -348,7 +349,7 @@ def test_curvature_table_cell_matches_searchsorted():
     N = knots.size - 1
     s = np.concatenate([stream(33, 0).uniform(0.0, body.perimeter, 10 ** 5),
                         _with_neighbours(knots)])
-    j, offset = body._cell(s)
+    j, offset = body._dense.cell(s)
     ref = np.clip(np.searchsorted(knots, s, "right") - 1, 0, N - 1)
     assert np.array_equal(j, ref)
     assert np.array_equal(_bits(offset), _bits(s - knots[ref]))
@@ -376,3 +377,47 @@ def test_curvature_table_diameter_scan_matches_full_scan(a, n, shift):
             best, i, j = d2.flat[k], r + k // x.size, k % x.size
     assert _farthest_pair(sub[:, 0], sub[:, 1]) == (i, j)
     assert body.diameter == _refine_diameter(body, sub[i], sub[j])
+
+
+# ---------------------------------------------------------------------------
+# root brackets
+# ---------------------------------------------------------------------------
+
+def _naive_sign_change_cells(vals, periodic):
+    """The scan loop that ``_sign_change_cells`` replaces, row by row."""
+    rows, n = vals.shape
+    cells = []
+    for r in range(rows):
+        for i in range(n if periodic else n - 1):
+            j = (i + 1) % n
+            if vals[r, i] == 0.0 or vals[r, i] * vals[r, j] < 0.0:
+                cells.append((r, i))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(vals=arrays(float, array_shapes(min_dims=2, max_dims=2, max_side=12),
+                   elements=st.one_of(
+                       st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-200]),
+                       st.floats(-1e3, 1e3))),
+       periodic=st.booleans())
+@example(vals=np.zeros((3, 5)), periodic=False)
+@example(vals=np.zeros((2, 4)), periodic=True)
+@example(vals=np.array([[1.0, 2.0, 3.0, -1.0], [-1.0, 0.0, 2.0, 1.0]]),
+         periodic=True)
+def test_sign_change_cells_match_naive_loop(vals, periodic):
+    from convexbilliards.geometry import _sign_change_cells
+    rows, cells = _sign_change_cells(vals, periodic=periodic)
+    assert list(zip(rows.tolist(), cells.tolist())) == \
+        _naive_sign_change_cells(vals, periodic)
+    # a 1-d row gives the cells of its one row
+    (row0,) = _sign_change_cells(vals[0], periodic=periodic)
+    assert row0.tolist() == cells[rows == 0].tolist()
+
+
+def test_sign_change_cells_close_the_circle():
+    # the last sample and the first bracket a root only on the circle
+    from convexbilliards.geometry import _sign_change_cells
+    vals = np.array([-1.0, -2.0, -0.5, 3.0])
+    assert _sign_change_cells(vals, periodic=False)[0].tolist() == [2]
+    assert _sign_change_cells(vals, periodic=True)[0].tolist() == [2, 3]
