@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import BeyondHorizon, CoincidentPoints
 from .geometry import BoundaryPoint, ConvexBody, Disc, TWO_PI
@@ -238,6 +237,8 @@ def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
     integration window is located by bisection on the support edges and
     integrated adaptively in between.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
     P = body.perimeter
     width = law.support_width
 
@@ -258,7 +259,6 @@ def transition_row_integral(body: ConvexBody, law: ReflectionLaw,
     def integrand(ds: float) -> float:
         return transition_density(body, law, x, body.point_at(x.s + ds))
 
-    from scipy.integrate import quad
     val, _ = quad(integrand, lo, hi, limit=400, epsabs=1e-10, epsrel=1e-10)
     # the inset near a full-support law's endpoints drops an O(inset) sliver
     return float(val)

@@ -36,9 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import (
     CoincidentPoints,
@@ -314,6 +311,8 @@ class Ellipse(ConvexBody):
     def __init__(self, a: float, b: float):
         if not (a >= b > 0):
             raise ValueError("semi-axes must satisfy a >= b > 0")
+        from scipy import special
+        from scipy.interpolate import CubicSpline
         self.a = float(a)
         self.b = float(b)
         self._m = 1.0 - (self.b / self.a) ** 2  # squared eccentricity
@@ -334,6 +333,7 @@ class Ellipse(ConvexBody):
     # parameter angle t <-> arc length s ------------------------------------
 
     def _s_of_t(self, t):
+        from scipy import special
         t = np.asarray(t, dtype=float)
         # arc length from t=0: a * [E(m) - E(pi/2 - t | m)] by the standard
         # reduction; ellipeinc handles arbitrary amplitude quasi-periodically.
@@ -443,6 +443,7 @@ class CurvatureTable(ConvexBody):
             raise ValueError("s grid must start at 0 and increase strictly")
         if np.any(kappa <= 0):
             raise ValueError("curvature values must be strictly positive")
+        from scipy.interpolate import CubicSpline
 
         self.perimeter = float(s_grid[-1] + (s_grid[-1] - s_grid[-2]))
         # periodic cubic interpolant of curvature
@@ -638,6 +639,7 @@ class CurvatureTable(ConvexBody):
                 if t_in <= self.tol_root:
                     raise TangentRay("exit chord degenerates")
                 t_out, t_in = t_in, 0.5 * t_in
+        from scipy.optimize import brentq
         tau = brentq(f, t_in, t_out, xtol=self.tol_root)
         if tau <= self.tol_root:
             raise TangentRay("exit chord degenerates")

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DegenerateBound,
@@ -489,6 +488,7 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
         return (np.hypot(g[..., 0] - x.position[0], g[..., 1] - x.position[1])
                 - np.hypot(g[..., 0] - xt.position[0], g[..., 1] - xt.position[1]))
 
+    from scipy.optimize import brentq
     # intersections of the perpendicular bisector with the boundary; the
     # scan grid is offset by an incommensurate fraction so symmetric roots
     # do not land on grid points, and the wrap pair closes the circle
@@ -572,6 +572,7 @@ def _find_stationary_landing(body, w_pos, s_ybar, P):
         raise GeometryDegenerate("no stationary landing coordinate found")
     i = cells[0]
     f = lambda t: float(_path_time_dds(body, w_pos, s_ybar, t))
+    from scipy.optimize import brentq
     return float(body.wrap(brentq(f, ts[i], ts[i + 1], xtol=1e-13 * P)))
 
 

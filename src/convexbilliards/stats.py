@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, ndtr, ndtri
 
 from .errors import (
     AxisMismatch,
@@ -129,6 +128,7 @@ def two_sample_chi2(h1: Histogram, h2: Histogram) -> tuple[float, float]:
     r2 = math.sqrt(n1 / n2)
     stat = float(np.sum((r1 * k1 - r2 * k2) ** 2 / (k1 + k2)))
     dof = int(keep.sum()) - 1
+    from scipy.special import chdtrc
     pval = float(chdtrc(dof, stat)) if dof > 0 else math.nan
     return stat, pval
 
@@ -229,7 +229,7 @@ class LbReport:
 
 
 def lb_check(samples, window, level: float,
-             confidence: float = ndtr(-3.0)) -> LbReport:
+             confidence: float = 0.0013498980316300933) -> LbReport:
     """Verify a density (or pair-density) lower bound statistically.
 
     For every dyadic sub-window W' down to 1/16 of the stated window the
@@ -238,10 +238,12 @@ def lb_check(samples, window, level: float,
         empirical frequency + z_crit * sigma  >=  level * |W'|
 
     where sigma is the binomial standard deviation at the boundary
-    hypothesis and z_crit = Phi^{-1}(1 - confidence).  Samples are a 1-d
-    array for scalar windows or an (N, 2) array with a pair of intervals;
-    the sub-windows are the boxes of every power-of-two split per axis
-    whose product is at most 16.
+    hypothesis and z_crit = Phi^{-1}(1 - confidence).  The default
+    confidence is the bits of Phi(-3) (``scipy.special.ndtr(-3.0)``), so
+    z_crit is 3 up to rounding.  Samples are a 1-d array for scalar
+    windows or an (N, 2) array with a pair of intervals; the sub-windows
+    are the boxes of every power-of-two split per axis whose product is at
+    most 16.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim == 1:
@@ -251,6 +253,7 @@ def lb_check(samples, window, level: float,
     n = arr.shape[0]
     if n < LB_MIN_SAMPLES:
         raise InsufficientSamples(f"need at least {LB_MIN_SAMPLES} samples")
+    from scipy.special import ndtri
     z_crit = float(-ndtri(confidence))
     subs = []
     for splits in itertools.product((1, 2, 4, 8, 16), repeat=len(window)):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -450,8 +451,9 @@ def test_config_errors_name_the_best_match(tmp_path):
     assert str(exc.value) == f"config schema violation: {ref.value.message}"
 
 
-# small configs of the scenarios the benchmark runs, plus verify_lb
-IMPORT_GUARD_CONFIGS = [
+# small disc configs of the scenarios the benchmark runs, and verify_lb
+DISC_IMPORT_GUARD_CONFIGS = [
+    _base_chain_cfg(),
     _base_chain_cfg(scenario="verify_dominance", law=TU34,
                     rate={"kind": "disc_chain"}, s0=0.0, s0_alt=PI,
                     n_max=3, replicas=2000, bins=20),
@@ -459,33 +461,81 @@ IMPORT_GUARD_CONFIGS = [
                     rate={"kind": "disc_chain"}, n_max=5, replicas=20),
     _base_chain_cfg(scenario="couple_process", law=TU34, **DISC_PROCESS,
                     t_max=1e6, replicas=8),
+    _base_chain_cfg(scenario="optimize_params", law=TU34,
+                    rate={"kind": "disc_chain"},
+                    grid={"eps": [0.2, PI / 4.0]}),
+    _base_chain_cfg(scenario="optimize_params", law=TU34, **DISC_PROCESS,
+                    grid={"eta": [0.12], "eps": [0.05, 0.09]}),
+]
+LB_IMPORT_GUARD_CONFIGS = [
     _base_chain_cfg(scenario="verify_lb", law=TU34, lb_profile="t2",
                     replicas=10_000),
 ]
 
 
 def test_scenarios_do_not_import_scipy_stats_or_integrate(tmp_path):
-    # one fresh interpreter: import the CLI, run each scenario, then list
-    # the scipy subpackages that only tests use
-    paths = []
-    for k, cfg in enumerate(IMPORT_GUARD_CONFIGS):
-        paths.append([_write(tmp_path, f"cfg{k}.json", cfg),
-                      str(tmp_path / f"out{k}")])
+    # one fresh interpreter imports the CLI and runs the disc scenarios,
+    # which load no scipy at all, then verify_lb, which loads
+    # scipy.special and no other scipy subpackage
+    groups = [[[_write(tmp_path, f"cfg{g}_{k}.json", cfg),
+                str(tmp_path / f"out{g}_{k}")] for k, cfg in enumerate(cfgs)]
+              for g, cfgs in enumerate((DISC_IMPORT_GUARD_CONFIGS,
+                                        LB_IMPORT_GUARD_CONFIGS))]
     code = (
         "import json, sys\n"
         "from convexbilliards.cli import main\n"
-        "codes = [main(['run', '--config', c, '--out', o])"
-        " for c, o in json.loads(sys.argv[1])]\n"
-        "loaded = sorted(m for m in sys.modules"
-        " if m.startswith(('scipy.stats', 'scipy.integrate')))\n"
-        "print(json.dumps([codes, loaded]))\n")
+        "out = []\n"
+        "for group in json.loads(sys.argv[1]):\n"
+        "    codes = [main(['run', '--config', c, '--out', o])"
+        " for c, o in group]\n"
+        "    scipy = sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy')\n"
+        "    public = [m for m in scipy if m.count('.') == 1"
+        " and not m.split('.')[1].startswith('_')"
+        " and hasattr(sys.modules[m], '__path__')]\n"
+        "    out.append([codes, scipy, public])\n"
+        "print(json.dumps(out))\n")
     src = str(Path(convexbilliards.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(paths)],
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(groups)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
-    assert codes == [0] * len(IMPORT_GUARD_CONFIGS)
-    assert loaded == []
+    (disc_codes, disc_scipy, _), (lb_codes, _, lb_public) = \
+        json.loads(proc.stdout.splitlines()[-1])
+    assert disc_codes == [0] * len(DISC_IMPORT_GUARD_CONFIGS)
+    assert disc_scipy == []
+    assert lb_codes == [0] * len(LB_IMPORT_GUARD_CONFIGS)
+    assert lb_public == ["scipy.special"]
+
+
+def _scipy_imports_outside_functions(tree):
+    # line numbers of scipy imports that run when the module is imported:
+    # every one not inside a function body
+    lines, todo = [], [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+            continue
+        if any(n.split(".")[0] == "scipy" for n in names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_imports_scipy_only_inside_functions():
+    # a run loads each scipy routine only where a body, a table, a gate or
+    # a convex certificate calls it
+    root = Path(convexbilliards.__file__).resolve().parent
+    found = {str(path.relative_to(root)): lines
+             for path in sorted(root.rglob("*.py"))
+             if (lines := _scipy_imports_outside_functions(
+                 ast.parse(path.read_text())))}
+    assert found == {}

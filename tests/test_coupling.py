@@ -794,19 +794,42 @@ def test_process_convex_horizon_recorded(ellipse, uniform_half_law):
     assert rep.passed
 
 
-def test_process_convex_marginal(ellipse, uniform_half_law):
+def _convex_process_case(name, ellipse):
+    """Body, certificate and the two (position, velocity) starts of a
+    convex process coupling run.  On the ellipse stage one never succeeds
+    at the test seeds; on the disc, with the slacks below, it succeeds on
+    about one attempt in eight, so the runs draw common blocks and attempt
+    stage two."""
+    if name == "ellipse":
+        cert, _ = _convex_cert(ellipse)
+        return ellipse, cert, ((np.array([1.0, 0.2]), np.array([0.5, 1.0])),
+                               (np.array([-1.0, -0.2]),
+                                np.array([-0.5, -1.0])))
+    disc = Disc(1.0)
+    params = RateParams(eps=5e-4, beta=0.6, delta=0.4, zeta=0.5)
+    cert = convex_process_rate(disc, 1.0 / PI, params, point_at(disc, 0.0),
+                               point_at(disc, PI))
+    return disc, cert, ((np.array([0.5, 0.1]), np.array([0.5, 1.0])),
+                        (np.array([-0.5, -0.1]), np.array([-0.5, -1.0])))
+
+
+@pytest.mark.parametrize("case,n,t_max", [("ellipse", 2000, 30.0),
+                                          ("disc", 1000, 8.0)],
+                         ids=["ellipse", "disc"])
+def test_process_convex_marginal(ellipse, uniform_half_law, case, n, t_max):
     # the coupling leaves each process's own law alone: four bounces after
     # its first hit, each process lands as a free chain from that hit does
-    cert, _ = _convex_cert(ellipse)
-    starts = ((np.array([1.0, 0.2]), np.array([0.5, 1.0])),
-              (np.array([-1.0, -0.2]), np.array([-0.5, -1.0])))
-    n, k, seed = 2000, 4, 76
-    res = couple_process_convex_batch(ellipse, uniform_half_law, *starts,
-                                      cert, 30.0, n, seed, record_first=k)
-    P = ellipse.perimeter
+    body, cert, starts = _convex_process_case(case, ellipse)
+    k, seed = 4, 76
+    res = couple_process_convex_batch(body, uniform_half_law, *starts,
+                                      cert, t_max, n, seed, record_first=k)
+    if case == "disc":
+        assert res.stage1_successes.sum() > 0
+        assert res.stage2_attempts.sum() > 0
+    P = body.perimeter
     for row, (pos, vel) in enumerate(starts):
-        first = ellipse.exit_ray(pos, vel / np.hypot(*vel))[1].s
-        plain = run_chain_ensemble(ellipse, uniform_half_law,
+        first = body.exit_ray(pos, vel / np.hypot(*vel))[1].s
+        plain = run_chain_ensemble(body, uniform_half_law,
                                    np.full(n, first), k,
                                    stream(seed, n + row))[k]
         h1 = Histogram.from_samples(res.first_bounces[:, row, k - 1], 30,
@@ -815,15 +838,22 @@ def test_process_convex_marginal(ellipse, uniform_half_law):
         assert two_sample_chi2(h1, h2)[1] > 1e-3
 
 
-def test_process_convex_worker_invariance(ellipse, uniform_half_law):
-    cert, _ = _convex_cert(ellipse)
-    starts = ((np.array([1.0, 0.2]), np.array([0.5, 1.0])),
-              (np.array([-1.0, -0.2]), np.array([-0.5, -1.0])))
-    r1 = couple_process_convex_batch(ellipse, uniform_half_law, *starts,
-                                     cert, 30.0, 4500, seed=77, workers=1)
-    r2 = couple_process_convex_batch(ellipse, uniform_half_law, *starts,
-                                     cert, 30.0, 4500, seed=77, workers=2)
-    assert r1.stage1_attempts.sum() > 4500
+# two chunks of replicas each: the disc's runs are short, because each
+# stage-two attempt builds its bisector windows
+@pytest.mark.parametrize("case,t_max", [("ellipse", 30.0), ("disc", 2.0)],
+                         ids=["ellipse", "disc"])
+def test_process_convex_worker_invariance(ellipse, uniform_half_law, case,
+                                          t_max):
+    body, cert, starts = _convex_process_case(case, ellipse)
+    n = 4500
+    r1 = couple_process_convex_batch(body, uniform_half_law, *starts,
+                                     cert, t_max, n, seed=77, workers=1)
+    r2 = couple_process_convex_batch(body, uniform_half_law, *starts,
+                                     cert, t_max, n, seed=77, workers=2)
+    assert r1.stage1_attempts.sum() > n
+    if case == "disc":
+        assert r1.stage1_successes.sum() > 0
+        assert r1.stage2_attempts.sum() > 0
     for name in ("coupled", "coupling_time", "stage1_attempts",
                  "stage1_successes", "stage2_attempts", "stage2_successes"):
         assert np.array_equal(getattr(r1, name), getattr(r2, name),

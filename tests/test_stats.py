@@ -122,20 +122,21 @@ def test_two_sample_chi2_p_value_is_scipy_stats(rng):
 
 
 def test_lb_check_confidence_and_z_crit_are_scipy_stats(monkeypatch):
-    # the default confidence and the critical z come from scipy.special;
-    # they must be scipy.stats.norm's bits
+    # the default confidence is a literal of ndtr(-3.0)'s bits and the
+    # critical z comes from scipy.special.ndtri; both must be
+    # scipy.stats.norm's bits
     import inspect
+    import scipy.special
     from scipy.stats import norm
-    from convexbilliards import stats
     default = inspect.signature(lb_check).parameters["confidence"].default
     assert default == norm.sf(3.0)
-    seen, real = [], stats.ndtri
+    seen, real = [], scipy.special.ndtri
 
     def spy(q):
         seen.append(-real(q))
         return real(q)
 
-    monkeypatch.setattr(stats, "ndtri", spy)
+    monkeypatch.setattr(scipy.special, "ndtri", spy)
     samples = substream(93, "lbz").random(20_000)
     for confidence in (default, 0.05, 1e-6):
         rep = lb_check(samples, (0.0, 1.0), 0.99, confidence=confidence)
