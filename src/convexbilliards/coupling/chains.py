@@ -264,6 +264,8 @@ class _Pairs:
         """
         body, law, rng, n0 = self.body, self.law, self.rng, self.blocks.n0
         s0, u0 = self.s[c, idx], self.u[c, idx]
+        # one-bounce blocks: the starts' frames, once for every round
+        frame0 = body.frame(u0) if n0 == 1 else None
 
         def propose(rows):
             path = np.empty((n0, rows.size))
@@ -272,7 +274,12 @@ class _Pairs:
             path = path.T
             member = in_arcs(path[:, -1], arc_lo.take(rows, axis=1),
                              arc_len.take(rows, axis=1), body.perimeter)
-            dens = self._block_density(s0[rows], u0[rows], u, path[:, -1])
+            if frame0 is None:
+                dens = self.blocks.kernel.density(s0[rows], path[:, -1])
+            else:
+                dens = landing_density(body, law,
+                                       tuple(f[rows] for f in frame0),
+                                       body.frame(u))
             reject = np.where(
                 member,
                 np.minimum(level[rows] / np.maximum(dens, 1e-300), 1.0), 0.0)
@@ -282,15 +289,6 @@ class _Pairs:
         self.s[c, idx] = path[:, -1]
         self.u[c, idx] = u
         return path[:, :-1]
-
-    def _block_density(self, s0, u0, u, s):
-        """Density per unit arc length of landing at native ``u`` (arc
-        ``s``) n0 bounces after arc ``s0`` (native ``u0``)."""
-        body = self.body
-        if self.blocks.n0 == 1:
-            return landing_density(body, self.law, body.frame(u0),
-                                   body.frame(u))
-        return self.blocks.kernel.density(s0, s)
 
 
 def _reach_window(body, s, u, width, n0, eps):
@@ -302,21 +300,23 @@ def _reach_window(body, s, u, width, n0, eps):
     """
     P = body.perimeter
     half = min(0.5 * width, _REACH_LIMIT)
+    # both ends in one kernel call, launched at -half (row 0) and +half
+    # (row 1); the first bounce launches both from u and frames it once
+    angles = np.array([[-half], [half]])
     lo = hi = s
-    u_lo = u_hi = u
     full = False
     for k in range(n0):
-        u_lo = body.bounce(u_lo, -half)[0]
-        u_hi = body.bounce(u_hi, half)[0]
+        if k > 1:   # later bounces start from the ends shrunk by eps
+            u = body.to_native(np.stack([lo, hi]))
+        u = body.bounce(u, angles)[0]
+        arc = body.to_arc(u)
         # unwrap: the landing arc from angle -half to +half runs ccw
-        lo = lo + np.mod(body.to_arc(u_lo) - lo, P)
-        hi = hi + np.mod(body.to_arc(u_hi) - hi, P)
+        lo = lo + np.mod(arc[0] - lo, P)
+        hi = hi + np.mod(arc[1] - hi, P)
         hi = np.where(hi < lo, hi + P, hi)
         if k > 0:
             lo, hi = lo + eps, hi - eps
             full = full | (hi - lo >= P)
-            if k + 1 < n0:
-                u_lo, u_hi = body.to_native(lo), body.to_native(hi)
     return lo, np.where(full, P, np.minimum(np.maximum(hi - lo, 0.0), P))
 
 

@@ -17,6 +17,9 @@ provides
   scalars (``run_chain``, which also records angles and chord times) or
   many chains at once (``run_chain_ensemble``), and the coupling engines
   draw their residual blocks through it,
+* the same ensemble from one start kept as per-step counts of its native
+  landings (``run_chain_counts``), which ``stats`` bins without arc
+  lengths,
 * chord flight times from one boundary point (``chord_times``),
 * the closed-form polar recursion on discs (``disc_step_exact``), an
   independent oracle for the disc kernel and for ``exit_ray``,
@@ -146,6 +149,27 @@ def run_chain_ensemble(body: ConvexBody, law: ReflectionLaw, s0, n_steps: int,
     out[0] = s0
     _walk(body, body.to_native(s0), theta, out[1:])
     return out
+
+
+def run_chain_counts(body: ConvexBody, law: ReflectionLaw, s0: float,
+                     replicas: int, n_steps: int, rng: np.random.Generator,
+                     count) -> list:
+    """Per-step counts of ``replicas`` chains started at arc length s0.
+
+    Returns ``count(u)`` of the native landing coordinates u of every
+    chain after bounces 1..n_steps.  The angles, and so the landings, are
+    those of ``run_chain_ensemble`` on ``np.full(replicas, s0)`` with the
+    same generator; the start is converted once and the first bounce
+    broadcasts it.  Only one step's landings are alive at a time, so no
+    (n_steps, replicas) array of positions is built.
+    """
+    theta = guarded_angles(law, rng, (n_steps, replicas))
+    u = body.to_native(body.wrap(float(s0)))
+    counts = []
+    for k in range(n_steps):
+        u = body.bounce(u, theta[k])[0]
+        counts.append(count(u))
+    return counts
 
 
 # ---------------------------------------------------------------------------

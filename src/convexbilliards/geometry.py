@@ -119,6 +119,19 @@ class ConvexBody:
         as ``to_native`` and ``bounce`` return them."""
         raise NotImplementedError
 
+    @property
+    def native_period(self) -> float:
+        """Period of the native coordinate: 2*pi on discs and ellipses, the
+        perimeter on tables.
+
+        ``bounce`` lands in [0, native_period], the end included where
+        rounding puts it there.  On [0, native_period) ``to_arc`` increases
+        from 0 toward the perimeter, up to rounding of a few ulps; at and
+        near the ends it may wrap, which ``stats.NativeBins`` leaves to the
+        arc-length rule.
+        """
+        raise NotImplementedError
+
     def frame(self, u):
         """(x, y, nx, ny): boundary position and inward unit normal at u.
 
@@ -241,6 +254,7 @@ class ConvexBody:
 
 class Disc(ConvexBody):
     variant = "disc"
+    native_period = TWO_PI
 
     def __init__(self, r: float):
         if r <= 0:
@@ -306,6 +320,7 @@ class Ellipse(ConvexBody):
     """
 
     variant = "ellipse"
+    native_period = TWO_PI
     _TABLE = 4096
 
     def __init__(self, a: float, b: float):
@@ -369,7 +384,7 @@ class Ellipse(ConvexBody):
         dx, dy = _turn(nx, ny, theta)
         ux, uy = dx / self.a, dy / self.b
         tau = self._unit_chord(ct, st, ux, uy)
-        return np.arctan2(st + tau * uy, ct + tau * ux) % TWO_PI, tau
+        return _mod_two_pi(np.arctan2(st + tau * uy, ct + tau * ux)), tau
 
     def _unit_frame(self, t):
         # the point on the unit circle that the scaling maps t to, and the
@@ -513,6 +528,10 @@ class CurvatureTable(ConvexBody):
 
     to_arc = to_native
 
+    @property
+    def native_period(self) -> float:
+        return self.perimeter
+
     def frame(self, s):
         # the normal turns the x, y splines' own unit tangent, the launch
         # reference of ``bounce``
@@ -654,6 +673,13 @@ def _turn(nx, ny, theta):
     """The unit vector (nx, ny) rotated counterclockwise by theta."""
     c, s = np.cos(theta), np.sin(theta)
     return c * nx - s * ny, s * nx + c * ny
+
+
+def _mod_two_pi(t):
+    """``t % TWO_PI``, bit for bit, for t in arctan2's range [-pi, pi]
+    (-0.0 and +-pi included), without its division: about 10 against
+    60 us on 4096 angles."""
+    return t + np.where(t < 0.0, TWO_PI, 0.0)
 
 
 def _safeguarded_newton(fn, ta, tb, steps):

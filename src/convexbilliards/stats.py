@@ -24,11 +24,15 @@ from .errors import (
 from .geometry import ConvexBody
 from .reflection import ReflectionLaw
 from . import rng as rngmod
-from .dynamics import run_chain_ensemble
+from .dynamics import run_chain_counts
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SIGMA_MARGIN = 3.0
 LB_MIN_SAMPLES = 10_000
+# NativeBins: equal cells of the native coordinate in its lookup table, and
+# the widening of each cell's arc image, relative to the perimeter
+BIN_CELLS = 8192
+BIN_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -79,6 +83,61 @@ class Histogram:
         if (self.bin_count != other.bin_count or self.lo != other.lo
                 or self.hi != other.hi or self.periodic != other.periodic):
             raise ShapeMismatch("histograms live on different domains")
+
+
+class NativeBins:
+    """Counts in ``bins`` equal arc-length bins of a body's boundary, read
+    off native coordinates through a lookup table.
+
+    Calling it on native coordinates u gives, bin for bin, the counts of
+    ``arc_counts(body.to_arc(u))``, the arc-length rule of
+    ``Histogram.from_samples`` with its periodic wrap: np.mod by the
+    perimeter, then np.histogram.  The table splits [0, native_period)
+    into BIN_CELLS equal cells.  A cell stores its bin when its arc image,
+    ``to_arc`` at both ends widened by BIN_MARGIN times the perimeter,
+    lies inside that bin; the widening covers rounding in ``to_arc`` and
+    in the cell index.  Other cells and both end cells store ``bins``, so
+    their coordinates, and those outside the period or near its ends,
+    where ``to_arc`` may wrap, take the arc-length rule.  At 100 bins 1.3 %
+    of the cells of ``Ellipse(2, 1)`` store no bin.
+    """
+
+    def __init__(self, body: ConvexBody, bins: int):
+        self.body, self.bins = body, bins
+        self._edges = edges = np.histogram((), bins,
+                                           range=(0.0, body.perimeter))[1]
+        self._scale = BIN_CELLS / body.native_period
+        ends = body.to_arc(np.arange(BIN_CELLS + 1) / self._scale)
+        lo = ends[:-1] - BIN_MARGIN * body.perimeter
+        hi = ends[1:] + BIN_MARGIN * body.perimeter
+        b = np.searchsorted(edges, lo, side="right") - 1
+        inside = ((b >= 0) & (b < bins)
+                  & (hi < edges[np.clip(b + 1, 0, bins)]))
+        inside[[0, -1]] = False
+        # one more cell past the period, for coordinates at its end
+        self._table = np.append(np.where(inside, b, bins), bins)
+
+    def arc_counts(self, s) -> np.ndarray:
+        """Bin counts of arc-length coordinates s by the arc-length rule.
+
+        np.histogram is given the edges that its ``range`` form builds,
+        not the range: the same half-open bins, the last one closed, with
+        no edges to rebuild on every call.
+        """
+        return np.histogram(np.mod(s, self.body.perimeter), self._edges)[0]
+
+    def table_bins(self, u) -> np.ndarray:
+        """The table's bin of each native coordinate; ``bins`` where it
+        stores none."""
+        return self._table.take((u * self._scale).astype(np.intp),
+                                mode="clip")
+
+    def __call__(self, u) -> np.ndarray:
+        """Bin counts of native coordinates u."""
+        b = self.table_bins(u)
+        counts = np.bincount(b, minlength=self.bins + 1)
+        rest = self.arc_counts(self.body.to_arc(u[b == self.bins]))
+        return counts[:self.bins] + rest
 
 
 def tv_hist(h1: Histogram, h2: Histogram) -> float:
@@ -163,31 +222,35 @@ def empirical_tv_curve(body: ConvexBody, law: ReflectionLaw, s0: float,
 
     Replicas are simulated in fixed-size chunks with one counter-based
     stream per (start, chunk), so results are byte-identical for any
-    worker count.
+    worker count.  Each chunk's landings are binned step by step in the
+    body's native coordinate (``NativeBins``), with the counts that
+    binning their arc lengths gives.
     """
-    hists_a = _ensemble_histograms(body, law, s0, n_max, replicas, bins,
+    table = NativeBins(body, bins)
+    hists_a = _ensemble_histograms(body, law, s0, n_max, replicas, table,
                                    seed, "tv-curve-a", workers)
-    hists_b = _ensemble_histograms(body, law, s0_b, n_max, replicas, bins,
+    hists_b = _ensemble_histograms(body, law, s0_b, n_max, replicas, table,
                                    seed, "tv-curve-b", workers)
     return curve_from_histograms(hists_a, hists_b)
 
 
 def _hist_job(args):
-    body, law, s0, n_max, bins, seed, kind, count, chunk_idx = args
+    body, law, s0, n_max, table, seed, kind, count, chunk_idx = args
     gen = rngmod.substream(seed, kind, chunk_idx)
-    arcs = run_chain_ensemble(body, law, np.full(count, s0), n_max, gen)
-    return [Histogram.from_samples(arcs[n], bins, 0.0, body.perimeter,
-                                   periodic=True).counts
-            for n in range(n_max + 1)]
+    # step 0: every chain of the chunk sits at the start's arc
+    start = table.arc_counts(body.wrap(np.array([float(s0)])))
+    return [count * start,
+            *run_chain_counts(body, law, s0, count, n_max, gen, table)]
 
 
-def _ensemble_histograms(body, law, s0, n_max, replicas, bins, seed, kind,
+def _ensemble_histograms(body, law, s0, n_max, replicas, table, seed, kind,
                          workers: int = 1):
     from .parallel import map_jobs
     chunks = rngmod.chunk_streams(seed, kind, replicas)
-    jobs = [(body, law, s0, n_max, bins, seed, kind, stop - start, idx)
+    jobs = [(body, law, s0, n_max, table, seed, kind, stop - start, idx)
             for idx, (start, stop, _) in enumerate(chunks)]
     results = map_jobs(_hist_job, jobs, workers)
+    bins = table.bins
     totals = [np.zeros(bins, dtype=np.int64) for _ in range(n_max + 1)]
     for counts in results:
         for n in range(n_max + 1):

@@ -319,6 +319,46 @@ def test_dominance_worker_invariance(tmp_path):
         == (out2 / "tv_curve.csv").read_bytes()
 
 
+# sha256 of the verify_dominance artifacts, recorded before ensembles were
+# binned in native coordinates (numpy 2.4, x86_64); any worker count
+DOMINANCE_GOLDEN = {
+    "ellipse": (
+        {"body": {"ellipse": {"a": 2.0, "b": 1.0}}, "law": "uniform_half",
+         "rate": {"kind": "convex_chain", "width": 2.8, "floor": 1.0 / PI}},
+        {"tv_curve.csv": "37a50b38cb6a10d9e32907cd9e3cb81b"
+                         "87c680bde2ef2eb53c7fb57d630e8ed3",
+         "report.json": "479781b9de9f88795c9e1cb8dfa9fc20"
+                        "7f64dbaa6461e44d83e235a331b0cdab",
+         "certificate.json": "5c83be43d6286bc1d57bf6605b45ad2e"
+                             "97c7bcf0cc5069d36267e07a83eb2f13"}),
+    "disc": (
+        {"body": {"disc": {"r": 1.0}},
+         "law": {"truncated_uniform": {"theta_star": 0.75 * PI}},
+         "rate": {"kind": "disc_chain"}, "s0_alt": PI},
+        {"tv_curve.csv": "e6bc7d8b61ddb9f698659edd59a55ece"
+                         "f4e4efd653676d78110028c497338c62",
+         "report.json": "479781b9de9f88795c9e1cb8dfa9fc20"
+                        "7f64dbaa6461e44d83e235a331b0cdab",
+         "certificate.json": "99bf7487bfe0a6abaa24fecb6e1789e9"
+                             "2de1b3f9f7845485da65c16fbcdfcfe4"}),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", DOMINANCE_GOLDEN)
+def test_dominance_artifacts_golden(tmp_path, name, workers):
+    import hashlib
+    over, digests = DOMINANCE_GOLDEN[name]
+    cfg = _base_chain_cfg(scenario="verify_dominance", seed=16, s0=0.0,
+                          n_max=8, replicas=10_000, bins=100, **over)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in digests} == digests
+
+
 def test_couple_process_outcomes_csv(tmp_path):
     cfg = _base_chain_cfg(
         scenario="couple_process",

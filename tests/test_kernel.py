@@ -20,6 +20,7 @@ from convexbilliards import CurvatureTable, Disc, Ellipse, ReflectionLaw
 from convexbilliards.dynamics import (cell_kernel, landing_density,
                                       transition_density,
                                       transition_density_row)
+from convexbilliards.geometry import _mod_two_pi
 from convexbilliards.reflection import reflect
 
 # Tolerances on landing arc and flight time.  The table's bounce is a
@@ -145,6 +146,24 @@ def test_table_bounce_at_tangency_guard(eps, sign):
     assert np.all(np.isfinite(tau))
     assert np.all((tau > 0.0) & (tau <= 1e-5))
     assert np.all(_arc_gap(landing, s, table.perimeter) <= 2.0 * tau)
+
+
+def test_ellipse_landing_reduction_is_mod_two_pi():
+    # Ellipse.bounce reduces the landing angle from arctan2 with
+    # _mod_two_pi; on arctan2's whole range [-pi, pi], -0.0, +-pi and the
+    # tiny negatives that round to 2 pi included, its bits are np.mod's
+    gen = np.random.default_rng(16)
+    y, x = gen.standard_normal((2, 1_000_000))
+    pi = np.pi
+    t = np.concatenate([
+        np.arctan2(y, x), np.linspace(-pi, pi, 1_000_001),
+        np.arctan2([0.0, -0.0, 0.0, -0.0, 1e-300, -1e-300],
+                   [1.0, 1.0, -1.0, -1.0, -1.0, -1.0]),
+        [-pi, pi, np.nextafter(-pi, 0.0), np.nextafter(pi, 0.0), -5e-324,
+         -1e-300, -1e-17, -4e-16, -8.9e-16, 5e-324]])
+    assert t.min() >= -pi and t.max() <= pi
+    assert np.array_equal(_mod_two_pi(t).view(np.uint64),
+                          np.mod(t, 2.0 * pi).view(np.uint64))
 
 
 @pytest.mark.parametrize("law", [ReflectionLaw.cosine(),

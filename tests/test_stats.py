@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from convexbilliards import Disc, ReflectionLaw
+from convexbilliards import CurvatureTable, Disc, Ellipse, ReflectionLaw
+from convexbilliards.dynamics import run_chain_counts, run_chain_ensemble
 from convexbilliards.errors import (
     AxisMismatch,
     InsufficientSamples,
@@ -11,8 +12,10 @@ from convexbilliards.errors import (
 )
 from convexbilliards.rng import stream, substream
 from convexbilliards.stats import (
+    BIN_CELLS,
     DominanceReport,
     Histogram,
+    NativeBins,
     TVCurve,
     dominance_report,
     empirical_tv_curve,
@@ -177,6 +180,103 @@ def test_tv_curve_deterministic(disc, cosine_law):
     c3 = empirical_tv_curve(disc, cosine_law, 0.0, 2.0, 5, 12_000, 64, seed=8,
                             workers=2)
     assert np.array_equal(c1.tv, c3.tv)
+
+
+# ---------------------------------------------------------------------------
+# binning in the native coordinate
+# ---------------------------------------------------------------------------
+
+def _table_from_ellipse(n=256):
+    e = Ellipse(2.0, 1.0)
+    s = np.arange(n) * (e.perimeter / n)
+    return CurvatureTable(s, e.curvature_at(s))
+
+
+NATIVE_BODIES = {
+    "disc": lambda: Disc(1.0),
+    "ellipse-2-1": lambda: Ellipse(2.0, 1.0),
+    "ellipse-1-1": lambda: Ellipse(1.0, 1.0),
+    "ellipse-3-0.5": lambda: Ellipse(3.0, 0.5),
+    "table-256": _table_from_ellipse,
+}
+
+
+def _around(x, ulps=8):
+    """x and its neighbours up to ``ulps`` floats away on each side."""
+    x = np.asarray(x, dtype=float)
+    out = [x]
+    lo = hi = x
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return np.concatenate(out)
+
+
+@pytest.mark.parametrize("name", NATIVE_BODIES)
+@pytest.mark.parametrize("bins", [24, 100, 257])
+def test_native_bins_equal_arc_histogram_sample_by_sample(name, bins):
+    # the table's bin of every coordinate it answers for is the bin that
+    # np.histogram gives np.mod(to_arc(u), P), at the coordinates where
+    # rounding decides: preimages of bin edges and ends of table cells,
+    # 8 ulps either side, and 0, the period and beyond it
+    body = NATIVE_BODIES[name]()
+    P, period = body.perimeter, body.native_period
+    table = NativeBins(body, bins)
+    edges = np.linspace(0.0, P, bins + 1)
+    u = np.concatenate([
+        _around(body.to_native(edges[1:-1])),
+        _around(np.arange(BIN_CELLS + 1) * (period / BIN_CELLS)),
+        _around([0.0, period]), [-0.0, -1e-300, -1e-9, period + 1e-9],
+        np.linspace(-0.01 * period, 1.01 * period, 20_001)])
+
+    def reference(v):
+        return np.histogram(np.mod(body.to_arc(v), P), bins,
+                            range=(0.0, P))[0]
+
+    b = table.table_bins(u)
+    for k in np.unique(b[b < bins]):
+        # every coordinate the table puts in bin k lands there
+        counts = reference(u[b == k])
+        assert counts[k] == counts.sum() == np.count_nonzero(b == k), k
+    # the table answers for most coordinates, and the counts are exact
+    assert np.count_nonzero(b == bins) < 0.5 * u.size
+    assert np.array_equal(table(u), reference(u))
+    assert table(u).dtype == np.int64
+
+
+@pytest.mark.parametrize("bins", [24, 100, 257])
+def test_native_bins_arc_rule_is_from_samples(bins):
+    # the arc-length rule of the cells without a bin, sample by sample at
+    # the bin edges, 8 ulps either side, and beyond both ends
+    body = Ellipse(2.0, 1.0)
+    P = body.perimeter
+    table = NativeBins(body, bins)
+    s = np.concatenate([_around(np.linspace(0.0, P, bins + 1)),
+                        [-1e-300, -5e-324, -P, 2.0 * P + 1e-9, np.nan]])
+    for x in s:
+        assert np.array_equal(table.arc_counts([x]), Histogram.from_samples(
+            [x], bins, 0.0, P, periodic=True).counts), x
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse-2-1", "table-256"])
+def test_run_chain_counts_walks_the_ensemble(name, uniform_half_law):
+    # same angles, same landings as run_chain_ensemble from np.full(n, s0),
+    # bit for bit, although the start is converted once and broadcast
+    body = NATIVE_BODIES[name]()
+    s0, n, steps = 0.3 * body.perimeter, 3000, 6
+    arcs = run_chain_ensemble(body, uniform_half_law, np.full(n, s0), steps,
+                              stream(41, 0))
+    landings = run_chain_counts(body, uniform_half_law, s0, n, steps,
+                                stream(41, 0), body.to_arc)
+    assert len(landings) == steps
+    for k, s in enumerate(landings, start=1):
+        assert np.array_equal(s, arcs[k])
+    table = NativeBins(body, 100)
+    counts = run_chain_counts(body, uniform_half_law, s0, n, steps,
+                              stream(41, 0), table)
+    for k, c in enumerate(counts, start=1):
+        assert np.array_equal(c, Histogram.from_samples(
+            arcs[k], 100, 0.0, body.perimeter, periodic=True).counts)
 
 
 # ---------------------------------------------------------------------------
