@@ -251,9 +251,8 @@ class _Processes:
         plain bounce on the angles ``th`` (one row per process)."""
         u = np.empty(th.shape)
         clock = np.empty(th.shape)
-        uk, ck = self.u_f[f], self.clock_f[f]
-        for b in range(th.shape[1]):
-            uk, tau = self.body.bounce(uk, th[:, b])
+        ck = self.clock_f[f]
+        for b, (uk, tau) in enumerate(self.body.walk(self.u_f[f], th.T)):
             ck = ck + tau
             u[:, b], clock[:, b] = uk, ck
         return u, clock

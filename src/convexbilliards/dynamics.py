@@ -12,8 +12,9 @@ provides
 
 * the tangency guard (``guarded_angles``), the one policy for reflection
   angles at +-pi/2,
-* one walk of plain bounces on angles drawn up front, carrying the body's
-  native boundary coordinate between bounces; it steps one chain on
+* one walk of plain bounces on angles drawn up front, the body's
+  multi-bounce kernel (``ConvexBody.walk``), which carries the native
+  boundary coordinate between bounces; it steps one chain on
   scalars (``run_chain``, which also records angles and chord times) or
   many chains at once (``run_chain_ensemble``), and the coupling engines
   draw their residual blocks through it,
@@ -102,12 +103,11 @@ def _walk(body: ConvexBody, u, theta, s, tau=None):
     """Plain bounces from native ``u`` on angles drawn up front.
 
     ``theta`` has shape (n,) for one chain from a scalar ``u`` or (n, m)
-    for m chains; step k is one call of the bounce kernel on ``theta[k]``.
-    Writes step k's landing arc into ``s[k]``, and its chord time into
-    ``tau[k]`` if ``tau`` is given; returns the final native coordinate.
+    for m chains; step k is the body's walk on ``theta[k]``.  Writes step
+    k's landing arc into ``s[k]``, and its chord time into ``tau[k]`` if
+    ``tau`` is given; returns the final native coordinate.
     """
-    for k in range(theta.shape[0]):
-        u, t = body.bounce(u, theta[k])
+    for k, (u, t) in enumerate(body.walk(u, theta)):
         s[k] = body.to_arc(u)
         if tau is not None:
             tau[k] = t
@@ -165,11 +165,7 @@ def run_chain_counts(body: ConvexBody, law: ReflectionLaw, s0: float,
     """
     theta = guarded_angles(law, rng, (n_steps, replicas))
     u = body.to_native(body.wrap(float(s0)))
-    counts = []
-    for k in range(n_steps):
-        u = body.bounce(u, theta[k])[0]
-        counts.append(count(u))
-    return counts
+    return [count(u) for u, _ in body.walk(u, theta)]
 
 
 # ---------------------------------------------------------------------------

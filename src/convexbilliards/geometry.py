@@ -16,8 +16,10 @@ between u and arc length, ``frame(u)`` gives position and inward normal,
 and ``bounce(u, theta)`` returns the landing coordinate and the flight time
 of the chord launched at angle theta from the normal.  All four broadcast
 over arrays; the engines keep u between bounces and convert to arc length
-only where they need it.  The arc-length queries (``point_at``,
-``position_at``, ...) are built on the same frame.
+only where they need it.  ``walk(u, theta)`` runs the kernel over rows of
+angles and yields each landing; the ellipse carries the landing's point on
+the unit circle from one chord to the next.  The arc-length queries
+(``point_at``, ``position_at``, ...) are built on the same frame.
 
 ``exit_ray`` (first boundary hit of an interior ray from a cartesian
 origin) is the independent scalar reference: it locates the origin and the
@@ -147,6 +149,19 @@ class ConvexBody:
         tangency guard of ``dynamics.guarded_angles``.
         """
         raise NotImplementedError
+
+    def walk(self, u, theta):
+        """Bounces from native u on the rows of theta in turn.
+
+        A generator: yields (landing native coordinate, flight time) after
+        each bounce, as ``bounce`` returns them, each row starting from the
+        last landing; the first bounce broadcasts u against theta[0].  Here
+        it is a loop of ``bounce``; a body may carry more state between
+        bounces, as long as its first bounce is ``bounce``'s, bit for bit.
+        """
+        for th in theta:
+            u, tau = self.bounce(u, th)
+            yield u, tau
 
     # -- elementary queries (vectorised in s) -------------------------------
 
@@ -376,22 +391,38 @@ class Ellipse(ConvexBody):
         return self._t_knots.cubic(self._s_coef, t)
 
     def frame(self, t):
-        ct, st, nx, ny = self._unit_frame(t)
-        return self.a * ct, self.b * st, nx, ny
+        ct, st = np.cos(t), np.sin(t)
+        return (self.a * ct, self.b * st, *self._normal(ct, st))
 
     def bounce(self, t, theta):
-        ct, st, nx, ny = self._unit_frame(t)
-        dx, dy = _turn(nx, ny, theta)
+        return self._chord(np.cos(t), np.sin(t), theta)[:2]
+
+    def walk(self, t, theta):
+        """Bounces as ``ConvexBody.walk``, carrying the landing's point on
+        the unit circle to the next chord instead of the cos and sin of its
+        parameter angle.  The first bounce is ``bounce``'s; later ones
+        differ from a chain of ``bounce`` calls by rounding only, since each
+        chord solve lands back on the circle."""
+        cx, cy = np.cos(t), np.sin(t)
+        for th in theta:
+            t, tau, cx, cy = self._chord(cx, cy, th)
+            yield t, tau
+
+    def _chord(self, ct, st, theta):
+        """The chord from the point (ct, st) of the unit circle, which the
+        scaling maps onto the ellipse, at angle theta to the ellipse's
+        inward normal there: (landing parameter angle, flight time, landing
+        on the unit circle)."""
+        dx, dy = _turn(*self._normal(ct, st), theta)
         ux, uy = dx / self.a, dy / self.b
         tau = self._unit_chord(ct, st, ux, uy)
-        return _mod_two_pi(np.arctan2(st + tau * uy, ct + tau * ux)), tau
+        cx, cy = ct + tau * ux, st + tau * uy
+        return _mod_two_pi(np.arctan2(cy, cx)), tau, cx, cy
 
-    def _unit_frame(self, t):
-        # the point on the unit circle that the scaling maps t to, and the
-        # inward normal of the ellipse there
-        ct, st = np.cos(t), np.sin(t)
+    def _normal(self, ct, st):
+        # the ellipse's inward unit normal at the image of (ct, st)
         sp = np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
-        return ct, st, -self.b * ct / sp, -self.a * st / sp
+        return -self.b * ct / sp, -self.a * st / sp
 
     @staticmethod
     def _unit_chord(ox, oy, ux, uy):

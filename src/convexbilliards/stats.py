@@ -120,11 +120,16 @@ class NativeBins:
     def arc_counts(self, s) -> np.ndarray:
         """Bin counts of arc-length coordinates s by the arc-length rule.
 
-        np.histogram is given the edges that its ``range`` form builds,
-        not the range: the same half-open bins, the last one closed, with
-        no edges to rebuild on every call.
+        The bins are np.histogram's over the edges that its ``range`` form
+        builds: half-open, the last one closed, and values outside them or
+        NaN left out.  A sorted search against those edges gives the same
+        counts without np.histogram's sort of the values.
         """
-        return np.histogram(np.mod(s, self.body.perimeter), self._edges)[0]
+        e, bins = self._edges, self.bins
+        v = np.mod(s, self.body.perimeter)
+        b = np.searchsorted(e, v, "right") - 1
+        b[v == e[-1]] = bins - 1
+        return np.bincount(b[(b >= 0) & (b < bins)], minlength=bins)
 
     def table_bins(self, u) -> np.ndarray:
         """The table's bin of each native coordinate; ``bins`` where it

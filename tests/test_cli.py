@@ -359,6 +359,25 @@ def test_dominance_artifacts_golden(tmp_path, name, workers):
             for f in digests} == digests
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_couple_chains_ellipse_outcomes_golden(tmp_path, workers):
+    # the chain-coupling-ellipse config: one-bounce blocks, whose residual
+    # walks are one bounce each, so their bytes stay fixed
+    import hashlib
+    cfg = _base_chain_cfg(
+        scenario="couple_chains", seed=17, body={"ellipse": {"a": 2.0,
+                                                          "b": 1.0}},
+        law="uniform_half",
+        rate={"kind": "convex_chain", "width": 2.8, "floor": 1.0 / PI},
+        s0=0.0, n_max=12, replicas=1500)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    assert hashlib.sha256((out / "outcomes.csv").read_bytes()).hexdigest() \
+        == "ea0c97feb6ebce9899c624316a89274a628f3526b23f089ecbe7a56ccef621cd"
+
+
 def test_couple_process_outcomes_csv(tmp_path):
     cfg = _base_chain_cfg(
         scenario="couple_process",

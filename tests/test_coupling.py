@@ -243,14 +243,10 @@ def test_couple_chains_convex_without_certificate(ellipse, uniform_half_law):
 
 def test_couple_chains_convex_with_certificate(ellipse, uniform_half_law):
     cert = convex_chain_rate(summarize(ellipse), 2.8, 1.0 / PI)
-    gen = stream(105, 0)
     n = 400
-    count_idx = []
-    for _ in range(n):
-        out = couple_chains(ellipse, uniform_half_law, 0.0,
-                            0.5 * ellipse.perimeter, cert, 60, gen)
-        count_idx.append(out.coupling_index if out.coupled else 10 ** 9)
-    count_idx = np.array(count_idx)
+    res = couple_chains_batch(ellipse, uniform_half_law, 0.0,
+                              0.5 * ellipse.perimeter, cert, 60, n, seed=105)
+    count_idx = np.where(res.coupled, res.coupling_index, 10 ** 9)
     alpha = cert.constants["alpha"]
     for k in (5, 10, 20):
         bound = (1.0 - alpha) ** k

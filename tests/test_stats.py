@@ -247,7 +247,7 @@ def test_native_bins_equal_arc_histogram_sample_by_sample(name, bins):
 @pytest.mark.parametrize("bins", [24, 100, 257])
 def test_native_bins_arc_rule_is_from_samples(bins):
     # the arc-length rule of the cells without a bin, sample by sample at
-    # the bin edges, 8 ulps either side, and beyond both ends
+    # the bin edges, 8 ulps either side, and beyond both ends, then in bulk
     body = Ellipse(2.0, 1.0)
     P = body.perimeter
     table = NativeBins(body, bins)
@@ -256,6 +256,13 @@ def test_native_bins_arc_rule_is_from_samples(bins):
     for x in s:
         assert np.array_equal(table.arc_counts([x]), Histogram.from_samples(
             [x], bins, 0.0, P, periodic=True).counts), x
+    # and in bulk: those values with 1e6 uniform arcs over [-P, 2P]
+    s = np.concatenate([s, [-0.0], np.random.default_rng(bins).uniform(
+        -P, 2.0 * P, 1_000_000)])
+    counts = table.arc_counts(s)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, Histogram.from_samples(
+        s, bins, 0.0, P, periodic=True).counts)
 
 
 @pytest.mark.parametrize("name", ["disc", "ellipse-2-1", "table-256"])
