@@ -1,12 +1,14 @@
 """The bounce kernel of every body against its scalar references.
 
 ``ConvexBody.bounce`` (vectorised, native coordinates) must reproduce the
-scalar ``exit_ray`` (cartesian, located by ``arc_of_point``), its
-multi-bounce ``walk`` must be a chain of ``bounce`` calls, and
-``landing_density`` must be the density of the kernel's landing: times the
-Jacobian |ds'/dtheta| of the landing map it gives back the reflection law.
-The exact cell kernel ``cell_kernel`` must be stochastic and match the
-disc's closed form and quadrature of the transition density.
+scalar ``exit_ray`` (cartesian, located by ``arc_of_point``), and its
+multi-bounce ``walk`` must be a chain of ``bounce`` calls; on the ellipse up
+to rounding, its chord's half-angle turn and unit-circle root matching cos,
+sin and the general quadratic.  ``landing_density`` must be the density of
+the kernel's landing: times the Jacobian |ds'/dtheta| of the landing map it
+gives back the reflection law.  The exact cell kernel ``cell_kernel`` must
+be stochastic, match the disc's closed form and quadrature of the
+transition density, and give a fine table the chain law of its ellipse.
 """
 
 import functools
@@ -22,7 +24,7 @@ from convexbilliards.dynamics import (TANGENCY_GUARD, cell_kernel,
                                       disc_step_exact, guarded_angles,
                                       landing_density, transition_density,
                                       transition_density_row)
-from convexbilliards.geometry import _mod_two_pi
+from convexbilliards.geometry import _mod_two_pi, _turn
 from convexbilliards.reflection import reflect
 
 # Tolerances on landing arc and flight time.  The table's bounce is a
@@ -168,6 +170,54 @@ def test_ellipse_landing_reduction_is_mod_two_pi():
                           np.mod(t, 2.0 * pi).view(np.uint64))
 
 
+def test_turn_matches_cos_and_sin():
+    # _turn rotates by the half-angle tangent; against np.cos and np.sin on
+    # a dense grid over |theta| <= 3, with the guarded extremes (measured
+    # worst on 2e6 angles: 4.4e-16 off the reference rotation, 4.4e-16 off
+    # unit length)
+    lim = 0.5 * np.pi - TANGENCY_GUARD
+    grid = np.linspace(-3.0, 3.0, 2_000_001)
+    extra = np.array([lim, -lim, 0.0, -0.0, 5e-324, -5e-324, 3.0, -3.0])
+    gen = np.random.default_rng(20)
+    for theta in (*np.array_split(grid, 8), extra):
+        phi = gen.uniform(0.0, 2.0 * np.pi, theta.size)
+        nx, ny = np.cos(phi), np.sin(phi)
+        ex, ey = _turn(nx, ny, theta)
+        c, s = np.cos(theta), np.sin(theta)
+        assert np.abs(ex - (c * nx - s * ny)).max() <= 1e-15
+        assert np.abs(ey - (s * nx + c * ny)).max() <= 1e-15
+        assert np.abs(np.hypot(ex, ey) - 1.0).max() <= 1e-15
+    # signed zeros come out as the reference rotation's: sin(-0.0) = -0.0
+    for theta in (0.0, -0.0):
+        for nx, ny in ((1.0, 0.0), (1.0, -0.0), (-1.0, 0.0), (-1.0, -0.0),
+                       (0.0, 1.0), (-0.0, 1.0), (0.0, -1.0), (-0.0, -1.0)):
+            c, s = np.cos(theta), np.sin(theta)
+            assert np.array_equal(np.signbit(_turn(nx, ny, theta)),
+                                  np.signbit((c * nx - s * ny,
+                                              s * nx + c * ny)))
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 1.0), (3.0, 0.5), (1.1, 1.0)])
+def test_ellipse_circle_root_is_the_general_root(a, b):
+    # Ellipse._chord takes the unit circle's second root -2 (o . u) / |u|^2,
+    # which assumes its origin o on the circle; _unit_chord solves the
+    # general quadratic from the same origins (cos t, sin t).  That root's
+    # square root multiplies the origin's off-circle rounding, about 1e-16,
+    # by 1 / |o . u|, so the comparison keeps to |theta| <= 1.5 (measured
+    # worst on 1e6 chords: 7.8e-16 of the diameter; up to the guarded
+    # extremes the general root moves by up to 5e-12)
+    e = Ellipse(a, b)
+    gen = np.random.default_rng(21)
+    t = gen.uniform(0.0, 2.0 * np.pi, 200_000)
+    theta = np.concatenate([gen.uniform(-1.5, 1.5, t.size - 1001),
+                            np.linspace(-1.5, 1.5, 1001)])
+    ct, st = np.cos(t), np.sin(t)
+    tau = e._chord(ct, st, theta)[1]
+    dx, dy = _turn(*e._normal(ct, st), theta)
+    ref = e._unit_chord(ct, st, dx / a, dy / b)
+    assert np.abs(tau - ref).max() <= 1e-12 * e.diameter
+
+
 def _walk_angles(seed, steps, n):
     # uniform_half angles through the tangency guard; the first step also
     # launches at both guarded extremes
@@ -196,10 +246,11 @@ def test_ellipse_walk_differs_from_bounce_by_rounding(a, b):
     # The walk carries the unit-circle landing instead of cos and sin of
     # its parameter angle.  Its first bounce is bounce's, bit for bit.
     # Every later bounce is compared with bounce from the walk's own last
-    # landing (measured worst gaps on 1e5 chains x 12 steps, four seeds:
-    # 5e-11 of the perimeter, 1.1e-10 of the diameter).  The guarded
+    # landing (measured worst gaps on 1e5 chains x 12 steps, seeds 18 to
+    # 21: 7.7e-15 of the perimeter, 1.6e-14 of the diameter).  The guarded
     # extremes launch at step 1 only: from a start moved by one ulp such a
-    # chord's time moves by about 1e-8 in either kernel.
+    # chord's time moved by about 3e-8 with the general quadratic's root,
+    # and moves by about 1e-15 with the circle root.
     e = Ellipse(a, b)
     P, D = e.perimeter, e.diameter
     theta = _walk_angles(18, 12, 100_000)
@@ -214,10 +265,10 @@ def test_ellipse_walk_differs_from_bounce_by_rounding(a, b):
         if (a, b) == (2.0, 1.0):
             chain, t_chain = e.bounce(chain, theta[k])
             # against a whole chain of bounce calls (measured worst gaps,
-            # four seeds: 1.9e-9 in arc, 8.2e-10 in time).  Ellipse(3, 0.5)
-            # itself amplifies rounding past these bounds on some seeds: a
-            # chain of bounce calls nudged by one ulp per step drifted by
-            # up to 1.7e-8 in 12 steps, and the walk by up to 3e-8
+            # seeds 18 to 21: 6.4e-11 in arc, 5.2e-11 in time).
+            # Ellipse(3, 0.5) itself amplifies rounding: a chain of bounce
+            # calls nudged by one ulp per step drifted by up to 2.8e-9 in
+            # 12 steps, and the walk from the chain by up to 2.1e-9
             assert _arc_gap(e.to_arc(w), e.to_arc(chain), P).max() <= 1e-9 * P
             assert np.abs(tau - t_chain).max() <= 1e-9 * D
         u = w
@@ -234,6 +285,22 @@ def test_ellipse_walk_on_the_circle_is_the_disc_recursion():
                            for p, th in zip(phi, theta[k])]).T
         assert _arc_gap(w, phi, 2.0 * np.pi).max() <= 1e-12
         assert np.abs(tau - t).max() <= 1e-12
+
+
+@pytest.mark.parametrize("a,b", [(2.0, 1.0), (3.0, 0.5), (1.1, 1.0)])
+def test_ellipse_walk_stays_on_the_circle(a, b):
+    # the circle root does not project its landing back onto the circle, so
+    # the carried point's radius drifts from 1 as a random walk of rounding
+    # errors (measured worst over 2e4 bounces of these 4 chains, seeds 22
+    # to 25: 5.2e-14)
+    e = Ellipse(a, b)
+    theta = _walk_angles(22, 20_000, 4)
+    cx, cy = np.cos([0.1, 1.3, 2.9, 4.4]), np.sin([0.1, 1.3, 2.9, 4.4])
+    worst = 0.0
+    for th in theta:
+        cx, cy = e._chord(cx, cy, th)[2:]
+        worst = max(worst, np.abs(np.hypot(cx, cy) - 1.0).max())
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("law", [ReflectionLaw.cosine(),
@@ -295,6 +362,44 @@ def test_cell_kernel_disc_closed_form(law):
     ref[np.diag_indices(n)] = np.diag(ends)
     np.testing.assert_allclose(cell_kernel(disc, law, n), ref, rtol=0.0,
                                atol=1e-12)
+
+
+def _binned_chain_law(body, law, n_cells, steps, bins):
+    # the exact law of a chain started uniformly on the first eighth of the
+    # boundary, after each of ``steps`` steps, in ``bins`` equal arc bins;
+    # cell masses are spread evenly over their cells
+    P = body.perimeter
+    K = cell_kernel(body, law, n_cells)
+    edges = np.arange(n_cells + 1) * (P / n_cells)
+    p = np.where(np.arange(n_cells) < n_cells // 8, 8.0 / n_cells, 0.0)
+    laws = []
+    for _ in range(steps):
+        p = p @ K
+        cdf = np.interp(np.arange(bins + 1) * (P / bins), edges,
+                        np.concatenate([[0.0], np.cumsum(p)]))
+        laws.append(np.diff(cdf))
+    return laws
+
+
+@pytest.mark.parametrize("n_cells", [1024, 2048])
+def test_table_chain_law_matches_ellipse(n_cells):
+    # The benchmark's general-body-table workload compares chains on the
+    # 1024-sample table with Ellipse(2, 1) chains, started uniformly on the
+    # eighth of the boundary past maximum curvature, in 24 bins after 1 and
+    # 4 steps.  The two exact laws differ by a TV of 1.6e-7 and 1.1e-7 at
+    # both cell counts, far below what its 3e4 samples can resolve (a
+    # 256-sample table: 4.0e-6 and 3.0e-6).
+    law = ReflectionLaw.uniform_half()
+    e, table = _body("ellipse"), _body("table1024")
+    # both bodies' curvature peaks at their shared arc origin
+    for body in (e, table):
+        s = np.arange(4096) * (body.perimeter / 4096)
+        assert np.argmax(body.curvature_at(s)) == 0
+    ref = _binned_chain_law(e, law, n_cells, 4, 24)
+    got = _binned_chain_law(table, law, n_cells, 4, 24)
+    for step in (0, 3):
+        np.testing.assert_allclose(ref[step].sum(), 1.0, rtol=0.0, atol=1e-12)
+        assert 0.5 * np.abs(got[step] - ref[step]).sum() <= 1e-6
 
 
 def test_cell_kernel_matches_quadrature():
