@@ -12,8 +12,9 @@ probabilities are exactly the certified plateau masses.
 ``_Processes`` runs this state machine for many replicas in lockstep on one
 stream per fixed-size replica chunk: the tick loop and its budget, attempt
 counters and trace, realignment, first hits and first-bounce recording.
-A tick (``ticks`` sums them over chunks) gives each live replica one or two
-attempts and costs mostly numpy's call overhead (disc: 0.3 ms, 2 x86 cores).
+A tick (``ticks`` sums them over chunks) gives each live replica a
+stage-one attempt and, where that succeeds, a stage-two attempt; it costs
+mostly numpy's call overhead (disc: 0.3 ms, 2 x86 cores).
 ``process_disc`` (two-bounce tables and the pair profile of a disc) and
 ``process_convex`` (time boxes and bisector windows of a general body)
 subclass it with their blocks and joint windows.
@@ -145,7 +146,6 @@ class _Processes:
         self.clock = np.repeat(np.asarray(clock0, float)[:, None], n, axis=1)
         self.u_f = self.u.reshape(-1)
         self.clock_f = self.clock.reshape(-1)
-        self.phase = np.ones(n, dtype=np.int8)
         self.coupled = np.zeros(n, dtype=bool)
         self.coupling_time = np.full(n, np.nan)
         # attempts and successes of stage one, then of stage two
@@ -163,12 +163,11 @@ class _Processes:
         for ticks in range(_MAX_TICKS):
             if not live.size:
                 break
-            i1 = live[self.phase[live] == 1]
-            if i1.size:
-                self.stage1(i1)
-            i2 = live[self.phase[live] == 2]
-            if i2.size:
-                self.stage2(i2)
+            # every live replica starts a tick in stage one; those whose
+            # clocks couple go on to stage two in the same tick
+            j = self.stage1(live)
+            if j.size:
+                self.stage2(j)
             a, b = self.clock[0][live], self.clock[1][live]
             live = live[~(self.coupled[live] | (np.minimum(a, b) > t_max))]
             if self.recording:
@@ -188,6 +187,8 @@ class _Processes:
     # -- the two stages ------------------------------------------------------
 
     def stage1(self, i):
+        """One stage-one attempt per replica of ``i``; returns the replicas
+        whose clocks coupled, each at a common clock."""
         a, b = self.clock[0][i], self.clock[1][i]
         lo = np.maximum(a, b) + self.w1[0]
         hi = np.minimum(a, b) + self.w1[1]
@@ -197,11 +198,11 @@ class _Processes:
             S = lo[suc] + self.rng.random(j.size) * wlen[suc]
             self.block_to(j, S)
             self.clock[:, j] = S
-            self.phase[j] = 2
             i, lo, hi = i[~suc], lo[~suc], hi[~suc]
         if i.size:
             self.block_residual(i, lo, hi)
             self.realign(i)
+        return j
 
     def stage2(self, i):
         # windows at the pre-attempt positions, one replica per last index
@@ -215,7 +216,6 @@ class _Processes:
         if i.size:
             self.residual2(i, win)
             self.realign(i)
-            self.phase[i] = 1
 
     # -- bookkeeping ---------------------------------------------------------
 

@@ -555,10 +555,11 @@ class CurvatureTable(ConvexBody):
         self._validate()
 
     def _diameter_search(self) -> float:
-        pts = np.stack([self._x(self._s_dense[:-1]), self._y(self._s_dense[:-1])], axis=-1)
-        sub = pts[:: max(1, pts.shape[0] // 4096)]
-        i, j = _farthest_pair(sub[:, 0], sub[:, 1])
-        return _refine_diameter(self, sub[i], sub[j])
+        # the x and y splines' values at the dense knots, at most 4096 of them
+        nodes = self._z[3][:: max(1, self._z.shape[1] // 4096)]
+        x, y = nodes.real, nodes.imag
+        i, j = _farthest_pair(x, y)
+        return _refine_diameter(self, (x[i], y[i]), (x[j], y[j]))
 
     # bounce kernel: native coordinate is arc length ------------------------
 
@@ -590,8 +591,10 @@ class CurvatureTable(ConvexBody):
         # landing: bisection over the dense nodes finds the cell of s', then
         # safeguarded Newton steps solve inside it, or, for a landing within
         # a cell of the origin, ``_short_chord``.
-        s, theta = np.broadcast_arrays(self.wrap(np.asarray(s, dtype=float)),
-                                       np.asarray(theta, dtype=float))
+        s = self.wrap(np.asarray(s, dtype=float))
+        theta = np.asarray(theta, dtype=float)
+        if s.shape != theta.shape:   # every walk passes equal shapes
+            s, theta = np.broadcast_arrays(s, theta)
         shape = s.shape
         s, theta = s.ravel(), theta.ravel()
         N = self._DENSE
@@ -603,12 +606,13 @@ class CurvatureTable(ConvexBody):
         w = np.conj(d) / np.abs(d) * np.exp(-1j * theta)
 
         nodes = self._z[3]
-        lo = np.zeros(s.size, dtype=np.intp)
+        top = j0.copy()   # j0 + lo, lo the bisection's lower offset
         for k in range(1, self._BISECT + 1):
             # g(node j0 + lo) > 0 >= g(node j0 + lo + 2 * half)
             half = N >> k
-            node = nodes.take(j0 + lo + half, mode="wrap")
-            lo += half * (((node - o) * w).real > 0.0)
+            node = nodes.take(top + half, mode="wrap")
+            top += half * (((node - o) * w).real > 0.0)
+        lo = top - j0
         # s' in the cell of s or in a neighbour
         short = ((lo <= 1) | (lo == N - 1)
                  | (((nodes[j0] - o) * w).real > 0.0))
@@ -616,14 +620,17 @@ class CurvatureTable(ConvexBody):
         # s' in cell j at offset t: Newton on G = g / (r (perimeter - r)),
         # r = sigma - s = a + t, which divides out g's trivial roots at the
         # origin and so is nearly linear even on chords a few cells long
-        j = (j0 + lo) % N
-        a = self._knots_ext[j0 + lo] - s
+        j = top % N
+        a = self._knots_ext[top] - s
         b = self.perimeter - a
-        c = self._z.take(j, axis=1)
+        # the cell's cubics as a tuple of rows, which index without making
+        # views, and _horner_d's products, made once per call
+        c = tuple(self._z.take(j, axis=1))
+        dc = (3.0 * c[0], 2.0 * c[1], c[2])
 
         def newton_g(t):
             g = ((_horner(c, t) - o) * w).real
-            dg = (_horner_d(c, t) * w).real
+            dg = (((dc[0] * t + dc[1]) * t + dc[2]) * w).real
             return g, g / (dg - g * (1.0 / (a + t) - 1.0 / (b - t)))
 
         t = _safeguarded_newton(newton_g, 0.0, self._h[j], self._NEWTON)
@@ -747,8 +754,10 @@ def _safeguarded_newton(fn, ta, tb, steps):
             pos = f > 0.0
             ta, tb = np.where(pos, t, ta), np.where(pos, tb, t)
             t_new = t - step
-            t = np.where(np.isnan(t_new), 0.5 * (ta + tb),
-                         np.clip(t_new, ta, tb))
+            t = np.minimum(np.maximum(t_new, ta), tb)
+            undefined = np.isnan(t_new)
+            if np.count_nonzero(undefined):   # cheaper than .any()
+                t = np.where(undefined, 0.5 * (ta + tb), t)
     return t
 
 
@@ -827,32 +836,63 @@ def _cumtrapz(values, s):
     return out
 
 
+_ANTIPODE_REACH = 3  # neighbours scored on each side of an antipode
+
+
 def _farthest_pair(x, y) -> tuple[int, int]:
     """(i, j) of the first maximum of (x_i - x_j)^2 + (y_i - y_j)^2 in
-    row-major order.
+    row-major order, for the vertices of a strictly convex polygon in
+    counterclockwise order.
 
-    Scanned in row blocks so no (n, n) temporary is built.  d2(i, j) and
-    d2(j, i) are the same bits, so that maximum has i < j and the block of
-    rows from r needs only the columns from r on.
+    A farthest pair is antipodal: parallel lines of support pass through
+    its ends (Shamos's rotating calipers).  A line of support at a vertex
+    runs at any angle between those of its incoming and outgoing edges, so
+    i and j are antipodal when these two ranges, one turned by pi,
+    overlap, and then the range of one holds the outgoing end of the
+    other's.  Turned by pi, i's outgoing edge angle falls in the range of
+    ``opposite[i]``, the first vertex whose outgoing edge angle reaches
+    it: one ``searchsorted`` for all vertices, as the angles increase.  So
+    every antipodal pair is {i, opposite[i]} for one of its ends.  Each
+    vertex is scored against the _ANTIPODE_REACH neighbours on each side
+    of its antipode too, so rounding in the angles drops no pair.  Time
+    and memory are O(n), against O(n^2) for the full scan.  d2(i, j) and
+    d2(j, i) are the same bits, so the full scan's first maximum is the
+    maximal pair (i < j) first in lexicographic order.
     """
-    best, i, j = -1.0, 0, 0
-    for r in range(0, x.size, 64):
-        xs, ys = x[r:], y[r:]
-        d2 = (x[r:r + 64, None] - xs) ** 2 + (y[r:r + 64, None] - ys) ** 2
-        k = int(np.argmax(d2))
-        if d2.flat[k] > best:
-            best, i, j = d2.flat[k], r + k // xs.size, r + k % xs.size
-    return i, j
+    n = x.size
+    angle = np.unwrap(np.arctan2(np.roll(y, -1) - y, np.roll(x, -1) - x))
+    opposite = np.searchsorted(np.concatenate([angle, angle + TWO_PI]),
+                               angle + math.pi)
+    best, pair = -1.0, (0, 0)
+    for r in range(-_ANTIPODE_REACH, _ANTIPODE_REACH + 1):
+        j = (opposite + r) % n
+        d2 = (x - x[j]) ** 2 + (y - y[j]) ** 2
+        top = d2.max()
+        if top < best:
+            continue
+        i = np.flatnonzero(d2 == top)
+        first = min(zip(np.minimum(i, j[i]).tolist(),
+                        np.maximum(i, j[i]).tolist()))
+        if top > best or first < pair:
+            best, pair = top, first
+    return pair
 
 
 def _refine_diameter(body: ConvexBody, p, q) -> float:
-    """Golden-section polish of a candidate farthest pair."""
+    """Golden-section polish of a candidate farthest pair of boundary
+    points p and q.
+
+    Starts from their arc lengths and moves each end in turn to the
+    farthest point from the other, twice, over a window that shrinks
+    eightfold.  Each distance places both ends with one ``position_at``
+    call.
+    """
     si = body.arc_of_point(p)
     sj = body.arc_of_point(q)
 
     def dist(a, b):
-        d = body.position_at(a) - body.position_at(b)
-        return float(np.hypot(d[0], d[1]))
+        d = body.position_at(np.array([a, b]))
+        return float(np.hypot(d[0, 0] - d[1, 0], d[0, 1] - d[1, 1]))
 
     span = body.perimeter / 2048.0
     for _ in range(2):

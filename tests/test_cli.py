@@ -378,6 +378,55 @@ def test_couple_chains_ellipse_outcomes_golden(tmp_path, workers):
         == "ea0c97feb6ebce9899c624316a89274a628f3526b23f089ecbe7a56ccef621cd"
 
 
+# sha256 of the artifacts below, recorded before the tick loop dropped its
+# per-replica stage flags and the table's diameter search went antipodal
+# (numpy 2.4, x86_64); any worker count
+@pytest.mark.parametrize("workers", [1, 2])
+def test_couple_process_disc_outcomes_golden(tmp_path, workers):
+    import hashlib
+    cfg = _base_chain_cfg(
+        scenario="couple_process",
+        law={"truncated_uniform": {"theta_star": 0.75 * PI}},
+        rate={"kind": "disc_process"},
+        params={"eta": 0.12, "eps": 0.09},
+        t_max=1e6, replicas=16,
+        start=[[0.3, 0.2], [1.0, 0.4]],
+        start_alt=[[-0.5, 0.1], [-0.2, -1.0]])
+    del cfg["n_max"]
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    assert hashlib.sha256((out / "outcomes.csv").read_bytes()).hexdigest() \
+        == "ec886b53ef9161f69f1ee970e9876c5dab1b2968c0602ba22bd3b7d2394e517f"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_dominance_curvature_table_artifacts_golden(tmp_path, workers):
+    import hashlib
+    from convexbilliards import Ellipse
+    e = Ellipse(2.0, 1.0)
+    s = np.arange(1024) * (e.perimeter / 1024)
+    curve = tmp_path / "curve.csv"
+    np.savetxt(curve, np.stack([s, e.curvature_at(s)], axis=1),
+               delimiter=",")
+    cfg = _base_chain_cfg(
+        scenario="verify_dominance", seed=16, s0=0.0, n_max=8,
+        replicas=10_000, bins=100, law="uniform_half",
+        body={"curvature_table": {"path": str(curve)}},
+        rate={"kind": "convex_chain", "width": 2.8, "floor": 1.0 / PI})
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert main(["run", "--config", path, "--out", str(out),
+                 "--workers", str(workers)]) == 0
+    digests = {"certificate.json": "1d34a5684cad287f339d03278bab2bf9"
+                                   "85636fdd46fa59490bf4b937d5d028a2",
+               "tv_curve.csv": "a0b73c3b26d0479845ec34fda40b3c7c"
+                               "1fffbdf1f4e1ff48894fe293517b5fb5"}
+    assert {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+            for f in digests} == digests
+
+
 def test_couple_process_outcomes_csv(tmp_path):
     cfg = _base_chain_cfg(
         scenario="couple_process",

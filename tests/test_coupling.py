@@ -528,6 +528,16 @@ def test_process_disc_ticks_bound_attempts(tu34_law):
     assert a.max() / 2 <= res.ticks <= a.max()
 
 
+def test_process_disc_stage_two_follows_each_stage_one_success(tu34_law):
+    # a replica whose clocks couple attempts stage two in the same tick and
+    # starts its next tick in stage one again, win or lose
+    cert = _ac6_cert()
+    res = couple_process_disc_batch(1.0, tu34_law, STARTS[0], STARTS[1],
+                                    cert, 1e6, 64, seed=66)
+    assert res.stage1_successes.sum() > 64
+    assert np.array_equal(res.stage2_attempts, res.stage1_successes)
+
+
 def _disc_processes(law, n, record_first):
     """A lockstep disc engine of ``n`` replicas on the AC-6 certificate."""
     cert = _ac6_cert()
@@ -854,6 +864,15 @@ def test_process_convex_worker_invariance(ellipse, uniform_half_law, case,
                  "stage1_successes", "stage2_attempts", "stage2_successes"):
         assert np.array_equal(getattr(r1, name), getattr(r2, name),
                               equal_nan=True), name
+
+
+def test_process_convex_stage_two_follows_each_stage_one_success(
+        ellipse, uniform_half_law):
+    body, cert, starts = _convex_process_case("disc", ellipse)
+    res = couple_process_convex_batch(body, uniform_half_law, *starts,
+                                      cert, 2.0, 500, seed=79)
+    assert res.stage1_successes.sum() > 0
+    assert np.array_equal(res.stage2_attempts, res.stage1_successes)
 
 
 def test_process_convex_joint_success_bridges(uniform_half_law):

@@ -25,6 +25,8 @@ from convexbilliards.errors import (
 )
 from convexbilliards.rng import stream
 
+TWO_PI = 2.0 * math.pi
+
 
 # ---------------------------------------------------------------------------
 # point_at
@@ -377,6 +379,150 @@ def test_curvature_table_diameter_scan_matches_full_scan(a, n, shift):
             best, i, j = d2.flat[k], r + k // x.size, k % x.size
     assert _farthest_pair(sub[:, 0], sub[:, 1]) == (i, j)
     assert body.diameter == _refine_diameter(body, sub[i], sub[j])
+
+
+def _table(kind):
+    """Tables from ellipse curvature (the second with its arc origin
+    moved) and from the 3- and 4-fold symmetric curvature
+    (2 pi / L) (1 + eps cos(m 2 pi s / L)), which closes by symmetry."""
+    if kind.startswith("ellipse"):
+        a, n, shift = {"ellipse-2": (2.0, 1024, 0.0),
+                       "ellipse-1.1": (1.1, 512, 0.3)}[kind]
+        e = Ellipse(a, 1.0)
+        s = np.arange(n) * (e.perimeter / n)
+        return CurvatureTable(s, np.asarray(
+            e.curvature_at(s + shift * e.perimeter)))
+    m, eps, n = {"3-fold": (3, 0.5, 600), "4-fold": (4, 0.7, 1000)}[kind]
+    L = 7.0
+    s = np.arange(n) * (L / n)
+    return CurvatureTable(s, (TWO_PI / L)
+                          * (1.0 + eps * np.cos(m * TWO_PI * s / L)))
+
+
+# sha256 of each table's summary and of 4096 bounces, recorded before the
+# diameter search went antipodal and the bounce made fewer calls (numpy
+# 2.4, x86_64)
+TABLE_GOLDEN = {
+    "ellipse-2": "31d37422ae30a470fe3b89adc623692e"
+                 "a5a0bdb8a851bb267badae9b0429104c",
+    "ellipse-1.1": "bba776c3b76e0f020e8a55880185923f"
+                   "6d358373744d683363d365e6b0c2e01c",
+    "3-fold": "123f29642611ddd3acc5d65cebd35e0e"
+              "a421f62e25e7d9059410a2a1427dd49b",
+    "4-fold": "c83b2d7c696a2c9f276b49e6047f52d0"
+              "2c71cf1d2617acb0f33e3d78b2c93036",
+}
+
+
+@pytest.mark.parametrize("kind", TABLE_GOLDEN)
+def test_curvature_table_summary_and_bounce_golden(kind):
+    import hashlib
+    body = _table(kind)
+    u = stream(83, 0).uniform(0.0, body.perimeter, 4096)
+    theta = stream(83, 1).uniform(-1.5, 1.5, 4096)
+    land, tau = body.bounce(u, theta)
+    summary = list(body.summarize().as_dict().values())
+    digest = hashlib.sha256(
+        np.concatenate([summary, land, tau]).tobytes()).hexdigest()
+    assert digest == TABLE_GOLDEN[kind]
+
+
+@pytest.mark.parametrize("kind", ["ellipse-2", "ellipse-1.1", "3-fold"])
+def test_curvature_table_nodes_are_spline_values(kind):
+    # the diameter search reads the x and y splines at their knots from
+    # the bounce kernel's constant coefficients
+    body = _table(kind)
+    dense = body._s_dense[:-1]
+    assert np.array_equal(_bits(body._z[3].real), _bits(body._x(dense)))
+    assert np.array_equal(_bits(body._z[3].imag), _bits(body._y(dense)))
+
+
+# ---------------------------------------------------------------------------
+# farthest pair
+# ---------------------------------------------------------------------------
+
+def _full_scan_pair(x, y):
+    """First row-major maximum of the whole (n, n) table of squared
+    distances, scanned in blocks of 64 rows."""
+    best, i, j = -1.0, 0, 0
+    for r in range(0, x.size, 64):
+        d2 = (x[r:r + 64, None] - x) ** 2 + (y[r:r + 64, None] - y) ** 2
+        k = int(np.argmax(d2))
+        if d2.flat[k] > best:
+            best, i, j = d2.flat[k], r + k // x.size, k % x.size
+    return i, j
+
+
+def _random_convex_polygon(n, rng):
+    """Valtr's uniformly random convex polygon: n vertices,
+    counterclockwise, from n random x and n random y values."""
+    def edge_parts(v):
+        v = np.sort(v)
+        upper = rng.random(n - 2) < 0.5
+        a = np.concatenate([v[:1], v[1:-1][upper], v[-1:]])
+        b = np.concatenate([v[:1], v[1:-1][~upper], v[-1:]])
+        return np.concatenate([np.diff(a), -np.diff(b)])
+    dx, dy = edge_parts(rng.random(n)), edge_parts(rng.random(n))
+    rng.shuffle(dy)
+    order = np.argsort(np.arctan2(dy, dx))
+    return np.cumsum(dx[order]), np.cumsum(dy[order])
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 61, 250, 1000, 4096])
+def test_farthest_pair_matches_full_scan_on_random_polygons(n):
+    # random shapes, each moved off the origin and started at a random
+    # vertex, so the pair is anywhere in the vertex order
+    from convexbilliards.geometry import _farthest_pair
+    rng = stream(84, n)
+    for _ in range(3 if n > 1000 else 12):
+        x, y = _random_convex_polygon(n, rng)
+        start = int(rng.integers(n))
+        x = np.roll(x, start) + rng.uniform(-10.0, 10.0)
+        y = np.roll(y, start) + rng.uniform(-10.0, 10.0)
+        assert _farthest_pair(x, y) == _full_scan_pair(x, y)
+
+
+@pytest.mark.parametrize("n", [8, 63, 64, 1000, 4096])
+@pytest.mark.parametrize("noise", [0, 1], ids=["exact", "last-bit"])
+def test_farthest_pair_breaks_near_ties_as_full_scan(n, noise):
+    # on samples of a circle every vertex is nearly as far from its
+    # antipode as any other, and rounding makes some exactly tied
+    from convexbilliards.geometry import _farthest_pair
+    rng = stream(85, n)
+    t = (np.arange(n) + 0.25) * (TWO_PI / n)
+    x, y = np.cos(t), np.sin(t)
+    if noise:
+        x += rng.integers(-1, 2, n) * np.spacing(x)
+        y += rng.integers(-1, 2, n) * np.spacing(y)
+    assert _farthest_pair(x, y) == _full_scan_pair(x, y)
+
+
+def test_farthest_pair_ties_exist_on_the_circle():
+    # the circle cases above test tie-breaking: the maximum is reached by
+    # several pairs
+    n = 64
+    t = (np.arange(n) + 0.25) * (TWO_PI / n)
+    x, y = np.cos(t), np.sin(t)
+    d2 = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2
+    assert np.count_nonzero(d2 == d2.max()) > 2
+
+
+def test_farthest_pair_memory_is_linear():
+    # a few arrays of n values at a time: well under 1 MB at n = 4096,
+    # where a block scan of 64 rows builds (64, 4096) temporaries of 2 MB
+    import tracemalloc
+    from convexbilliards.geometry import _farthest_pair
+    n = 4096
+    t = np.arange(n) * (TWO_PI / n)
+    x, y = 2.0 * np.cos(t), np.sin(t)
+    _farthest_pair(x, y)
+    tracemalloc.start()
+    try:
+        _farthest_pair(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
