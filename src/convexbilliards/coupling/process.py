@@ -251,9 +251,10 @@ class _Processes:
         plain bounce on the angles ``th`` (one row per process)."""
         u = np.empty(th.shape)
         clock = np.empty(th.shape)
+        tau = np.empty(th.shape[::-1])
         ck = self.clock_f[f]
-        for b, (uk, tau) in enumerate(self.body.walk(self.u_f[f], th.T)):
-            ck = ck + tau
+        for b, uk in enumerate(self.body.walk(self.u_f[f], th.T, tau)):
+            ck = ck + tau[b]
             u[:, b], clock[:, b] = uk, ck
         return u, clock
 

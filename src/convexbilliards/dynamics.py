@@ -18,9 +18,9 @@ provides
   scalars (``run_chain``, which also records angles and chord times) or
   many chains at once (``run_chain_ensemble``), and the coupling engines
   draw their residual blocks through it,
-* the same ensemble from one start kept as per-step counts of its native
-  landings (``run_chain_counts``), which ``stats`` bins without arc
-  lengths,
+* the same ensemble from one start, over the streams of several replica
+  chunks at once, kept as per-step counts of its native landings
+  (``run_chain_counts``), which ``stats`` bins without arc lengths,
 * chord flight times from one boundary point (``chord_times``),
 * the closed-form polar recursion on discs (``disc_step_exact``), an
   independent oracle for the disc kernel and for ``exit_ray``,
@@ -107,10 +107,8 @@ def _walk(body: ConvexBody, u, theta, s, tau=None):
     k's landing arc into ``s[k]``, and its chord time into ``tau[k]`` if
     ``tau`` is given; returns the final native coordinate.
     """
-    for k, (u, t) in enumerate(body.walk(u, theta)):
+    for k, u in enumerate(body.walk(u, theta, tau)):
         s[k] = body.to_arc(u)
-        if tau is not None:
-            tau[k] = t
     return u
 
 
@@ -152,20 +150,28 @@ def run_chain_ensemble(body: ConvexBody, law: ReflectionLaw, s0, n_steps: int,
 
 
 def run_chain_counts(body: ConvexBody, law: ReflectionLaw, s0: float,
-                     replicas: int, n_steps: int, rng: np.random.Generator,
-                     count) -> list:
-    """Per-step counts of ``replicas`` chains started at arc length s0.
+                     streams, n_steps: int, count) -> list:
+    """Per-step counts of chains started at arc length s0, walked as one
+    ensemble over several random streams.
 
-    Returns ``count(u)`` of the native landing coordinates u of every
-    chain after bounces 1..n_steps.  The angles, and so the landings, are
-    those of ``run_chain_ensemble`` on ``np.full(replicas, s0)`` with the
-    same generator; the start is converted once and the first bounce
-    broadcasts it.  Only one step's landings are alive at a time, so no
-    (n_steps, replicas) array of positions is built.
+    ``streams`` holds (generator, replicas) pairs.  Returns ``count(u)``
+    of the native landing coordinates u of every chain after bounces
+    1..n_steps.  Each step draws every stream's angles from that stream
+    and walks their concatenation once, so each stream's chains land as
+    ``run_chain_ensemble`` on ``np.full(replicas, s0)`` with that
+    generator lands them: ``Generator.random`` fills consecutive doubles,
+    and every law maps each uniform to its angle elementwise.  The start
+    is converted once and the first bounce broadcasts it.  One step's
+    angles and landings are alive at a time, so no (n_steps, replicas)
+    array is built.
     """
-    theta = guarded_angles(law, rng, (n_steps, replicas))
+    def rows():
+        for _ in range(n_steps):
+            yield np.concatenate([guarded_angles(law, gen, n)
+                                  for gen, n in streams])
+
     u = body.to_native(body.wrap(float(s0)))
-    return [count(u) for u, _ in body.walk(u, theta)]
+    return [count(u) for u in body.walk(u, rows())]
 
 
 # ---------------------------------------------------------------------------

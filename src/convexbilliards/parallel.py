@@ -3,11 +3,10 @@
 Work is always partitioned into the same fixed-size chunks (see rng.CHUNK)
 with one counter-based stream per chunk, so the results are identical for
 any worker count; the pool only changes who computes which chunk.
+``multiprocessing`` is imported only when a pool is forked.
 """
 
 from __future__ import annotations
-
-import multiprocessing
 
 
 def map_jobs(fn, jobs, workers: int = 1):
@@ -15,6 +14,7 @@ def map_jobs(fn, jobs, workers: int = 1):
     jobs = list(jobs)
     if workers <= 1 or len(jobs) <= 1:
         return [fn(j) for j in jobs]
+    import multiprocessing
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=min(workers, len(jobs))) as pool:
         return pool.map(fn, jobs)

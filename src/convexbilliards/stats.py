@@ -225,11 +225,14 @@ def empirical_tv_curve(body: ConvexBody, law: ReflectionLaw, s0: float,
     the coupling argument bounds directly; distance to the invariant law is
     within a factor two of it by the triangle inequality.
 
-    Replicas are simulated in fixed-size chunks with one counter-based
-    stream per (start, chunk), so results are byte-identical for any
-    worker count.  Each chunk's landings are binned step by step in the
-    body's native coordinate (``NativeBins``), with the counts that
-    binning their arc lengths gives.
+    Replicas are split into fixed-size chunks with one counter-based
+    stream per (start, chunk).  Each worker walks one contiguous group of
+    chunks as one ensemble, each chunk drawing its angles from its own
+    stream (``run_chain_counts``), so every chain lands as a walk of its
+    chunk alone puts it, and results are byte-identical for any worker
+    count.  Landings are binned step by step in the body's native
+    coordinate (``NativeBins``), with the counts that binning their arc
+    lengths gives.
     """
     table = NativeBins(body, bins)
     hists_a = _ensemble_histograms(body, law, s0, n_max, replicas, table,
@@ -240,20 +243,22 @@ def empirical_tv_curve(body: ConvexBody, law: ReflectionLaw, s0: float,
 
 
 def _hist_job(args):
-    body, law, s0, n_max, table, seed, kind, count, chunk_idx = args
-    gen = rngmod.substream(seed, kind, chunk_idx)
-    # step 0: every chain of the chunk sits at the start's arc
+    body, law, s0, n_max, table, streams = args
+    # step 0: every chain sits at the start's arc
     start = table.arc_counts(body.wrap(np.array([float(s0)])))
-    return [count * start,
-            *run_chain_counts(body, law, s0, count, n_max, gen, table)]
+    return [sum(n for _, n in streams) * start,
+            *run_chain_counts(body, law, s0, streams, n_max, table)]
 
 
 def _ensemble_histograms(body, law, s0, n_max, replicas, table, seed, kind,
                          workers: int = 1):
     from .parallel import map_jobs
-    chunks = rngmod.chunk_streams(seed, kind, replicas)
-    jobs = [(body, law, s0, n_max, table, seed, kind, stop - start, idx)
-            for idx, (start, stop, _) in enumerate(chunks)]
+    streams = [(gen, stop - start) for start, stop, gen
+               in rngmod.chunk_streams(seed, kind, replicas)]
+    # one walk per worker over a contiguous group of chunks
+    jobs = [(body, law, s0, n_max, table, [streams[i] for i in group])
+            for group in np.array_split(np.arange(len(streams)),
+                                        max(workers, 1)) if group.size]
     results = map_jobs(_hist_job, jobs, workers)
     bins = table.bins
     totals = [np.zeros(bins, dtype=np.int64) for _ in range(n_max + 1)]

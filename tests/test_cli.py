@@ -647,3 +647,20 @@ def test_package_imports_scipy_only_inside_functions():
              if (lines := _scipy_imports_outside_functions(
                  ast.parse(path.read_text())))}
     assert found == {}
+
+
+def test_cli_import_loads_no_multiprocessing_or_scipy():
+    # a fresh interpreter: importing the CLI loads neither multiprocessing,
+    # which only a pool of workers > 1 needs, nor any scipy module
+    code = ("import json, sys\n"
+            "import convexbilliards.cli\n"
+            "print(json.dumps(sorted(m for m in sys.modules"
+            " if m.split('.')[0] in ('multiprocessing', 'scipy'))))\n")
+    src = str(Path(convexbilliards.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

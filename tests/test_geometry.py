@@ -427,6 +427,22 @@ def test_curvature_table_summary_and_bounce_golden(kind):
     assert digest == TABLE_GOLDEN[kind]
 
 
+@pytest.mark.parametrize("kind", ["ellipse-2", "3-fold"])
+def test_curvature_table_position_is_the_frame_position(kind):
+    # the diameter polish places its points without normals, on the bits
+    # of frame's position: at random arcs, the knots and their neighbours,
+    # and both ends of the period
+    body = _table(kind)
+    P = body.perimeter
+    s = np.concatenate([stream(84, 0).uniform(-P, 2.0 * P, 10 ** 4),
+                        _with_neighbours(body._s_dense),
+                        [-1e-300, -0.0, 0.0, P]])
+    x, y = body.position(s)
+    fx, fy, _, _ = body.frame(s)
+    assert np.array_equal(_bits(x), _bits(fx))
+    assert np.array_equal(_bits(y), _bits(fy))
+
+
 @pytest.mark.parametrize("kind", ["ellipse-2", "ellipse-1.1", "3-fold"])
 def test_curvature_table_nodes_are_spline_values(kind):
     # the diameter search reads the x and y splines at their knots from

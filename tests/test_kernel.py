@@ -2,9 +2,10 @@
 
 ``ConvexBody.bounce`` (vectorised, native coordinates) must reproduce the
 scalar ``exit_ray`` (cartesian, located by ``arc_of_point``), and its
-multi-bounce ``walk`` must be a chain of ``bounce`` calls; on the ellipse up
-to rounding, its chord's half-angle turn and unit-circle root matching cos,
-sin and the general quadratic.  ``landing_density`` must be the density of
+multi-bounce ``walk`` must be a chain of ``bounce`` calls, flight times
+included; on the ellipse up to rounding, its closed-form chord matching the
+turned normal and the general quadratic, and the half-angle turn of the
+convex process's chord inversions matching cos and sin.  ``landing_density`` must be the density of
 the kernel's landing: times the Jacobian |ds'/dtheta| of the landing map it
 gives back the reflection law.  The exact cell kernel ``cell_kernel`` must
 be stochastic, match the disc's closed form and quadrature of the
@@ -199,23 +200,32 @@ def test_turn_matches_cos_and_sin():
 
 @pytest.mark.parametrize("a,b", [(2.0, 1.0), (3.0, 0.5), (1.1, 1.0)])
 def test_ellipse_circle_root_is_the_general_root(a, b):
-    # Ellipse._chord takes the unit circle's second root -2 (o . u) / |u|^2,
-    # which assumes its origin o on the circle; _unit_chord solves the
-    # general quadratic from the same origins (cos t, sin t).  That root's
-    # square root multiplies the origin's off-circle rounding, about 1e-16,
-    # by 1 / |o . u|, so the comparison keeps to |theta| <= 1.5 (measured
-    # worst on 1e6 chords: 7.8e-16 of the diameter; up to the guarded
-    # extremes the general root moves by up to 5e-12)
+    # Ellipse._chord takes the unit circle's second root in closed form,
+    # with o . u = -c (p ct^2 + q st^2), which assumes its origin o on the
+    # circle; _unit_chord solves the general quadratic from the same
+    # origins (cos t, sin t) along the unit normal turned by cos and sin.
+    # That root's square root multiplies the origin's off-circle rounding,
+    # about 1e-16, by 1 / |o . u|, so the comparison keeps to
+    # |theta| <= 1.5 (measured worst on 1e6 chords, seeds 21 to 25:
+    # 1.2e-15 of the diameter in flight time and in landing; up to the
+    # guarded extremes the general root moves by up to 5e-12)
     e = Ellipse(a, b)
     gen = np.random.default_rng(21)
     t = gen.uniform(0.0, 2.0 * np.pi, 200_000)
     theta = np.concatenate([gen.uniform(-1.5, 1.5, t.size - 1001),
                             np.linspace(-1.5, 1.5, 1001)])
     ct, st = np.cos(t), np.sin(t)
-    tau = e._chord(ct, st, theta)[1]
-    dx, dy = _turn(*e._normal(ct, st), theta)
+    land, cx, cy, tau = e._chord(ct, st, theta, timed=True)
+    c, s = np.cos(theta), np.sin(theta)
+    nx, ny = e._normal(ct, st)
+    dx, dy = c * nx - s * ny, s * nx + c * ny
     ref = e._unit_chord(ct, st, dx / a, dy / b)
     assert np.abs(tau - ref).max() <= 1e-12 * e.diameter
+    # the landing, on the ellipse, and its parameter angle
+    gap = np.hypot(a * (cx - (ct + ref * dx / a)),
+                   b * (cy - (st + ref * dy / b)))
+    assert gap.max() <= 1e-12 * e.diameter
+    assert np.array_equal(land, _mod_two_pi(np.arctan2(cy, cx)))
 
 
 def _walk_angles(seed, steps, n):
@@ -231,14 +241,34 @@ def _walk_angles(seed, steps, n):
 @pytest.mark.parametrize("name", ["disc", "table"])
 def test_walk_is_a_loop_of_bounce(name):
     # the base walk: bit for bit a chain of bounce calls, from a scalar
-    # start that the first bounce broadcasts
+    # start that the first bounce broadcasts, with or without flight times
     body = Disc(1.0) if name == "disc" else _body(name)
     theta = _walk_angles(17, 6, 3000)
-    u = body.to_native(0.3 * body.perimeter)
-    for k, (w, tau) in enumerate(body.walk(u, theta)):
+    u0 = body.to_native(0.3 * body.perimeter)
+    tau = np.empty(theta.shape)
+    u = u0
+    for k, w in enumerate(body.walk(u0, theta, tau)):
         u, t = body.bounce(u, theta[k])
-        assert np.array_equal(w, u) and np.array_equal(tau, t)
+        assert np.array_equal(w, u) and np.array_equal(tau[k], t)
     assert k == 5
+    for w, (k, u) in zip(body.walk(u0, theta),
+                         enumerate(body.walk(u0, theta, tau))):
+        assert np.array_equal(w, u)
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "table"])
+def test_walk_first_flight_time_is_bounce(name):
+    # a walk's first bounce is bounce's, flight time included, bit for bit;
+    # on a batch and on a scalar chain
+    body = _body(name)
+    theta = _walk_angles(26, 3, 5000)
+    for u, th in ((body.to_native(0.3 * body.perimeter), theta),
+                  (body.to_native(1.1), theta[:, 7])):
+        tau = np.empty(th.shape)
+        first = next(body.walk(u, th, tau))
+        land, t = body.bounce(u, th[0])
+        assert np.array_equal(first, land)
+        assert np.array_equal(tau[0], t)
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 1.0), (3.0, 0.5)])
@@ -256,7 +286,9 @@ def test_ellipse_walk_differs_from_bounce_by_rounding(a, b):
     theta = _walk_angles(18, 12, 100_000)
     u = e.to_native(0.3 * P)
     chain = u
-    for k, (w, tau) in enumerate(e.walk(u, theta)):
+    taus = np.empty(theta.shape)
+    for k, w in enumerate(e.walk(u, theta, taus)):
+        tau = taus[k]
         ref, t = e.bounce(u, theta[k])
         if k == 0:
             assert np.array_equal(w, ref) and np.array_equal(tau, t)
@@ -265,7 +297,7 @@ def test_ellipse_walk_differs_from_bounce_by_rounding(a, b):
         if (a, b) == (2.0, 1.0):
             chain, t_chain = e.bounce(chain, theta[k])
             # against a whole chain of bounce calls (measured worst gaps,
-            # seeds 18 to 21: 6.4e-11 in arc, 5.2e-11 in time).
+            # seeds 18 to 21: 1.1e-10 in arc, 9.2e-11 in time).
             # Ellipse(3, 0.5) itself amplifies rounding: a chain of bounce
             # calls nudged by one ulp per step drifted by up to 2.8e-9 in
             # 12 steps, and the walk from the chain by up to 2.1e-9
@@ -278,13 +310,16 @@ def test_ellipse_walk_on_the_circle_is_the_disc_recursion():
     # on Ellipse(1, 1) the parameter angle is the polar angle, and every
     # step of the walk follows the disc's closed-form recursion
     e = Ellipse(1.0, 1.0)
+    # (measured worst over seeds 19 to 22: 4.4e-15 in angle, 2.9e-15 in
+    # time)
     theta = _walk_angles(19, 12, 200)
     phi = np.full(200, 0.7)
-    for k, (w, tau) in enumerate(e.walk(0.7, theta)):
+    tau = np.empty(theta.shape)
+    for k, w in enumerate(e.walk(0.7, theta, tau)):
         phi, t = np.array([disc_step_exact(1.0, p, th)
                            for p, th in zip(phi, theta[k])]).T
         assert _arc_gap(w, phi, 2.0 * np.pi).max() <= 1e-12
-        assert np.abs(tau - t).max() <= 1e-12
+        assert np.abs(tau[k] - t).max() <= 1e-12
 
 
 @pytest.mark.parametrize("a,b", [(2.0, 1.0), (3.0, 0.5), (1.1, 1.0)])
@@ -292,13 +327,13 @@ def test_ellipse_walk_stays_on_the_circle(a, b):
     # the circle root does not project its landing back onto the circle, so
     # the carried point's radius drifts from 1 as a random walk of rounding
     # errors (measured worst over 2e4 bounces of these 4 chains, seeds 22
-    # to 25: 5.2e-14)
+    # to 25: 4.7e-14)
     e = Ellipse(a, b)
     theta = _walk_angles(22, 20_000, 4)
     cx, cy = np.cos([0.1, 1.3, 2.9, 4.4]), np.sin([0.1, 1.3, 2.9, 4.4])
     worst = 0.0
     for th in theta:
-        cx, cy = e._chord(cx, cy, th)[2:]
+        cx, cy = e._chord(cx, cy, th)[1:3]
         worst = max(worst, np.abs(np.hypot(cx, cy) - 1.0).max())
     assert worst <= 1e-12
 

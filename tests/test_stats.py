@@ -10,13 +10,14 @@ from convexbilliards.errors import (
     InsufficientSamples,
     ShapeMismatch,
 )
-from convexbilliards.rng import stream, substream
+from convexbilliards.rng import CHUNK, chunk_streams, stream, substream
 from convexbilliards.stats import (
     BIN_CELLS,
     DominanceReport,
     Histogram,
     NativeBins,
     TVCurve,
+    _ensemble_histograms,
     dominance_report,
     empirical_tv_curve,
     lb_check,
@@ -267,23 +268,59 @@ def test_native_bins_arc_rule_is_from_samples(bins):
 
 @pytest.mark.parametrize("name", ["disc", "ellipse-2-1", "table-256"])
 def test_run_chain_counts_walks_the_ensemble(name, uniform_half_law):
-    # same angles, same landings as run_chain_ensemble from np.full(n, s0),
-    # bit for bit, although the start is converted once and broadcast
+    # same angles, same landings as run_chain_ensemble from np.full(n, s0)
+    # on each stream, bit for bit, although the streams are walked as one
+    # ensemble and the start is converted once and broadcast
     body = NATIVE_BODIES[name]()
-    s0, n, steps = 0.3 * body.perimeter, 3000, 6
-    arcs = run_chain_ensemble(body, uniform_half_law, np.full(n, s0), steps,
-                              stream(41, 0))
-    landings = run_chain_counts(body, uniform_half_law, s0, n, steps,
-                                stream(41, 0), body.to_arc)
+    s0, sizes, steps = 0.3 * body.perimeter, (3000, 1, 424), 6
+    arcs = np.concatenate([
+        run_chain_ensemble(body, uniform_half_law, np.full(n, s0), steps,
+                           stream(41, i)) for i, n in enumerate(sizes)],
+        axis=1)
+
+    def streams():
+        return [(stream(41, i), n) for i, n in enumerate(sizes)]
+
+    landings = run_chain_counts(body, uniform_half_law, s0, streams(), steps,
+                                body.to_arc)
     assert len(landings) == steps
     for k, s in enumerate(landings, start=1):
         assert np.array_equal(s, arcs[k])
     table = NativeBins(body, 100)
-    counts = run_chain_counts(body, uniform_half_law, s0, n, steps,
-                              stream(41, 0), table)
+    counts = run_chain_counts(body, uniform_half_law, s0, streams(), steps,
+                              table)
     for k, c in enumerate(counts, start=1):
         assert np.array_equal(c, Histogram.from_samples(
             arcs[k], 100, 0.0, body.perimeter, periodic=True).counts)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("law", [
+    ReflectionLaw.uniform_half(), ReflectionLaw.cosine(),
+    ReflectionLaw.from_table(np.linspace(-0.5 * math.pi, 0.5 * math.pi, 33),
+                             1.0 + 0.3 * np.cos(2.0 * np.linspace(
+                                 -0.5 * math.pi, 0.5 * math.pi, 33)))],
+    ids=["uniform_half", "cosine", "table"])
+def test_ensemble_histograms_keep_the_chunk_streams(law, workers):
+    # each worker walks its chunks as one ensemble, one stream per chunk;
+    # the counts are the sum of per-chunk run_chain_ensemble histograms,
+    # with a short last chunk
+    body = Ellipse(2.0, 1.0)
+    P, s0, n_max, bins, seed = body.perimeter, 1.3, 4, 64, 29
+    replicas = 2 * CHUNK + 424
+    hists = _ensemble_histograms(body, law, s0, n_max, replicas,
+                                 NativeBins(body, bins), seed, "tv-curve-a",
+                                 workers)
+    ref = np.zeros((n_max + 1, bins), dtype=np.int64)
+    for start, stop, gen in chunk_streams(seed, "tv-curve-a", replicas):
+        arcs = run_chain_ensemble(body, law, np.full(stop - start, s0),
+                                  n_max, gen)
+        for n in range(n_max + 1):
+            ref[n] += Histogram.from_samples(arcs[n], bins, 0.0, P,
+                                             periodic=True).counts
+    assert [h.total for h in hists] == [replicas] * (n_max + 1)
+    for n, h in enumerate(hists):
+        assert np.array_equal(h.counts, ref[n]), n
 
 
 # ---------------------------------------------------------------------------
