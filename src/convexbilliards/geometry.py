@@ -527,7 +527,7 @@ class CurvatureTable(ConvexBody):
     variant = "curvature_table"
     _BISECT = 13
     _DENSE = 2 ** _BISECT  # dense grid cells; bounce bisects over them
-    _NEWTON = 5            # Newton steps of bounce inside a cell
+    _NEWTON = 3            # Newton steps of bounce inside a cell
     _CLOSURE_RTOL = 1e-6
 
     def __init__(self, s_grid, kappa):
@@ -575,10 +575,12 @@ class CurvatureTable(ConvexBody):
         self._x = CubicSpline(s, x)
         self._y = CubicSpline(s, y)
         # the bounce kernel's view of the same splines: coefficients (4,
-        # cells) of x + iy, cell widths, and the knots over two turns
+        # cells) of x + iy, cell widths, and the knots and nodes over two
+        # turns
         self._z = self._x.c + 1j * self._y.c
         self._h = np.diff(s)
         self._knots_ext = np.concatenate([s, s[1:] + self.perimeter])
+        self._nodes_ext = np.concatenate([self._z[3], self._z[3]])
 
         # radial description around the interior centroid for gauge queries
         psi = np.unwrap(np.arctan2(y[:-1], x[:-1]))
@@ -630,15 +632,35 @@ class CurvatureTable(ConvexBody):
         return p.real, p.imag
 
     def bounce(self, s, theta):
-        # One solve in arc length with the same fixed steps for every chord,
-        # so a batch gives each chord the bits it gets alone.  Points are
-        # complex numbers; turned by w = exp(-i (phi + theta)), phi the angle
-        # of the splines' tangent at the origin o, the launch direction
-        # becomes i.  On a convex curve g(sigma) = Re((P(sigma) - o) w) is
-        # positive on (s, s') and negative on (s', s + perimeter), s' the
-        # landing: bisection over the dense nodes finds the cell of s', then
-        # safeguarded Newton steps solve inside it, or, for a landing within
-        # a cell of the origin, ``_short_chord``.
+        return self._chord(s, theta, True)
+
+    def walk(self, s, theta, tau=None):
+        """Bounces as ``ConvexBody.walk``: a loop of ``bounce``'s chord, so
+        every landing is ``bounce``'s bit for bit; flight times are computed
+        only when ``tau`` is given."""
+        timed = tau is not None
+        for k, th in enumerate(theta):
+            s, time = self._chord(s, th, timed)
+            if timed:
+                tau[k] = time
+            yield s
+
+    def _chord(self, s, theta, timed):
+        """(landing arc length, flight time if ``timed`` else None) of the
+        chords from s at angles theta to the inward normal.
+
+        One solve in arc length with the same fixed steps for every chord,
+        so a batch gives each chord the bits it gets alone.  Points are
+        complex numbers.  With d the splines' tangent at the origin o,
+        w = conj(d) exp(-i theta) turns the launch direction to i |d|.  On
+        a convex curve g(sigma) = Re((P(sigma) - o) w) is positive on
+        (s, s') and negative on (s', s + perimeter), s' the landing:
+        bisection over the dense nodes finds the cell of s', then
+        safeguarded Newton steps on the cell's real cubic g solve inside
+        it, or, for a landing within a cell of the origin,
+        ``_short_chord``.  The bisection's signs and every Newton ratio are
+        the same for any positive multiple of w, so w is not normalised.
+        """
         s = self.wrap(np.asarray(s, dtype=float))
         theta = np.asarray(theta, dtype=float)
         if s.shape != theta.shape:   # every walk passes equal shapes
@@ -650,15 +672,14 @@ class CurvatureTable(ConvexBody):
         j0, ts = self._dense.cell(s)
         c0 = self._z.take(j0, axis=1)
         o = _horner(c0, ts)
-        d = _horner_d(c0, ts)
-        w = np.conj(d) / np.abs(d) * np.exp(-1j * theta)
+        w = np.conj(_horner_d(c0, ts)) * np.exp(-1j * theta)
 
-        nodes = self._z[3]
+        nodes = self._nodes_ext
         top = j0.copy()   # j0 + lo, lo the bisection's lower offset
         for k in range(1, self._BISECT + 1):
             # g(node j0 + lo) > 0 >= g(node j0 + lo + 2 * half)
             half = N >> k
-            node = nodes.take(top + half, mode="wrap")
+            node = nodes.take(top + half)
             top += half * (((node - o) * w).real > 0.0)
         lo = top - j0
         # s' in the cell of s or in a neighbour
@@ -667,50 +688,67 @@ class CurvatureTable(ConvexBody):
 
         # s' in cell j at offset t: Newton on G = g / (r (perimeter - r)),
         # r = sigma - s = a + t, which divides out g's trivial roots at the
-        # origin and so is nearly linear even on chords a few cells long
+        # origin and so is nearly linear even on chords a few cells long.
+        # g is the real cubic with coefficients Re(c_k w), its constant
+        # term Re((c_3 - o) w): subtracting o before turning keeps the
+        # digits that Re(c_3 w) - Re(o w) would cancel.
         j = top % N
         a = self._knots_ext[top] - s
         b = self.perimeter - a
-        # the cell's cubics as a tuple of rows, which index without making
-        # views, and _horner_d's products, made once per call
-        c = tuple(self._z.take(j, axis=1))
-        dc = (3.0 * c[0], 2.0 * c[1], c[2])
+        c = self._z.take(j, axis=1)
+        c[3] -= o   # the cubic of P(sigma) - o
+        r0, r1, r2, r3 = (c * w).real
+        d0, d1 = 3.0 * r0, 2.0 * r1
 
         def newton_g(t):
-            g = ((_horner(c, t) - o) * w).real
-            dg = (((dc[0] * t + dc[1]) * t + dc[2]) * w).real
+            g = ((r0 * t + r1) * t + r2) * t + r3
+            dg = (d0 * t + d1) * t + r2
             return g, g / (dg - g * (1.0 / (a + t) - 1.0 / (b - t)))
 
         t = _safeguarded_newton(newton_g, 0.0, self._h[j], self._NEWTON)
         landing = self._s_dense[j] + t
-        tau = np.abs(_horner(c, t) - o)
+        tau = np.abs(_horner(c, t)) if timed else None
         if short.any():
             k = np.flatnonzero(short)
-            landing[k], tau[k] = self._short_chord(
-                s[k], ts[k], c0[:, k], w[k], theta[k], self._h[j0[k]])
-        return self.wrap(landing).reshape(shape), tau.reshape(shape)
+            landing[k], length = self._short_chord(
+                s[k], ts[k], c0[:, k], w[k], theta[k], self._h[j0[k]], timed)
+            if timed:
+                tau[k] = length
+        return (self.wrap(landing).reshape(shape),
+                tau.reshape(shape) if timed else None)
 
-    def _short_chord(self, s, ts, c, w, theta, h):
-        """Landing and length of chords that land within a cell of their
-        origin.
+    def _short_chord(self, s, ts, c, w, theta, h, timed):
+        """Landing and, if ``timed``, length (else None) of chords that land
+        within a cell of their origin.
 
         Solves H = Re(D w) = 0 for the divided difference
         D(t) = (P(t) - P(ts)) / (t - ts) of the origin cell's cubic c,
         continued over the neighbouring cells (a C2 spline's pieces differ
         there by the jump of the third derivative times t^3): H has no root
-        at the origin and no cancellation on chords of any length.
+        at the origin and no cancellation on chords of any length.  As in
+        ``_chord``, H is a real polynomial whose coefficients are turned
+        once, H = (q0 t + p1) t + p0 with q_k = Re(c_k w),
+        p1 = q0 ts + q1 and p0 = p1 ts + q2: Re(D w) turned at every step
+        rounds at the scale of |D w|, far above H near tangency, and the
+        Newton iterates would wander by many ulps there.
         """
-        def divided(t):
-            return c[0] * (t * t + t * ts + ts * ts) + c[1] * (t + ts) + c[2]
+        q0, q1, q2 = (c[:3] * w).real
+        p1 = q0 * ts + q1
+        p0 = p1 * ts + q2
+        dq0 = 2.0 * q0
+        sign = np.where(theta > 0.0, -1.0, 1.0)
 
         def newton_h(t):
-            H = (divided(t) * w).real  # increasing in t where theta > 0
-            dH = ((c[0] * (2.0 * t + ts) + c[1]) * w).real
-            return np.where(theta > 0.0, -H, H), H / dH
+            H = (q0 * t + p1) * t + p0  # increasing in t where theta > 0
+            return sign * H, H / (dq0 * t + p1)
 
         t = _safeguarded_newton(newton_h, ts - 2.0 * h, ts + 2.0 * h,
                                 self._NEWTON)
-        return s + (t - ts), np.abs(t - ts) * np.abs(divided(t))
+        length = None
+        if timed:
+            divided = c[0] * (t * t + t * ts + ts * ts) + c[1] * (t + ts) + c[2]
+            length = np.abs(t - ts) * np.abs(divided)
+        return s + (t - ts), length
 
     def curvature_at(self, s):
         return self._kappa_spline(self.wrap(np.asarray(s, dtype=float)))

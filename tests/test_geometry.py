@@ -359,9 +359,10 @@ def test_curvature_table_cell_matches_searchsorted():
 
 @pytest.mark.parametrize("a,n,shift", [(2.0, 1024, 0.0), (1.1, 512, 0.3)])
 def test_curvature_table_diameter_scan_matches_full_scan(a, n, shift):
-    # the half scan finds the full scan's first row-major maximum: on the
-    # benchmark's table (Ellipse(2, 1), 1024 samples) and on a rounder one
-    # whose arc origin is moved, so the pair is not in the first row block
+    # the antipodal search finds the full scan's first row-major maximum:
+    # on the benchmark's table (Ellipse(2, 1), 1024 samples) and on a
+    # rounder one whose arc origin is moved, so the pair is not in the first
+    # row block
     from convexbilliards.geometry import _farthest_pair, _refine_diameter
     e = Ellipse(a, 1.0)
     s = np.arange(n) * (e.perimeter / n)
@@ -381,43 +382,26 @@ def test_curvature_table_diameter_scan_matches_full_scan(a, n, shift):
     assert body.diameter == _refine_diameter(body, sub[i], sub[j])
 
 
-def _table(kind):
-    """Tables from ellipse curvature (the second with its arc origin
-    moved) and from the 3- and 4-fold symmetric curvature
-    (2 pi / L) (1 + eps cos(m 2 pi s / L)), which closes by symmetry."""
-    if kind.startswith("ellipse"):
-        a, n, shift = {"ellipse-2": (2.0, 1024, 0.0),
-                       "ellipse-1.1": (1.1, 512, 0.3)}[kind]
-        e = Ellipse(a, 1.0)
-        s = np.arange(n) * (e.perimeter / n)
-        return CurvatureTable(s, np.asarray(
-            e.curvature_at(s + shift * e.perimeter)))
-    m, eps, n = {"3-fold": (3, 0.5, 600), "4-fold": (4, 0.7, 1000)}[kind]
-    L = 7.0
-    s = np.arange(n) * (L / n)
-    return CurvatureTable(s, (TWO_PI / L)
-                          * (1.0 + eps * np.cos(m * TWO_PI * s / L)))
-
-
-# sha256 of each table's summary and of 4096 bounces, recorded before the
-# diameter search went antipodal and the bounce made fewer calls (numpy
-# 2.4, x86_64)
+# sha256 of each table's summary and of 4096 bounces, landings and flight
+# times, re-recorded when the chord solve moved to an unnormalised launch
+# direction, Newton on the landing cell's real cubic and three Newton steps
+# (numpy 2.4, x86_64)
 TABLE_GOLDEN = {
-    "ellipse-2": "31d37422ae30a470fe3b89adc623692e"
-                 "a5a0bdb8a851bb267badae9b0429104c",
-    "ellipse-1.1": "bba776c3b76e0f020e8a55880185923f"
-                   "6d358373744d683363d365e6b0c2e01c",
-    "3-fold": "123f29642611ddd3acc5d65cebd35e0e"
-              "a421f62e25e7d9059410a2a1427dd49b",
-    "4-fold": "c83b2d7c696a2c9f276b49e6047f52d0"
-              "2c71cf1d2617acb0f33e3d78b2c93036",
+    "ellipse-2": "3b399c7041bb324b0b4ca546195655f7"
+                 "a87c98ff1337a580e3b06d49126eb5a6",
+    "ellipse-1.1": "adac9d2f15855c15877b784ed9ee686c"
+                   "4353a369f8f4c78815990f29422c77c9",
+    "3-fold": "905b5c9b45625d098d4fc88f18b7e065"
+              "eb9a9b350798aaf655092e5d79dcd138",
+    "4-fold": "3124e2c1adc5c3de31084e3ec448fc4b"
+              "72a5da53ca27f5701bf9e18c2b34a1f1",
 }
 
 
 @pytest.mark.parametrize("kind", TABLE_GOLDEN)
-def test_curvature_table_summary_and_bounce_golden(kind):
+def test_curvature_table_summary_and_bounce_golden(kind, curvature_table):
     import hashlib
-    body = _table(kind)
+    body = curvature_table(kind)
     u = stream(83, 0).uniform(0.0, body.perimeter, 4096)
     theta = stream(83, 1).uniform(-1.5, 1.5, 4096)
     land, tau = body.bounce(u, theta)
@@ -428,11 +412,12 @@ def test_curvature_table_summary_and_bounce_golden(kind):
 
 
 @pytest.mark.parametrize("kind", ["ellipse-2", "3-fold"])
-def test_curvature_table_position_is_the_frame_position(kind):
+def test_curvature_table_position_is_the_frame_position(kind,
+                                                        curvature_table):
     # the diameter polish places its points without normals, on the bits
     # of frame's position: at random arcs, the knots and their neighbours,
     # and both ends of the period
-    body = _table(kind)
+    body = curvature_table(kind)
     P = body.perimeter
     s = np.concatenate([stream(84, 0).uniform(-P, 2.0 * P, 10 ** 4),
                         _with_neighbours(body._s_dense),
@@ -444,10 +429,10 @@ def test_curvature_table_position_is_the_frame_position(kind):
 
 
 @pytest.mark.parametrize("kind", ["ellipse-2", "ellipse-1.1", "3-fold"])
-def test_curvature_table_nodes_are_spline_values(kind):
+def test_curvature_table_nodes_are_spline_values(kind, curvature_table):
     # the diameter search reads the x and y splines at their knots from
     # the bounce kernel's constant coefficients
-    body = _table(kind)
+    body = curvature_table(kind)
     dense = body._s_dense[:-1]
     assert np.array_equal(_bits(body._z[3].real), _bits(body._x(dense)))
     assert np.array_equal(_bits(body._z[3].imag), _bits(body._y(dense)))
