@@ -126,10 +126,18 @@ def write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def load_config(path: str) -> dict:
+    return _checked(_read_config(path))
+
+
+def _read_config(path: str):
     try:
-        cfg = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
+
+
+def _checked(cfg) -> dict:
+    """The config, once it meets the schema and has its scenario's keys."""
     error = jsonschema.exceptions.best_match(
         _CONFIG_VALIDATOR.iter_errors(cfg))
     if error is not None:
@@ -256,6 +264,11 @@ def _scenario_rate(cfg, body, law, out, workers):
     return 0, [_write_certificate(out, build_certificate(cfg, body, law))]
 
 
+# outcomes.csv of both coupling scenarios
+OUTCOMES_HEADER = ["replica", "coupled", "index_or_time", "attempts",
+                   "stage1_successes", "stage2_successes"]
+
+
 def _scenario_couple_chains(cfg, body, law, out, workers):
     cert = build_certificate(cfg, body, law)
     n0 = cert.constants["n0"]
@@ -267,9 +280,7 @@ def _scenario_couple_chains(cfg, body, law, out, workers):
              k // n0 if c else cfg["n_max"] // n0, int(c), 0)
             for i, (c, k) in enumerate(zip(res.coupled.tolist(),
                                            res.coupling_index.tolist()))]
-    write_csv(out / "outcomes.csv",
-              ["replica", "coupled", "index_or_time", "attempts",
-               "stage1_successes", "stage2_successes"], rows)
+    write_csv(out / "outcomes.csv", OUTCOMES_HEADER, rows)
     return 0, ["outcomes.csv"]
 
 
@@ -293,9 +304,7 @@ def _scenario_couple_process(cfg, body, law, out, workers):
                   res.stage2_successes.tolist())
     rows = [(i, int(c), t if c else -1.0, tries, ok1, ok2)
             for i, (c, t, tries, ok1, ok2) in enumerate(columns)]
-    write_csv(out / "outcomes.csv",
-              ["replica", "coupled", "index_or_time", "attempts",
-               "stage1_successes", "stage2_successes"], rows)
+    write_csv(out / "outcomes.csv", OUTCOMES_HEADER, rows)
     return 0, ["outcomes.csv"]
 
 
@@ -434,14 +443,15 @@ def main(argv=None) -> int:
         print(json.dumps(CONFIG_SCHEMA, indent=2))
         return 0
     try:
-        cfg = load_config(args.config)
+        # the run flags override the file's keys before the schema check
+        cfg = _read_config(args.config)
+        for key in ("seed", "replicas", "n_max", "t_max"):
+            if getattr(args, key, None) is not None and isinstance(cfg, dict):
+                cfg[key] = getattr(args, key)
+        cfg = _checked(cfg)
         if args.command == "validate-config":
             print("config OK")
             return 0
-        for key, val in (("seed", args.seed), ("replicas", args.replicas),
-                         ("n_max", args.n_max), ("t_max", args.t_max)):
-            if val is not None:
-                cfg[key] = val
         return run(cfg, args.out, workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -13,8 +13,9 @@ provides
 * the tangency guard (``guarded_angles``), the one policy for reflection
   angles at +-pi/2,
 * one walk of plain bounces on angles drawn up front, the body's
-  multi-bounce kernel (``ConvexBody.walk``), which carries the native
-  boundary coordinate between bounces; it steps one chain on
+  multi-bounce kernel (``ConvexBody.walk``), which passes each chord's
+  state at the landing to the next chord and computes flight times only
+  for a caller that records them; it steps one chain on
   scalars (``run_chain``, which also records angles and chord times) or
   many chains at once (``run_chain_ensemble``), and the coupling engines
   draw their residual blocks through it,

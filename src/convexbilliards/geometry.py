@@ -9,23 +9,24 @@ curve.  Three variants are supported:
                             curvature values kappa(s) by integrating the
                             tangent angle.
 
-Every body has one bounce kernel, written in its native boundary
-coordinate u: the polar angle on the disc, the parameter angle on the
-ellipse and arc length on the table.  ``to_native``/``to_arc`` convert
-between u and arc length, ``frame(u)`` gives position and inward normal,
-and ``bounce(u, theta)`` returns the landing coordinate and the flight time
-of the chord launched at angle theta from the normal.  All four broadcast
-over arrays; the engines keep u between bounces and convert to arc length
-only where they need it.  ``walk(u, theta, tau=None)`` runs the kernel
-over rows of angles and yields each landing, writing flight times only into
-a ``tau`` buffer that the caller passes; the ellipse carries the landing's
-point on the unit circle from one chord to the next.  The arc-length queries
-(``point_at``, ``position_at``, ...) are built on the same frame.
+Every body has one bounce kernel, its chord ``_chord(state, theta,
+timed)``, written in its native boundary coordinate u: the polar angle on
+the disc, the parameter angle on the ellipse and arc length on the table.
+``to_native``/``to_arc`` convert between u and arc length, and
+``frame(u)`` gives position and inward normal.  On the chord,
+``bounce(u, theta)`` returns the landing coordinate and the flight time of
+the chord launched at angle theta from the normal, and
+``walk(u, theta, tau=None)`` runs it over rows of angles and yields each
+landing, computing flight times only into a ``tau`` buffer that the caller
+passes; the ellipse carries the landing's point on the unit circle from
+one chord to the next.  All broadcast over arrays; the engines keep u
+between bounces and convert to arc length only where they need it.  The
+arc-length queries (``point_at``, ``position_at``) use the same frame.
 
 ``exit_ray`` (first boundary hit of an interior ray from a cartesian
 origin) is the independent scalar reference: it locates the origin and the
 hit by ``arc_of_point`` rather than by the native coordinate.  Discs and
-ellipses use closed forms.  The tabulated variant's ``bounce`` solves for
+ellipses use closed forms.  The tabulated variant's chord solves for
 the landing arc length on its dense spline grid, by bisection over the
 grid nodes and then a fixed number of Newton steps, for all chords at once;
 its ``exit_ray`` is a bracketed root of a radial gauge.  Bodies are
@@ -142,6 +143,17 @@ class ConvexBody:
         """
         raise NotImplementedError
 
+    def _start(self, u):
+        """The state of the chord from native u: u, unless the body
+        carries more between bounces."""
+        return u
+
+    def _chord(self, state, theta, timed):
+        """The one chord solve of a body: (landing native coordinate,
+        state at the landing, flight time if ``timed`` else None) of the
+        chords from ``state`` at angles theta to the inward normal."""
+        raise NotImplementedError
+
     def bounce(self, u, theta):
         """One chord: launch from u at angle theta to the inward normal.
 
@@ -149,24 +161,25 @@ class ConvexBody:
         strictly inside (-pi/2, pi/2); the engines keep it there with the
         tangency guard of ``dynamics.guarded_angles``.
         """
-        raise NotImplementedError
+        land, _, time = self._chord(self._start(u), theta, True)
+        return land, time
 
     def walk(self, u, theta, tau=None):
         """Bounces from native u on the rows of theta in turn.
 
         A generator over any iterable of rows: yields the landing native
-        coordinate after each bounce, each row starting from the last
-        landing; the first bounce broadcasts u against theta[0].  When
-        ``tau`` is given, bounce k writes its flight time into ``tau[k]``
-        before its landing is yielded; without it a body need not compute
-        flight times.  Here it is a loop of ``bounce``; a body may carry
-        more state between bounces, as long as its first bounce is
-        ``bounce``'s, flight time included, bit for bit.
+        coordinate after each bounce, each row starting from the state of
+        the last landing; the first bounce broadcasts u against theta[0]
+        and is ``bounce``'s, bit for bit.  When ``tau`` is given, bounce k
+        writes its flight time into ``tau[k]`` before its landing is
+        yielded; without it none is computed.
         """
+        state = self._start(u)
+        timed = tau is not None
         for k, th in enumerate(theta):
-            u, t = self.bounce(u, th)
-            if tau is not None:
-                tau[k] = t
+            u, state, time = self._chord(state, th, timed)
+            if timed:
+                tau[k] = time
             yield u
 
     # -- elementary queries (vectorised in s) -------------------------------
@@ -178,16 +191,6 @@ class ConvexBody:
     def position_at(self, s):
         x, y, _, _ = self.frame(self.to_native(s))
         return np.stack([x, y], axis=-1)
-
-    def tangent_at(self, s):
-        _, _, nx, ny = self.frame(self.to_native(s))
-        return np.stack([ny, -nx], axis=-1)
-
-    def normal_at(self, s):
-        """Inward unit normal: the tangent rotated by +pi/2 for a
-        counterclockwise parametrisation."""
-        _, _, nx, ny = self.frame(self.to_native(s))
-        return np.stack([nx, ny], axis=-1)
 
     def curvature_at(self, s):
         raise NotImplementedError
@@ -229,7 +232,8 @@ class ConvexBody:
             raise OutsideBody(f"ray origin {origin} lies outside the body")
         if g0 > -self.tol_geom:  # origin effectively on the boundary
             s0 = self.arc_of_point(origin)
-            if float(np.dot(direction, self.normal_at(s0))) <= self.tol_geom:
+            normal = self.frame(self.to_native(s0))[2:]
+            if float(np.dot(direction, normal)) <= self.tol_geom:
                 raise TangentRay("direction does not point into the interior")
         tau = self._exit_tau(origin, direction)
         hit = origin + tau * direction
@@ -299,10 +303,10 @@ class Disc(ConvexBody):
         c, s = np.cos(phi), np.sin(phi)
         return self.r * c, self.r * s, -c, -s
 
-    def bounce(self, phi, theta):
+    def _chord(self, phi, theta, timed):
         # the closed-form polar recursion of ``dynamics.disc_step_exact``
-        return (np.mod(phi + math.pi + 2.0 * theta, TWO_PI),
-                2.0 * self.r * np.cos(theta))
+        land = np.mod(phi + math.pi + 2.0 * theta, TWO_PI)
+        return land, land, (2.0 * self.r * np.cos(theta) if timed else None)
 
     def curvature_at(self, s):
         return np.full_like(np.asarray(s, dtype=float), 1.0 / self.r)
@@ -401,44 +405,33 @@ class Ellipse(ConvexBody):
         ct, st = np.cos(t), np.sin(t)
         return (self.a * ct, self.b * st, *self._normal(ct, st))
 
-    def bounce(self, t, theta):
-        land, _, _, tau = self._chord(np.cos(t), np.sin(t), theta, timed=True)
-        return land, tau
+    def _start(self, t):
+        # the point of the unit circle that the scaling maps to t; a walk
+        # carries the landing's instead of the cos and sin of its angle, so
+        # its later landings differ from ``bounce``'s by rounding only
+        return np.cos(t), np.sin(t)
 
-    def walk(self, t, theta, tau=None):
-        """Bounces as ``ConvexBody.walk``, carrying the landing's point on
-        the unit circle to the next chord instead of the cos and sin of its
-        parameter angle.  The first bounce is ``bounce``'s, flight time
-        included; later ones differ from a chain of ``bounce`` calls by
-        rounding only.  The chord does not project its landing back onto
-        the circle, so the radius drifts from 1 as a random walk of
-        rounding errors, by a few 1e-14 over 2e4 bounces.  Flight times
-        are computed only when ``tau`` is given."""
-        cx, cy = np.cos(t), np.sin(t)
-        timed = tau is not None
-        for k, th in enumerate(theta):
-            t, cx, cy, time = self._chord(cx, cy, th, timed)
-            if timed:
-                tau[k] = time
-            yield t
-
-    def _chord(self, ct, st, theta, timed=False):
-        """The chord from the point (ct, st) of the unit circle, which the
-        scaling maps onto the ellipse, at angle theta to the ellipse's
-        inward normal there: (landing parameter angle, landing on the unit
-        circle, flight time if ``timed`` else None).
+    def _chord(self, o, theta, timed):
+        """The chord from the point o = (ct, st) of the unit circle at angle
+        theta to the ellipse's inward normal there: (landing parameter
+        angle, landing on the unit circle, flight time if ``timed`` else
+        None).
 
         With h = tan(theta/2), c = (1 - h)(1 + h), s = 2h, p = b/a and
         q = a/b, the launch direction mapped onto the circle is, up to a
         positive factor, u = (s st - p c ct, -(s ct + q c st)): the inward
         normal (-b ct, -a st) turned by theta, divided by (a, b).  The
-        origin o = (ct, st) lies on the circle, so the chord is the other
-        root of |o + f u|^2 = 1, f = -2 (o . u) / |u|^2, and
+        origin o lies on the circle, so the chord is the other root of
+        |o + f u|^2 = 1, f = -2 (o . u) / |u|^2, and
         o . u = -c (p ct^2 + q st^2) exactly: no normal, no normalisation,
         no square root, and no cancellation in o . u at grazing angles.
         The flight time is the length of f (a ux, b uy).  Every temporary
-        wider than theta is made once and scaled in place.
+        wider than theta is made once and scaled in place.  The landing is
+        not projected back onto the circle, so along a walk the radius
+        drifts from 1 as a random walk of rounding errors, by a few 1e-14
+        over 2e4 bounces.
         """
+        ct, st = o
         h = np.tan(0.5 * theta)
         c = 1.0 - h
         c *= 1.0 + h
@@ -466,7 +459,7 @@ class Ellipse(ConvexBody):
         ux += ct                # the landing o + f u
         vy *= -1.0
         vy += st
-        return _mod_two_pi(np.arctan2(vy, ux)), ux, vy, time
+        return _mod_two_pi(np.arctan2(vy, ux)), (ux, vy), time
 
     def _normal(self, ct, st):
         # the ellipse's inward unit normal at the image of (ct, st)
@@ -526,8 +519,8 @@ class CurvatureTable(ConvexBody):
 
     variant = "curvature_table"
     _BISECT = 13
-    _DENSE = 2 ** _BISECT  # dense grid cells; bounce bisects over them
-    _NEWTON = 3            # Newton steps of bounce inside a cell
+    _DENSE = 2 ** _BISECT  # dense grid cells; the chord bisects over them
+    _NEWTON = 3            # the chord's Newton steps inside a cell
     _CLOSURE_RTOL = 1e-6
 
     def __init__(self, s_grid, kappa):
@@ -618,7 +611,7 @@ class CurvatureTable(ConvexBody):
 
     def frame(self, s):
         # the normal turns the x, y splines' own unit tangent, the launch
-        # reference of ``bounce``
+        # reference of ``_chord``
         j, t = self._dense.cell(self.wrap(np.asarray(s, dtype=float)))
         c = self._z.take(j, axis=1)
         p, d = _horner(c, t), _horner_d(c, t)
@@ -631,23 +624,13 @@ class CurvatureTable(ConvexBody):
         p = _horner(self._z.take(j, axis=1), t)
         return p.real, p.imag
 
-    def bounce(self, s, theta):
-        return self._chord(s, theta, True)
-
-    def walk(self, s, theta, tau=None):
-        """Bounces as ``ConvexBody.walk``: a loop of ``bounce``'s chord, so
-        every landing is ``bounce``'s bit for bit; flight times are computed
-        only when ``tau`` is given."""
-        timed = tau is not None
-        for k, th in enumerate(theta):
-            s, time = self._chord(s, th, timed)
-            if timed:
-                tau[k] = time
-            yield s
+    # every chord starts from an arc length wrapped into [0, perimeter]
+    _start = to_native
 
     def _chord(self, s, theta, timed):
-        """(landing arc length, flight time if ``timed`` else None) of the
-        chords from s at angles theta to the inward normal.
+        """(landing arc length, which is also the state there, flight time
+        if ``timed`` else None) of the chords from arc lengths s in
+        [0, perimeter] at angles theta to the inward normal.
 
         One solve in arc length with the same fixed steps for every chord,
         so a batch gives each chord the bits it gets alone.  Points are
@@ -661,7 +644,6 @@ class CurvatureTable(ConvexBody):
         ``_short_chord``.  The bisection's signs and every Newton ratio are
         the same for any positive multiple of w, so w is not normalised.
         """
-        s = self.wrap(np.asarray(s, dtype=float))
         theta = np.asarray(theta, dtype=float)
         if s.shape != theta.shape:   # every walk passes equal shapes
             s, theta = np.broadcast_arrays(s, theta)
@@ -714,8 +696,8 @@ class CurvatureTable(ConvexBody):
                 s[k], ts[k], c0[:, k], w[k], theta[k], self._h[j0[k]], timed)
             if timed:
                 tau[k] = length
-        return (self.wrap(landing).reshape(shape),
-                tau.reshape(shape) if timed else None)
+        landing = self.wrap(landing).reshape(shape)
+        return landing, landing, (tau.reshape(shape) if timed else None)
 
     def _short_chord(self, s, ts, c, w, theta, h, timed):
         """Landing and, if ``timed``, length (else None) of chords that land

@@ -438,15 +438,15 @@ def _path_time(body, w_pos, s, t):
 
 def _path_time_dds(body, w_pos, s, t):
     """Derivative of the path time in the first-leg landing coordinate s."""
-    gs = body.position_at(s)
+    x, y, nx, ny = body.frame(body.to_native(s))   # tangent (ny, -nx)
+    gs = np.stack([x, y], axis=-1)
     gt = body.position_at(t)
-    tan = body.tangent_at(s)
     d1 = gs - w_pos
     d2 = gs - gt
     n1 = np.hypot(d1[..., 0], d1[..., 1])
     n2 = np.hypot(d2[..., 0], d2[..., 1])
     e = d1 / n1[..., None] + d2 / np.where(n2 > 0, n2, 1.0)[..., None]
-    return e[..., 0] * tan[..., 0] + e[..., 1] * tan[..., 1]
+    return e[..., 0] * ny - e[..., 1] * nx
 
 
 def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,

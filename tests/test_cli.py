@@ -302,6 +302,26 @@ def test_flag_overrides(tmp_path):
     assert len(rows) == 7
 
 
+@pytest.mark.parametrize("flag,value", [("--seed", "-1"),
+                                        ("--replicas", "0"),
+                                        ("--replicas", "-5"),
+                                        ("--n-max", "-1")])
+def test_flag_overrides_meet_the_schema(tmp_path, capsys, flag, value):
+    # the flags are merged into the config before it is checked, so an
+    # override the schema refuses is a config error like the same key in
+    # the file, and nothing is written
+    cfg = _base_chain_cfg(scenario="verify_dominance", law=TU34,
+                          rate={"kind": "disc_chain"}, n_max=3,
+                          replicas=200, bins=20)
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "o"
+    assert main(["run", "--config", path, "--out", str(out),
+                 flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_dominance_worker_invariance(tmp_path):
     cfg = _base_chain_cfg(
         scenario="verify_dominance",

@@ -239,7 +239,7 @@ def test_curvature_sandwich(ellipse):
     r_out = 1.0 / summary.curvature_min
     for s in s_grid:
         p = ellipse.position_at(s)
-        n = ellipse.normal_at(s)
+        n = np.array(ellipse.frame(ellipse.to_native(s))[2:])
         c_in = p + r_in * n
         c_out = p + r_out * n
         d_in = np.min(np.hypot(*(boundary - c_in).T))

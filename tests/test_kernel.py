@@ -4,8 +4,11 @@
 scalar ``exit_ray`` (cartesian, located by ``arc_of_point``), and its
 multi-bounce ``walk`` must be a chain of ``bounce`` calls, flight times
 included; on the ellipse up to rounding, its closed-form chord matching the
-turned normal and the general quadratic, and the half-angle turn of the
-convex process's chord inversions matching cos and sin.  The table's
+turned normal and the general quadratic.  On every body an untimed walk
+must land where a timed one does, bit for bit, and a table walk or bounce
+from outside [0, perimeter) as from its wrapped arc length.  The
+half-angle turn of the convex process's chord inversions must match cos
+and sin.  The table's
 chord must land no farther from a long-double root of the same cubic than
 it did before its solve went to real polynomials, and more Newton steps
 must move it by an ulp at most.  ``landing_density`` must be the density of
@@ -337,7 +340,7 @@ def test_ellipse_circle_root_is_the_general_root(a, b):
     theta = np.concatenate([gen.uniform(-1.5, 1.5, t.size - 1001),
                             np.linspace(-1.5, 1.5, 1001)])
     ct, st = np.cos(t), np.sin(t)
-    land, cx, cy, tau = e._chord(ct, st, theta, timed=True)
+    land, (cx, cy), tau = e._chord((ct, st), theta, True)
     c, s = np.cos(theta), np.sin(theta)
     nx, ny = e._normal(ct, st)
     dx, dy = c * nx - s * ny, s * nx + c * ny
@@ -362,8 +365,9 @@ def _walk_angles(seed, steps, n):
 
 @pytest.mark.parametrize("name", ["disc", "table"])
 def test_walk_is_a_loop_of_bounce(name):
-    # the base walk: bit for bit a chain of bounce calls, from a scalar
-    # start that the first bounce broadcasts, with or without flight times
+    # where the state is the native coordinate, a walk is bit for bit a
+    # chain of bounce calls, from a scalar start that the first bounce
+    # broadcasts
     body = Disc(1.0) if name == "disc" else _body(name)
     theta = _walk_angles(17, 6, 3000)
     u0 = body.to_native(0.3 * body.perimeter)
@@ -373,9 +377,40 @@ def test_walk_is_a_loop_of_bounce(name):
         u, t = body.bounce(u, theta[k])
         assert np.array_equal(w, u) and np.array_equal(tau[k], t)
     assert k == 5
-    for w, (k, u) in zip(body.walk(u0, theta),
-                         enumerate(body.walk(u0, theta, tau))):
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "table"])
+def test_untimed_walk_lands_as_timed(name):
+    # a walk asked for no flight times computes none, and its landings are
+    # those of the timed walk, bit for bit
+    body = _body(name)
+    theta = _walk_angles(23, 12, 3000)
+    u0 = body.to_native(0.3 * body.perimeter)
+    tau = np.empty(theta.shape)
+    timed = list(body.walk(u0, theta, tau))
+    untimed = list(body.walk(u0, theta))
+    assert len(timed) == len(untimed) == 12
+    for w, u in zip(untimed, timed):
         assert np.array_equal(w, u)
+
+
+@pytest.mark.parametrize("frac", [-0.3, -0.0, 1.0, 1.7])
+def test_table_start_wraps_once(frac):
+    # a table walk and bounce from an arc length outside [0, perimeter)
+    # give the bits of the same calls from the wrapped arc length
+    body = _body("table")
+    s0 = frac * body.perimeter
+    wrapped = float(body.wrap(s0))
+    assert 0.0 <= wrapped < body.perimeter
+    theta = _walk_angles(24, 5, 2000)
+    for a, b in zip(body.bounce(s0, theta[0]),
+                    body.bounce(wrapped, theta[0])):
+        assert np.array_equal(a, b)
+    tau, tau_w = np.empty(theta.shape), np.empty(theta.shape)
+    for w, v in zip(body.walk(s0, theta, tau),
+                    body.walk(wrapped, theta, tau_w)):
+        assert np.array_equal(w, v)
+    assert np.array_equal(tau, tau_w)
 
 
 @pytest.mark.parametrize("name", ["disc", "ellipse", "table"])
@@ -455,7 +490,7 @@ def test_ellipse_walk_stays_on_the_circle(a, b):
     cx, cy = np.cos([0.1, 1.3, 2.9, 4.4]), np.sin([0.1, 1.3, 2.9, 4.4])
     worst = 0.0
     for th in theta:
-        cx, cy = e._chord(cx, cy, th)[1:3]
+        cx, cy = e._chord((cx, cy), th, False)[1]
         worst = max(worst, np.abs(np.hypot(cx, cy) - 1.0).max())
     assert worst <= 1e-12
 

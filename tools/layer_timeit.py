@@ -1,17 +1,20 @@
-"""In-process layer timings of the general body's bounce kernel.
+"""In-process layer timings of every body's bounce kernel.
 
 Run from anywhere, naming the ``src`` directory of the checkout to time::
 
     python3 tools/layer_timeit.py --src path/to/checkout/src
 
-It times, on the ``general-body-table`` workload's table (a
-``CurvatureTable`` of ``Ellipse(2, 1)`` curvature at 1024 samples):
+On ``Disc(1)``, ``Ellipse(2, 1)`` and the ``general-body-table``
+workload's table (a ``CurvatureTable`` of ``Ellipse(2, 1)`` curvature at
+1024 samples) it times:
 
-* one ``bounce`` at 16, 4096 and 25 000 chords (uniform starts, angles
-  uniform on [-1.5, 1.5]);
-* the workload's operation, ``run_chain_ensemble`` of 16 chains x 4
-  bounces under ``uniform_half``;
-* the table build.
+* one ``bounce`` at 16 and 4096 chords, and on the table at 25 000 too
+  (uniform starts, angles uniform on [-1.5, 1.5]);
+* an untimed ``walk`` of 12 rows of 25 000 chords, run to its end, on
+  angles drawn the same way.
+
+On the table it also times the workload's operation, ``run_chain_ensemble``
+of 16 chains x 4 bounces under ``uniform_half``, and the table build.
 
 Each figure is the median over ``REPEATS`` timeit repeats of the mean
 time per call.  Only the package under ``--src`` is imported, so two
@@ -23,6 +26,7 @@ a ``BENCH_*.json`` ``layer_timeit`` entry for one side.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import platform
 import statistics
@@ -34,7 +38,9 @@ import numpy as np
 
 ARC_SAMPLES = 1024
 BATCH, STEPS = 16, 4
-CHORDS = (16, 4096, 25_000)
+CHORDS = (16, 4096)
+TABLE_CHORDS = CHORDS + (25_000,)
+WALK_ROWS, WALK_CHORDS = 12, 25_000
 REPEATS = 7
 
 
@@ -58,11 +64,18 @@ def measure():
 
     out = {}
     gen = np.random.default_rng(21)
-    for n in CHORDS:
-        u = gen.uniform(0.0, body.perimeter, n)
-        theta = gen.uniform(-1.5, 1.5, n)
-        out[f"bounce_{n}_us"] = 1e6 * _per_call(
-            lambda: body.bounce(u, theta))
+    for name, b, chords in (("disc", geometry.Disc(1.0), CHORDS),
+                            ("ellipse", ellipse, CHORDS),
+                            ("table", body, TABLE_CHORDS)):
+        for n in chords:
+            u = b.to_native(gen.uniform(0.0, b.perimeter, n))
+            theta = gen.uniform(-1.5, 1.5, n)
+            out[f"{name}_bounce_{n}_us"] = 1e6 * _per_call(
+                lambda: b.bounce(u, theta))
+        u = b.to_native(gen.uniform(0.0, b.perimeter, WALK_CHORDS))
+        theta = gen.uniform(-1.5, 1.5, (WALK_ROWS, WALK_CHORDS))
+        out[f"{name}_walk_{WALK_ROWS}x{WALK_CHORDS}_ms"] = 1e3 * _per_call(
+            lambda: collections.deque(b.walk(u, theta), maxlen=0))
 
     starts = gen.random(BATCH) * (0.125 * body.perimeter)
 
@@ -70,7 +83,7 @@ def measure():
         g = np.random.Generator(np.random.Philox(key=[12, 1]))
         dynamics.run_chain_ensemble(body, law, starts, STEPS, g)
 
-    out[f"ensemble_{BATCH}x{STEPS}_us"] = 1e6 * _per_call(operation)
+    out[f"table_ensemble_{BATCH}x{STEPS}_us"] = 1e6 * _per_call(operation)
     out["table_build_ms"] = 1e3 * _per_call(
         lambda: geometry.CurvatureTable(s, kappa))
     return {k: round(v, 2) for k, v in out.items()}
