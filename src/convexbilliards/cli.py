@@ -398,16 +398,31 @@ _RUNNERS = {
 
 
 def run(cfg: dict, out_dir: str, workers: int = 1) -> int:
-    """Execute one experiment; returns the process exit code."""
+    """Execute one experiment; returns the process exit code.
+
+    A run that fails before it writes an artifact removes the directories
+    it created for ``out_dir``; a directory that existed before stays.
+    """
     t_start = time.time()
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         body = body_from_config(cfg["body"])
         law = law_from_config(cfg["law"])
     except (ValueError, KeyError, OSError) as exc:
         raise ConfigError(f"cannot build body or law: {exc!r}") from exc
-    code, artifacts = _RUNNERS[cfg["scenario"]](cfg, body, law, out, workers)
+    out = Path(out_dir)
+    # the directories this run creates, deepest first
+    made = [d for d in (out.absolute(), *out.absolute().parents)
+            if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
+    try:
+        code, artifacts = _RUNNERS[cfg["scenario"]](cfg, body, law, out,
+                                                    workers)
+    except BaseException:
+        for d in made:
+            if any(d.iterdir()):
+                break
+            d.rmdir()
+        raise
     manifest = {
         "config_sha256": hashlib.sha256(
             json.dumps(cfg, sort_keys=True).encode()).hexdigest(),

@@ -18,6 +18,14 @@ mostly numpy's call overhead (disc: 0.3 ms, 2 x86 cores).
 ``process_disc`` (two-bounce tables and the pair profile of a disc) and
 ``process_convex`` (time boxes and bisector windows of a general body)
 subclass it with their blocks and joint windows.
+
+Each stage builds the flat indices ``f`` of both processes of its replicas
+(process a's, then b's) and passes them with one value per process:
+``block_to(f, total)`` makes blocks of flight time ``total``,
+``block_residual(f, lo, hi)`` residual blocks whose clocks end in
+[lo, hi], and ``residual2(f, win)`` residual blocks on stage two's windows.
+``couple2(f, win)`` makes the common block on each replica's window from
+``window2(i)`` and advances the equal clocks by its time.
 """
 
 from __future__ import annotations
@@ -135,9 +143,7 @@ class _Processes:
     process b.  Flat index ``f`` of the views ``u_f`` and ``clock_f``
     addresses process ``f // n`` of replica ``f % n``, so one call serves
     any set of processes of either row.  A subclass sets ``stream_tag``,
-    stage one's window offsets ``w1`` and level ``level1``, and the blocks:
-    ``block_to`` (both processes reach a common clock), ``block_residual``,
-    and stage two's ``window2``, ``couple2`` and ``residual2``.
+    stage one's window offsets ``w1`` and level ``level1``, and the hooks.
     """
 
     def __init__(self, n, rng, body, law, u0, clock0, record_first, trace):
@@ -196,11 +202,13 @@ class _Processes:
         suc, j = self.attempted(1, i, self.level1 * np.maximum(wlen, 0.0))
         if j.size:
             S = lo[suc] + self.rng.random(j.size) * wlen[suc]
-            self.block_to(j, S)
+            self.block_to(np.concatenate([j, j + self.n]),
+                          (S - self.clock[:, j]).ravel())
             self.clock[:, j] = S
             i, lo, hi = i[~suc], lo[~suc], hi[~suc]
         if i.size:
-            self.block_residual(i, lo, hi)
+            self.block_residual(np.concatenate([i, i + self.n]), _both(lo),
+                                _both(hi))
             self.realign(i)
         return j
 
@@ -209,12 +217,12 @@ class _Processes:
         mass, win = self.window2(i)
         suc, j = self.attempted(2, i, mass)
         if j.size:
-            self.couple2(j, win[..., suc])
+            self.couple2(np.concatenate([j, j + self.n]), win[..., suc])
             self.coupled[j] = True
             self.coupling_time[j] = self.clock[0][j]
             i, win = i[~suc], win[..., ~suc]
         if i.size:
-            self.residual2(i, win)
+            self.residual2(np.concatenate([i, i + self.n]), _both(win))
             self.realign(i)
 
     # -- bookkeeping ---------------------------------------------------------

@@ -3,12 +3,12 @@
 The general body's blocks on the lockstep engine of ``coupling.process``.
 Stage one's block is n0 bounces, plateau-coupled on the product of
 per-bounce flight-time windows [0, 2/C] at level (c floor)^n0 zeta^(n0-1).
-A common total time is realised by drawing the flight times uniformly on
-the slice of the box (through box-slice volumes) and then, at each hop, a
-launch angle with that chord time, weighted over the inverse chord-time
+Stage one realises all its common totals at once: flight times drawn
+exactly uniform on the box slice (density ``box_slice_volume``), then at
+each hop a launch angle with that chord time, weighted over the chord-time
 branches.  Stage two couples landing point and time on the bisector
-windows, where the bridge is deterministic because the two-leg path time
-is strictly monotone in the first landing.  Chord times and bridges are
+windows, where the bridge is deterministic because the two-leg path time is
+strictly monotone in the first landing.  Chord times and bridges are
 inverted for many pairs at once, bracketed by one scan and solved by
 ``geometry._safeguarded_newton`` on exact derivatives.  Residual blocks are
 plain bounces of ``dynamics._walk``, thinned by the level over their density.
@@ -54,26 +54,26 @@ def box_slice_volume(t, n: int, w: float):
     return out if out.ndim else float(out)
 
 
-def _slice_conditional_times(total: float, n: int, w: float,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Flight times uniform on {tau in [0,w]^n : sum = total}, sequentially."""
-    taus = []
-    remaining = total
-    for k in range(n, 1, -1):
-        lo = max(0.0, remaining - (k - 1) * w)
-        hi = min(w, remaining)
-        grid = np.linspace(lo, hi, 257)
-        wgt = box_slice_volume(remaining - grid, k - 1, w)
-        cdf = np.cumsum(0.5 * (wgt[1:] + wgt[:-1]) * np.diff(grid))
-        if cdf[-1] <= 0.0:
-            raise ResidualSamplingError("time-slice conditional has no mass")
-        u = rng.random() * cdf[-1]
-        i = int(np.searchsorted(cdf, u))
-        tau = grid[i] + (grid[1] - grid[0]) * rng.random()
-        taus.append(min(max(tau, lo), hi))
-        remaining -= taus[-1]
-    taus.append(remaining)
-    return np.asarray(taus)
+def _slice_times(total, n: int, w: float, rng: np.random.Generator):
+    """Flight times uniform on the box slice {tau in [0, w]^n : sum = total},
+    one row of n per entry of the array ``total``.
+
+    The gaps of n - 1 sorted uniforms on [0, t] are uniform on the simplex
+    {tau >= 0 : sum = t} (Devroye, *Non-Uniform Random Variate Generation*,
+    1986, ch. V); ``thin_residual`` redraws a row until its gaps fit in
+    [0, w].  A total above n w / 2 is drawn as w - tau for n w - total, so
+    a round keeps a row at least as often as at the slice's midpoint.
+    """
+    flip = total > 0.5 * n * w
+    t = np.where(flip, n * w - total, total)[:, None]
+
+    def propose(rows):
+        cuts = np.sort(rng.random((rows.size, n - 1)), axis=1) * t[rows]
+        tau = np.diff(cuts, axis=1, prepend=0.0, append=t[rows])
+        return (tau,), (tau.max(axis=1) > w).astype(float)
+
+    (tau,) = thin_residual(total.size, propose, rng)
+    return np.where(flip[:, None], w - tau, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -88,9 +88,9 @@ _CHORD_NEWTON, _BRIDGE_NEWTON = 8, 4  # Newton steps of the two inversions
 def _chord_branches(body, law, u, tau):
     """Launch angles whose chord time from native ``u`` equals ``tau``, for
     1-d arrays of (u, tau) pairs: (pair index, angle, weight) of every root
-    of weight f(theta)/|d tau/d theta| > 0, a pair's roots in increasing
-    angle.  Cells of one scan bracket the roots, and Newton steps solve
-    them on the exact d tau/d theta = -tau (e' . n)/(e . n), e the launch
+    of weight f(theta)/|d tau/d theta| > 0, ordered by pair and then angle.
+    Cells of one scan bracket the roots, and Newton steps solve them on
+    the exact d tau/d theta = -tau (e' . n)/(e . n), e the launch
     direction, e' e turned by pi/2, n the inward normal at the landing."""
     u, tau = np.atleast_1d(u), np.atleast_1d(tau)
     vals = body.bounce(u[:, None], _THETA_SCAN)[1] - tau[:, None]
@@ -171,22 +171,17 @@ class _ConvexProcesses(_Processes):
 
     # -- stage 1: clocks -----------------------------------------------------
 
-    def block_to(self, j, S):
-        f = np.concatenate([j, j + self.n])
-        for g, total in zip(f, _both(S) - self.clock_f[f]):
-            path, _ = _realise_block_time(self.body, self.law, self.u_f[g],
-                                          total, self.n0, self.w_box, self.rng)
-            self.land(np.array([g]), path[-1],
-                      lambda: self.body.to_arc(path)[:, None])
+    def block_to(self, f, total):
+        path, _ = _realise_block_times(self.body, self.law, self.u_f[f],
+                                       total, self.n0, self.w_box, self.rng)
+        self.land(f, path[-1], lambda: self.body.to_arc(path))
 
-    def block_residual(self, k, lo, hi):
-        """Both processes of the replicas ``k`` make n0 bounces whose total
-        time lands in the clock window [lo, hi] with the plateau removed."""
+    def block_residual(self, f, lo, hi):
+        """The processes ``f`` make n0 bounces whose total time lands in
+        their clock windows [lo, hi] with the plateau removed."""
         body, law, rng, n0, w_box = (self.body, self.law, self.rng, self.n0,
                                      self.w_box)
-        f = np.concatenate([k, k + self.n])
         u0, c0 = self.u_f[f], self.clock_f[f]
-        lo, hi = _both(lo), _both(hi)
 
         def propose(rows):
             s, tau = np.empty((2, n0, rows.size))
@@ -233,12 +228,11 @@ class _ConvexProcesses(_Processes):
                          w.eta_level * self.floor ** 2)
         return win[6] * win[5] * (win[1] - win[0]), win
 
-    def couple2(self, j, win):
-        body, rng = self.body, self.rng
+    def couple2(self, f, win):
+        body, rng, k = self.body, self.rng, win.shape[-1]
         R1, R2, p_lo, p_len, t_lo, t_len, _ = win
-        t_land = body.wrap(t_lo + rng.random(j.size) * t_len)
-        u_time = R1 + rng.random(j.size) * (R2 - R1)
-        f = np.concatenate([j, j + self.n])
+        t_land = body.wrap(t_lo + rng.random(k) * t_len)
+        u_time = R1 + rng.random(k) * (R2 - R1)
         pos = np.stack(body.frame(self.u_f[f])[:2], axis=-1)
 
         def arcs():
@@ -248,18 +242,17 @@ class _ConvexProcesses(_Processes):
             return np.stack([mid, t])
 
         self.land(f, _both(body.to_native(t_land)), arcs)
-        self.clock[:, j] = self.clock[0, j] + u_time
+        self.clock_f[f] += _both(u_time)
 
-    def residual2(self, k, win):
-        """Both processes of the replicas ``k`` make two bounces whose
-        (first landing, second landing, time) lies in the bisector window
-        with the plateau removed."""
+    def residual2(self, f, win):
+        """The processes ``f`` make two bounces whose (first landing, second
+        landing, time) lies in their bisector windows with the plateau
+        removed."""
         body, law, rng = self.body, self.law, self.rng
         P = body.perimeter
-        f = np.concatenate([k, k + self.n])
         u0 = self.u_f[f]
         x = body.frame(u0)
-        R1, R2, p_lo, p_len, t_lo, t_len, eta = _both(win)
+        R1, R2, p_lo, p_len, t_lo, t_len, eta = win
 
         def propose(rows):
             s, tau = np.empty((2, 2, rows.size))
@@ -288,18 +281,24 @@ class _ConvexProcesses(_Processes):
         self.clock_f[f] += T
 
 
-def _realise_block_time(body, law, u, total, n0, w_box, rng):
-    """Native landings and flight times of n0 bounces from ``u`` whose
-    flight times sum to ``total``: the times uniform on the box slice, then
-    at each hop a launch angle with that chord time."""
-    path, taus = np.empty(n0), np.empty(n0)
-    for k, tau in enumerate(_slice_conditional_times(total, n0, w_box, rng)):
-        _, theta, weights = _chord_branches(body, law, u, tau)
-        if not theta.size:
+def _realise_block_times(body, law, u, total, n0, w_box, rng):
+    """Native landings and flight times, both (n0, rows), of n0 bounces from
+    each native ``u`` whose flight times sum to its ``total``: the times
+    uniform on the box slice, then at each hop a launch angle with that
+    chord time, drawn over the hop's chord-time roots by their weights."""
+    path, taus = np.empty((2, n0, u.size))
+    for k, tau in enumerate(_slice_times(total, n0, w_box, rng).T):
+        pair, theta, weight = _chord_branches(body, law, u, tau)
+        count = np.bincount(pair, minlength=u.size)
+        if not count.all():
             raise ResidualSamplingError(
                 "no chord realises the prescribed flight time")
-        theta = theta[int(rng.choice(theta.size, p=weights / weights.sum()))]
-        u, taus[k] = body.bounce(u, theta)
+        # a row's roots are contiguous and its normalised weights sum to 1,
+        # so row r picks at r + uniform, clipped to its roots for rounding
+        end = np.cumsum(count)
+        cum = np.cumsum(weight / np.bincount(pair, weight)[pair])
+        pick = np.searchsorted(cum, np.arange(u.size) + rng.random(u.size))
+        u, taus[k] = body.bounce(u, theta[np.clip(pick, end - count, end - 1)])
         path[k] = u
     return path, taus
 

@@ -214,21 +214,18 @@ class _DiscProcesses(_Processes):
 
     # -- stage 1: clocks -----------------------------------------------------
 
-    def block_to(self, j, S):
-        f = np.concatenate([j, j + self.n])
+    def block_to(self, f, total):
         u0 = self.u_f[f]
-        th1, th2 = self.tables.conditional_pair(
-            (_both(S) - self.clock_f[f]) / (2.0 * self.r), self.rng)
+        th1, th2 = self.tables.conditional_pair(total / (2.0 * self.r),
+                                                self.rng)
         self.land2(f, u0, th1, np.mod(u0 + TWO_PI + 2.0 * (th1 + th2), TWO_PI))
 
-    def block_residual(self, k, lo, hi):
-        """Both processes of the replicas ``k`` make two bounces whose time
-        lands in the clock window [lo, hi] with the plateau removed."""
+    def block_residual(self, f, lo, hi):
+        """The processes ``f`` make two bounces whose time lands in their
+        clock windows [lo, hi] with the plateau removed."""
         r, law, rng, delta = self.r, self.law, self.rng, self.level1
         w_grid, pdf_grid = self.tables.w_grid, self.tables.pdf_grid
-        f = np.concatenate([k, k + self.n])
         u0, c0 = self.u_f[f], self.clock_f[f]
-        lo, hi = _both(lo), _both(hi)
 
         def propose(rows):
             th1, th2 = guarded_angles(law, rng, (2, rows.size))
@@ -254,31 +251,25 @@ class _DiscProcesses(_Processes):
         lenB = self.B_hi - self.B_lo
         return self.level2 * (win[1, 0] + win[1, 1]) * lenB, win
 
-    def couple2(self, j, win):
-        n, r, rng = self.n, self.r, self.rng
-        phistar = draw_arcs(win[0], win[1], rng.random(j.size), TWO_PI)
-        # both clocks agree in stage 2
-        dt = self.B_lo + rng.random(j.size) * (self.B_hi - self.B_lo)
-        tstar = self.clock[0, j] + dt
-        f = np.concatenate([j, j + n])
+    def couple2(self, f, win):
+        r, rng, k = self.r, self.rng, win.shape[-1]
+        end = _both(draw_arcs(win[0], win[1], rng.random(k), TWO_PI))
+        dt = _both(self.B_lo + rng.random(k) * (self.B_hi - self.B_lo))
         u0 = self.u_f[f]
-        end = _both(phistar)
         m = _wrap_pi(end - u0) / 4.0
-        z = _both(dt) / (4.0 * r)
+        z = dt / (4.0 * r)
         dd = np.arccos(np.clip(z / np.cos(m), -1.0, 1.0))
         th1 = np.where(rng.random(f.size) < 0.5, m - dd, m + dd)
         self.land2(f, u0, th1, end)
-        self.clock[:, j] = tstar
+        # both clocks agree in stage 2
+        self.clock_f[f] += dt
 
-    def residual2(self, k, win):
-        """Both processes of the replicas ``k`` make two bounces whose
-        (landing, time) lies in the joint window with the plateau
-        removed."""
+    def residual2(self, f, win):
+        """The processes ``f`` make two bounces whose (landing, time) lies
+        in their joint windows with the plateau removed."""
         r, law, rng = self.r, self.law, self.rng
         level2, B_lo, B_hi = self.level2, self.B_lo, self.B_hi
-        f = np.concatenate([k, k + self.n])
         u0 = self.u_f[f]
-        win = _both(win)
 
         def propose(rows):
             th = guarded_angles(law, rng, (2, rows.size))

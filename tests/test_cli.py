@@ -166,6 +166,34 @@ def test_bad_body_or_law_is_a_config_error(tmp_path, capsys, spec):
     assert err.startswith("config error:") and err.count("\n") == 1
 
 
+# a config whose body cannot be built, and one whose certificate does not
+# fit its body: (config keys, exit code, start of the error message)
+EARLY_FAILURES = [
+    ({"body": {"disc": {"r": -1}}}, 1, "config error: cannot build body"),
+    ({"scenario": "couple_chains", "body": ELLIPSE, "law": TU34,
+      "rate": {"kind": "disc_chain"}, "replicas": 8}, 2,
+     "hypothesis violation:"),
+]
+
+
+@pytest.mark.parametrize("spec,code,msg", EARLY_FAILURES,
+                         ids=["negative-radius", "mismatched-certificate"])
+def test_early_failure_leaves_no_output_directory(tmp_path, capsys, spec,
+                                                  code, msg):
+    path = _write(tmp_path, "cfg.json", _base_chain_cfg(**spec))
+    # a new directory and its new parent are both removed again
+    out = tmp_path / "new" / "o"
+    assert main(["run", "--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(msg)
+    assert not (tmp_path / "new").exists()
+    # a directory that existed before the run stays
+    out = tmp_path / "kept"
+    out.mkdir()
+    assert main(["run", "--config", path, "--out", str(out)]) == code
+    assert capsys.readouterr().err.startswith(msg)
+    assert out.is_dir() and not any(out.iterdir())
+
+
 def test_chain_rate_certificate_roundtrips(tmp_path):
     cfg = _base_chain_cfg(
         scenario="chain_rate",

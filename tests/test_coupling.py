@@ -31,7 +31,8 @@ from convexbilliards.coupling.process_convex import (
     _bridge_roots,
     _chord_branches,
     _ConvexProcesses,
-    _realise_block_time,
+    _realise_block_times,
+    _slice_times,
     box_slice_volume,
 )
 from convexbilliards.dynamics import (chord_times, landing_density,
@@ -891,7 +892,7 @@ def test_process_convex_joint_success_bridges(uniform_half_law):
     i = np.array([0])
     mass, win = procs.window2(i)
     assert mass[0] > 0.0
-    procs.couple2(i, win)
+    procs.couple2(np.array([0, 1]), win)
     R1, R2, p_lo, p_len, t_lo, t_len, _ = win[:, 0]
     clock = procs.clock[:, 0]
     assert clock[0] == clock[1] and R1 <= clock[0] - 5.0 <= R2
@@ -914,27 +915,33 @@ def test_process_convex_narrow_law_rejected(ellipse, tu34_law):
                               stream(73, 0))
 
 
-def test_slice_conditional_times_distribution():
-    # the sequential sampler must produce flight-time vectors uniform on
-    # the slice {sum = total} of the box; the first coordinate's marginal
-    # is proportional to the remaining slice volume
-    from convexbilliards.coupling.process_convex import \
-        _slice_conditional_times
-    gen = stream(75, 0)
-    n0, w, total = 3, 1.0, 1.4
-    draws = np.array([_slice_conditional_times(total, n0, w, gen)
-                      for _ in range(20_000)])
-    assert np.allclose(draws.sum(axis=1), total, atol=1e-12)
-    assert np.all((draws >= -1e-12) & (draws <= w + 1e-12))
-    bins = 20
-    counts, edges = np.histogram(draws[:, 0], bins=bins, range=(0.4, 1.0))
-    centres = 0.5 * (edges[1:] + edges[:-1])
-    weights = box_slice_volume(total - centres, n0 - 1, w)
-    expected = weights / weights.sum() * counts.sum()
+@pytest.mark.parametrize("n0", [3, 5, 8])
+@pytest.mark.parametrize("frac", [0.3, 0.5, 0.7],
+                         ids=["below", "at", "above"])
+def test_slice_times_law(n0, frac):
+    # the flight times must be uniform on the slice {sum = total} of the
+    # box: each row sums to its total inside the box, and the first time's
+    # marginal is proportional to the remaining slice volume; a total above
+    # n0 w / 2 takes the reflected branch
+    from scipy.stats import chi2 as chi2_dist
+    w, n = 0.8, 200_000
+    total = frac * n0 * w
+    draws = _slice_times(np.full(n, total), n0, w,
+                         stream(75, 100 * n0 + int(10 * frac)))
+    assert draws.shape == (n, n0)
+    assert np.all(np.abs(draws.sum(axis=1) - total) < 1e-12)
+    assert np.all((draws >= 0.0) & (draws <= w))
+    lo, hi = max(0.0, total - (n0 - 1) * w), min(w, total)
+    edges = np.linspace(lo, hi, 41)
+    counts, _ = np.histogram(draws[:, 0], bins=edges)
+    # cell masses of the marginal density box_slice_volume(total - tau)
+    fine = np.linspace(edges[:-1], edges[1:], 201)
+    mass = np.trapezoid(box_slice_volume(total - fine, n0 - 1, w), fine,
+                        axis=0)
+    expected = mass / mass.sum() * n
     keep = expected > 20
     stat = float(np.sum((counts[keep] - expected[keep]) ** 2
                         / expected[keep]))
-    from scipy.stats import chi2 as chi2_dist
     assert chi2_dist.sf(stat, int(keep.sum()) - 1) > 1e-3
 
 
@@ -950,20 +957,59 @@ def test_box_slice_volume_matches_analytic():
 
 
 def test_block_time_bridge_hits_prescribed_total(ellipse, uniform_half_law):
-    # stage-one common draw: realise a prescribed block flight time
+    # stage-one common draw: realise prescribed block flight times for
+    # several rows at once
     gen = stream(74, 0)
-    u0 = ellipse.to_native(1.0)
-    n0, w_box = 5, 2.0 / summarize(ellipse).curvature_max
-    total = 0.5 * n0 * w_box
-    path, taus = _realise_block_time(ellipse, uniform_half_law, u0, total,
-                                     n0, w_box, gen)
-    assert abs(taus.sum() - total) < 1e-8
-    assert len(path) == n0
-    # the flight times are the chords between the landings
-    xy = np.stack(ellipse.frame(np.r_[u0, path])[:2], axis=1)
-    assert np.allclose(np.hypot(*np.diff(xy, axis=0).T), taus, atol=1e-12)
-    for s in ellipse.to_arc(path):
-        assert abs(ellipse.gauge(ellipse.position_at(s))) < 1e-8
+    rows = 12
+    w_box = 2.0 / summarize(ellipse).curvature_max
+    for n0 in (2, 3, 5):
+        u0 = ellipse.to_native(gen.random(rows) * ellipse.perimeter)
+        total = (0.2 + 0.6 * gen.random(rows)) * n0 * w_box
+        path, taus = _realise_block_times(ellipse, uniform_half_law, u0,
+                                          total, n0, w_box, gen)
+        assert path.shape == taus.shape == (n0, rows)
+        assert np.all(np.abs(taus.sum(axis=0) - total) < 1e-8)
+        # the flight times are the chords between each row's landings
+        for r in range(rows):
+            xy = np.stack(ellipse.frame(np.r_[u0[r], path[:, r]])[:2],
+                          axis=1)
+            assert np.allclose(np.hypot(*np.diff(xy, axis=0).T),
+                               taus[:, r], atol=1e-12)
+        for s in ellipse.to_arc(path).ravel():
+            assert abs(ellipse.gauge(ellipse.position_at(s))) < 1e-8
+
+
+def test_block_times_pick_roots_by_weight(ellipse, uniform_half_law):
+    # one-bounce blocks from two interleaved starts: each row lands on one
+    # of its own start's chord-time roots, as often as that root's weight
+    # share says
+    n = 20_000
+    starts = ellipse.to_native(np.array([0.7, 3.1]))
+    totals = np.array([1.3, 2.1])
+    u0, total = np.tile(starts, n // 2), np.tile(totals, n // 2)
+    path, taus = _realise_block_times(ellipse, uniform_half_law, u0, total,
+                                      1, 2.5, stream(80, 0))
+    assert np.allclose(taus[0], total, atol=1e-9)
+    for r in range(2):
+        _, theta, weight = _chord_branches(ellipse, uniform_half_law,
+                                           starts[r], totals[r])
+        assert theta.size >= 2
+        ends = ellipse.bounce(np.full(theta.size, starts[r]), theta)[0]
+        land = path[0, r::2]
+        hit = np.abs(land[:, None] - ends[None, :]) < 1e-9
+        assert np.all(hit.sum(axis=1) == 1)
+        share = weight / weight.sum()
+        freq = hit.mean(axis=0)
+        assert np.all(np.abs(freq - share)
+                      < 4.0 * np.sqrt(share * (1.0 - share) / land.size))
+
+
+def test_block_time_without_chord_raises(ellipse, uniform_half_law):
+    # a box wider than the diameter admits flight times no chord realises
+    with pytest.raises(ResidualSamplingError):
+        _realise_block_times(ellipse, uniform_half_law,
+                             ellipse.to_native(np.array([0.0, 1.0])),
+                             np.array([9.8, 9.8]), 2, 5.0, stream(81, 0))
 
 
 def test_chord_branches_invert_flight_time(ellipse, uniform_half_law):

@@ -1,4 +1,5 @@
-"""In-process layer timings of every body's bounce kernel.
+"""In-process layer timings of every body's bounce kernel and of the
+convex process coupling.
 
 Run from anywhere, naming the ``src`` directory of the checkout to time::
 
@@ -15,6 +16,13 @@ workload's table (a ``CurvatureTable`` of ``Ellipse(2, 1)`` curvature at
 
 On the table it also times the workload's operation, ``run_chain_ensemble``
 of 16 chains x 4 bounces under ``uniform_half``, and the table build.
+
+It also times one ``couple_process_convex_batch`` run on ``Disc(1)`` per
+seed of ``PROCESS_SEEDS``: ``uniform_half``, the ``convex_process_rate``
+certificate at ``PROCESS_PARAMS`` for boundary points 0 and pi, the starts
+``PROCESS_STARTS``, ``PROCESS_REPLICAS`` replica pairs to ``PROCESS_T_MAX``.
+Stage one succeeds there about once in eight attempts, so a run draws
+stage one's common blocks and builds stage two's bisector windows.
 
 Each figure is the median over ``REPEATS`` timeit repeats of the mean
 time per call.  Only the package under ``--src`` is imported, so two
@@ -42,6 +50,10 @@ CHORDS = (16, 4096)
 TABLE_CHORDS = CHORDS + (25_000,)
 WALK_ROWS, WALK_CHORDS = 12, 25_000
 REPEATS = 7
+PROCESS_PARAMS = dict(eps=5e-4, beta=0.6, delta=0.4, zeta=0.5)
+PROCESS_STARTS = (((0.5, 0.1), (0.5, 1.0)), ((-0.5, -0.1), (-0.5, -1.0)))
+PROCESS_REPLICAS, PROCESS_T_MAX = 400, 12.0
+PROCESS_SEEDS = (5, 6, 7)
 
 
 def _per_call(fn):
@@ -86,7 +98,27 @@ def measure():
     out[f"table_ensemble_{BATCH}x{STEPS}_us"] = 1e6 * _per_call(operation)
     out["table_build_ms"] = 1e3 * _per_call(
         lambda: geometry.CurvatureTable(s, kappa))
+    out.update(_convex_process())
     return {k: round(v, 2) for k, v in out.items()}
+
+
+def _convex_process():
+    from convexbilliards import geometry, rates, reflection
+    from convexbilliards.coupling import couple_process_convex_batch
+
+    disc = geometry.Disc(1.0)
+    law = reflection.law_from_config("uniform_half")
+    cert = rates.convex_process_rate(
+        disc, 1.0 / np.pi, rates.RateParams(**PROCESS_PARAMS),
+        geometry.point_at(disc, 0.0), geometry.point_at(disc, np.pi))
+    starts = [tuple(np.array(v) for v in start) for start in PROCESS_STARTS]
+    out = {}
+    for seed in PROCESS_SEEDS:
+        out[f"convex_process_{PROCESS_REPLICAS}_seed{seed}_ms"] = \
+            1e3 * _per_call(lambda: couple_process_convex_batch(
+                disc, law, *starts, cert, PROCESS_T_MAX, PROCESS_REPLICAS,
+                seed))
+    return out
 
 
 def main(argv=None):
