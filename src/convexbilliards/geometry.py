@@ -23,15 +23,16 @@ one chord to the next.  All broadcast over arrays; the engines keep u
 between bounces and convert to arc length only where they need it.  The
 arc-length queries (``point_at``, ``position_at``) use the same frame.
 
-``exit_ray`` (first boundary hit of an interior ray from a cartesian
-origin) is the independent scalar reference: it locates the origin and the
-hit by ``arc_of_point`` rather than by the native coordinate.  Discs and
-ellipses use closed forms.  The tabulated variant's chord solves for
-the landing arc length on its dense spline grid, by bisection over the
-grid nodes and then a fixed number of Newton steps, for all chords at once;
-its ``exit_ray`` is a bracketed root of a radial gauge.  Bodies are
-immutable after construction and safe to share between threads or
-processes.
+``exit_ray`` (first boundary hit of a ray from a cartesian origin in the
+body) is the scalar reference: one solve per body, ``_exit``, from the
+origin's position rather than its arc length, returns the hit's native
+coordinate.  Discs and ellipses use the closed forms of their quadratics.
+The tabulated variant's chord solves for the landing arc length on its
+dense spline grid, by bisection over the grid nodes and then a fixed
+number of Newton steps, for all chords at once; its ``exit_ray`` finds
+every crossing of the ray's line among the same nodes and solves each on
+its cell's cubic.  Bodies are immutable after construction and safe to
+share between threads or processes.
 """
 
 from __future__ import annotations
@@ -195,17 +196,6 @@ class ConvexBody:
     def curvature_at(self, s):
         raise NotImplementedError
 
-    def gauge(self, point):
-        """Signed implicit function: negative inside, zero on the boundary.
-
-        Scaled so that near the boundary it approximates the signed distance.
-        """
-        raise NotImplementedError
-
-    def arc_of_point(self, point) -> float:
-        """Arc-length coordinate of a point assumed on (or near) the boundary."""
-        raise NotImplementedError
-
     # -- composite queries ---------------------------------------------------
 
     def point_at(self, s: float) -> BoundaryPoint:
@@ -225,23 +215,17 @@ class ConvexBody:
         The origin must lie in the closed body and the direction must point
         strictly inward when the origin is on the boundary.
         """
-        origin = np.asarray(origin, dtype=float)
-        direction = np.asarray(direction, dtype=float)
-        g0 = self.gauge(origin)
-        if g0 > self.tol_geom:
-            raise OutsideBody(f"ray origin {origin} lies outside the body")
-        if g0 > -self.tol_geom:  # origin effectively on the boundary
-            s0 = self.arc_of_point(origin)
-            normal = self.frame(self.to_native(s0))[2:]
-            if float(np.dot(direction, normal)) <= self.tol_geom:
-                raise TangentRay("direction does not point into the interior")
-        tau = self._exit_tau(origin, direction)
-        hit = origin + tau * direction
-        s_hit = self.arc_of_point(hit)
-        return tau, self.point_at(s_hit)
+        tau, u = self._exit(np.asarray(origin, dtype=float),
+                            np.asarray(direction, dtype=float))
+        if tau <= self.tol_root:
+            raise TangentRay("exit chord degenerates")
+        return tau, self.point_of(float(self.wrap(self.to_arc(u))), u)
 
-    def _exit_tau(self, origin, direction) -> float:
-        """Positive root of gauge(origin + tau * direction) = 0."""
+    def _exit(self, o, d):
+        """(tau, native coordinate of the hit) of ``exit_ray``: raises
+        ``OutsideBody`` for an origin o more than tol_geom outside the body
+        and ``TangentRay`` for one within tol_geom of the boundary whose
+        direction d does not point inward by more than tol_geom."""
         raise NotImplementedError
 
     def chord_angle(self, x: BoundaryPoint, y: BoundaryPoint) -> float:
@@ -311,23 +295,17 @@ class Disc(ConvexBody):
     def curvature_at(self, s):
         return np.full_like(np.asarray(s, dtype=float), 1.0 / self.r)
 
-    def gauge(self, point):
-        p = np.asarray(point, dtype=float)
-        return float(np.hypot(p[0], p[1]) - self.r)
-
-    def arc_of_point(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        return float(self.wrap(math.atan2(p[1], p[0]) * self.r))
-
-    def _exit_tau(self, origin, direction) -> float:
+    def _exit(self, o, d):
+        rho, b = float(np.hypot(o[0], o[1])), float(np.dot(o, d))
+        if rho - self.r > self.tol_geom:
+            raise OutsideBody(f"ray origin {o} lies outside the body")
+        if rho - self.r > -self.tol_geom and -b <= self.tol_geom * rho:
+            raise TangentRay("direction does not point into the interior")
         # |o + tau d|^2 = r^2 with |d| = 1; take the positive root.
-        b = float(np.dot(origin, direction))
-        c0 = float(np.dot(origin, origin)) - self.r * self.r
-        disc = max(b * b - c0, 0.0)
-        tau = -b + math.sqrt(disc)
-        if tau <= self.tol_root:
-            raise TangentRay("exit chord degenerates")
-        return tau
+        c0 = float(np.dot(o, o)) - self.r * self.r
+        tau = -b + math.sqrt(max(b * b - c0, 0.0))
+        hit = o + tau * d
+        return tau, math.atan2(hit[1], hit[0])
 
 
 # ---------------------------------------------------------------------------
@@ -466,41 +444,30 @@ class Ellipse(ConvexBody):
         sp = np.sqrt((self.a * st) ** 2 + (self.b * ct) ** 2)
         return -self.b * ct / sp, -self.a * st / sp
 
-    @staticmethod
-    def _unit_chord(ox, oy, ux, uy):
-        """Positive root tau of |o + tau * u| = 1 from an origin o inside
-        or on the unit circle, to which the affine scaling maps the ellipse
-        and the ray: the general quadratic of ``_exit_tau``, whose origins
-        need not lie on the boundary."""
-        A = ux * ux + uy * uy
-        B = ox * ux + oy * uy
-        C0 = ox * ox + oy * oy - 1.0
-        return (-B + np.sqrt(np.maximum(B * B - A * C0, 0.0))) / A
-
     # queries ----------------------------------------------------------------
 
     def curvature_at(self, s):
         t = self._t_of_s(s)
         return self.a * self.b / self._speed(t) ** 3
 
-    def gauge(self, point):
-        p = np.asarray(point, dtype=float)
-        q = math.hypot(p[0] / self.a, p[1] / self.b)
-        # rescale so the value approximates signed distance near the boundary
-        return (q - 1.0) * self.b
-
-    def arc_of_point(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        t = math.atan2(p[1] / self.b, p[0] / self.a) % TWO_PI
-        return float(self.to_arc(t))
-
-    def _exit_tau(self, origin, direction) -> float:
-        tau = float(self._unit_chord(origin[0] / self.a, origin[1] / self.b,
-                                     direction[0] / self.a,
-                                     direction[1] / self.b))
-        if tau <= self.tol_root:
-            raise TangentRay("exit chord degenerates")
-        return tau
+    def _exit(self, o, d):
+        # the affine scaling (x / a, y / b) maps the ellipse onto the unit
+        # circle and the ray onto o' + tau u; tau is the positive root of
+        # |o' + tau u| = 1, from an origin o' that need not lie on the circle
+        ox, oy = o[0] / self.a, o[1] / self.b
+        ux, uy = d[0] / self.a, d[1] / self.b
+        gap = (math.hypot(ox, oy) - 1.0) * self.b  # about the signed distance
+        if gap > self.tol_geom:
+            raise OutsideBody(f"ray origin {o} lies outside the body")
+        gx, gy = ox / self.a, oy / self.b   # the outward normal's direction
+        if (gap > -self.tol_geom and -(d[0] * gx + d[1] * gy)
+                <= self.tol_geom * math.hypot(gx, gy)):
+            raise TangentRay("direction does not point into the interior")
+        A, B = ux * ux + uy * uy, ox * ux + oy * uy
+        C0 = ox * ox + oy * oy - 1.0
+        tau = float((-B + math.sqrt(max(B * B - A * C0, 0.0))) / A)
+        hit = o + tau * d
+        return tau, math.atan2(hit[1] / self.b, hit[0] / self.a) % TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +488,7 @@ class CurvatureTable(ConvexBody):
     _BISECT = 13
     _DENSE = 2 ** _BISECT  # dense grid cells; the chord bisects over them
     _NEWTON = 3            # the chord's Newton steps inside a cell
+    _EXIT_STEPS = 4        # exit_ray's root steps inside a cell
     _CLOSURE_RTOL = 1e-6
 
     def __init__(self, s_grid, kappa):
@@ -575,28 +543,24 @@ class CurvatureTable(ConvexBody):
         self._knots_ext = np.concatenate([s, s[1:] + self.perimeter])
         self._nodes_ext = np.concatenate([self._z[3], self._z[3]])
 
-        # radial description around the interior centroid for gauge queries
-        psi = np.unwrap(np.arctan2(y[:-1], x[:-1]))
-        if psi[0] < 0:
-            psi += TWO_PI
-        rad = np.hypot(x[:-1], y[:-1])
-        psi_ext = np.concatenate([psi, [psi[0] + TWO_PI]])
-        rad_ext = np.concatenate([rad, [rad[0]]])
-        self._psi0 = psi[0]
-        self._radial = CubicSpline(psi_ext, rad_ext, bc_type="periodic")
-        self._s_of_psi = CubicSpline(psi_ext, s)
+        edges = self._nodes_ext[1:s.size] - self._z[3]   # exit_ray's polygon
+        self._edges = edges / np.abs(edges)
 
         self.curvature_min = float(np.min(k))
         self.curvature_max = float(np.max(k))
         self.diameter = self._diameter_search()
+        # the largest sag of a dense cell's arc off its chord, h^2 C / 8: a
+        # boundary point lies outside the dense polygon by up to this much
+        self._sag = self.curvature_max * float(self._h.max()) ** 2 / 8.0
         self._validate()
 
     def _diameter_search(self) -> float:
         # the x and y splines' values at the dense knots, at most 4096 of them
-        nodes = self._z[3][:: max(1, self._z.shape[1] // 4096)]
-        x, y = nodes.real, nodes.imag
-        i, j = _farthest_pair(x, y)
-        return _refine_diameter(self, (x[i], y[i]), (x[j], y[j]))
+        stride = max(1, self._z.shape[1] // 4096)
+        nodes = self._z[3][::stride]
+        i, j = _farthest_pair(nodes.real, nodes.imag)
+        knots = self._s_dense[::stride]
+        return _refine_diameter(self, float(knots[i]), float(knots[j]))
 
     # bounce kernel: native coordinate is arc length ------------------------
 
@@ -735,48 +699,74 @@ class CurvatureTable(ConvexBody):
     def curvature_at(self, s):
         return self._kappa_spline(self.wrap(np.asarray(s, dtype=float)))
 
-    def _psi_wrap(self, psi):
-        return self._psi0 + np.mod(psi - self._psi0, TWO_PI)
+    def _exit(self, o, d):
+        """(tau, arc length of the hit) of ``exit_ray``, on complex points.
 
-    def gauge(self, point):
-        p = np.asarray(point, dtype=float)
-        psi = self._psi_wrap(math.atan2(p[1], p[0]))
-        return float(math.hypot(p[0], p[1]) - self._radial(psi))
+        o is outside when it lies beyond an edge line of the dense nodes'
+        polygon by more than tol_geom plus the largest sag of a cell, as a
+        boundary point may.  g(sigma) = Im((P(sigma) - o) conj(d)), P's
+        signed distance from the ray's line, changes sign over the cells
+        that the line crosses; where no node lies across it, the line meets
+        the curve twice in one cell, split where g turns, or not at all.
+        Steps on each bracket's real cubic g, taken as in ``_chord``, solve
+        every crossing at once, and the hit is the farthest along d.
+        """
+        o, w = complex(o[0], o[1]), complex(d[0], -d[1])
+        nodes = self._z[3]
+        if ((np.conj(o - nodes) * self._edges).imag.max()
+                > self.tol_geom + self._sag):
+            raise OutsideBody(f"ray origin {o} lies outside the body")
+        g = ((nodes - o) * w).imag
+        (j,) = _sign_change_cells(g, periodic=True)
+        cap = j.size == 0
+        if cap:   # both crossings in a cell next to the node nearest the line
+            m = int(np.argmin(np.abs(g)))
+            j = np.array([m - 1, m, m - 1, m]) % g.size
+        c = self._z[:, j]
+        c[3] -= o   # the cubic of P(sigma) - o
+        r0, r1, r2, r3 = (c * w).imag
+        d0, d1 = 3.0 * r0, 2.0 * r1
+        ta, tb = np.zeros(j.size), self._h[j]
+        if cap:
+            # g turns at the root of (d0 t + d1) t + r2 near -r2 / d1
+            root = np.sqrt(np.maximum(d1 * d1 - 4.0 * d0 * r2, 0.0))
+            turn = np.clip(-2.0 * r2 / (d1 + np.copysign(root, d1)), 0.0, tb)
+            ta[2:], tb[:2] = turn[2:], turn[:2]
 
-    def arc_of_point(self, point) -> float:
-        p = np.asarray(point, dtype=float)
-        psi = self._psi_wrap(math.atan2(p[1], p[0]))
-        s = float(self.wrap(self._s_of_psi(psi)))
-        # refine: project onto the curve by minimising distance locally
-        for _ in range(4):
-            x, y, nx, ny = self.frame(s)
-            s = float(self.wrap(s + (p[0] - x) * ny - (p[1] - y) * nx))
-        return s
+        def cubic(t):
+            return ((r0 * t + r1) * t + r2) * t + r3
 
-    def _exit_tau(self, origin, direction) -> float:
-        # march until the gauge changes sign, then bisect with brentq
-        step = self.diameter / 64.0
-        f = lambda t: self.gauge(origin + t * direction)
-        t_in, t_out = 0.0, step
-        while f(t_out) < 0.0:
-            if t_out >= 3.0 * self.diameter:
-                raise TangentRay("ray failed to exit; geometry inconsistent")
-            t_in, t_out = t_out, t_out + step
-        if t_in == 0.0 and f(0.0) > -self.tol_geom:
-            # On a boundary origin the gauge is rounding noise, so the
-            # bracket starts at a point strictly inside: halve toward the
-            # origin until the gauge turns negative (a chord shorter than
-            # the first step exits before it).
-            t_in = 0.5 * step
-            while not f(t_in) < 0.0:
-                if t_in <= self.tol_root:
-                    raise TangentRay("exit chord degenerates")
-                t_out, t_in = t_in, 0.5 * t_in
-        from scipy.optimize import brentq
-        tau = brentq(f, t_in, t_out, xtol=self.tol_root)
-        if tau <= self.tol_root:
-            raise TangentRay("exit chord degenerates")
-        return float(tau)
+        def quadratic_step(t):
+            # to the root of g's quadratic Taylor model at t where sign * g
+            # falls, or to its vertex if it has none: unlike Newton's, the
+            # step does not only halve the gap to a grazing line's root
+            g, g1, g2 = cubic(t), (d0 * t + d1) * t + r2, d0 * t + r1
+            disc = g1 * g1 - 4.0 * g * g2
+            root = sign * np.sqrt(np.maximum(disc, 0.0))
+            return sign * g, np.where((sign * g1 < 0.0) & (disc > 0.0),
+                                      2.0 * g / (g1 - root),
+                                      (g1 + root) / (2.0 * g2))
+
+        ga, gb = cubic(ta), cubic(tb)
+        sign = np.where(ga > gb, 1.0, -1.0)
+        t = _safeguarded_newton(quadratic_step, ta, tb, self._EXIT_STEPS)
+        along = (_horner(c, t) * w).real   # (P(sigma) - o) . d
+        u = self._s_dense[j] + t
+        if cap:
+            along, u = along[ga * gb <= 0.0], u[ga * gb <= 0.0]
+        if along.size == 0:
+            raise TangentRay("the ray's line does not enter the body")
+        # o lies along[k] (d . n) off the tangent line at the crossing k
+        # nearest it; within tol_geom, d must point inward at o's foot
+        k = np.argmin(np.abs(along))
+        nx, ny = self.frame(u[k])[2:]
+        if abs(along[k] * (d[0] * nx + d[1] * ny)) <= self.tol_geom:
+            foot = u[k] - along[k] * (d[0] * ny - d[1] * nx)
+            nx, ny = self.frame(foot)[2:]
+            if d[0] * nx + d[1] * ny <= self.tol_geom:
+                raise TangentRay("direction does not point into the interior")
+        k = np.argmax(along)
+        return float(along[k]), float(u[k])
 
 
 # ---------------------------------------------------------------------------
@@ -811,12 +801,14 @@ def _mod_two_pi(t):
 def _safeguarded_newton(fn, ta, tb, steps):
     """``steps`` Newton steps from the midpoints of the brackets [ta, tb].
 
-    ``fn(t)`` returns (f, f / f'), f positive on the ta side of the root.
+    ``fn(t)`` returns (f, f / f'), f positive on the ta side of the root,
+    or another step in place of Newton's f / f'.
     Each step shrinks the bracket to the side of t that holds the root and
     clips the Newton iterate into it, so a root at a bracket end (where
     rounding put it) is reached in one step; an undefined step bisects.
-    Solves the table's chords and the convex process coupling's chord
-    times and bridges, each root with the bits it gets alone.
+    Solves the table's chords and ray exits and the convex process
+    coupling's chord times and bridges, each root with the bits it gets
+    alone.
     """
     t = 0.5 * (ta + tb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -949,18 +941,14 @@ def _farthest_pair(x, y) -> tuple[int, int]:
     return pair
 
 
-def _refine_diameter(body: CurvatureTable, p, q) -> float:
+def _refine_diameter(body: CurvatureTable, si, sj) -> float:
     """Golden-section polish of a candidate farthest pair of boundary
-    points p and q.
+    points at arc lengths si and sj.
 
-    Starts from their arc lengths and moves each end in turn to the
-    farthest point from the other, twice, over a window that shrinks
-    eightfold.  Each distance places both ends with one ``position`` call,
-    which computes no normal.
+    Moves each end in turn to the farthest point from the other, twice,
+    over a window that shrinks eightfold.  Each distance places both ends
+    with one ``position`` call, which computes no normal.
     """
-    si = body.arc_of_point(p)
-    sj = body.arc_of_point(q)
-
     def dist(a, b):
         x, y = body.position(body.to_native(np.array([a, b])))
         return float(np.hypot(x[0] - x[1], y[0] - y[1]))

@@ -512,6 +512,28 @@ def test_couple_process_convex_default_starts(tmp_path):
     assert [r.split(",")[0] for r in rows[1:]] == [str(i) for i in range(12)]
 
 
+def test_couple_process_convex_curvature_table(tmp_path):
+    # the process coupling's first hits are the one use of a table's
+    # exit_ray: from each default start, its boundary point's inward normal
+    from convexbilliards import Ellipse
+    e = Ellipse(2.0, 1.0)
+    s = np.arange(256) * (e.perimeter / 256)
+    curve = tmp_path / "curve.csv"
+    np.savetxt(curve, np.stack([s, e.curvature_at(s)], axis=1),
+               delimiter=",")
+    cfg = _base_chain_cfg(
+        scenario="couple_process",
+        body={"curvature_table": {"path": str(curve)}},
+        law="uniform_half", rate={"kind": "convex_process"},
+        params={"eps": 5e-4, "beta": 1.5, "delta": 1.2, "zeta": 0.1},
+        t_max=20.0, replicas=12)
+    del cfg["n_max"]
+    path = _write(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "cpt"
+    assert main(["run", "--config", path, "--out", str(out)]) == 0
+    assert len((out / "outcomes.csv").read_text().splitlines()) == 13
+
+
 def test_couple_chains_worker_invariance(tmp_path):
     # more replicas than one chunk, so two workers split the chunks
     cfg = _base_chain_cfg(

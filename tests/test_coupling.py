@@ -975,8 +975,9 @@ def test_block_time_bridge_hits_prescribed_total(ellipse, uniform_half_law):
                           axis=1)
             assert np.allclose(np.hypot(*np.diff(xy, axis=0).T),
                                taus[:, r], atol=1e-12)
-        for s in ellipse.to_arc(path).ravel():
-            assert abs(ellipse.gauge(ellipse.position_at(s))) < 1e-8
+        x, y = ellipse.position_at(ellipse.to_arc(path).ravel()).T
+        assert np.all(np.abs((x / ellipse.a) ** 2 + (y / ellipse.b) ** 2
+                             - 1.0) < 1e-8)
 
 
 def test_block_times_pick_roots_by_weight(ellipse, uniform_half_law):

@@ -268,14 +268,16 @@ def test_two_bounce_time_support(tu34_law):
 def test_run_chain_on_tabulated_body(cosine_law):
     # the scalar engine, stepping the table's bounce kernel (a root in arc
     # length on its dense spline grid), runs a short chain on a
-    # curvature-table body and stays on the boundary
+    # curvature-table body: each flight time is the distance between
+    # consecutive landings
     e = Ellipse(2.0, 1.0)
     s = np.linspace(0.0, e.perimeter, 513)[:-1]
     body = CurvatureTable(s, np.asarray(e.curvature_at(s)))
     traj = run_chain(body, cosine_law, 0.5, 40, stream(27, 0))
     assert len(traj) == 40
-    for arc in traj.s:
-        assert abs(body.gauge(body.position_at(arc))) < 1e-6
+    pos = body.position_at(np.r_[traj.s0, traj.s])
+    np.testing.assert_allclose(np.hypot(*np.diff(pos, axis=0).T), traj.tau,
+                               rtol=0.0, atol=1e-9)
     assert np.all(traj.tau > 0.0)
     assert np.all(traj.tau <= body.diameter * (1.0 + 1e-6))
 

@@ -106,17 +106,37 @@ def test_exit_ray_ellipse_major_axis(ellipse):
     assert np.allclose(hit.position, [-2.0, 0.0], atol=1e-9)
 
 
-def test_exit_ray_tangent_and_outside_guards(disc):
-    bp = point_at(disc, 0.0)
-    with pytest.raises(TangentRay):
-        exit_ray(disc, bp.position, bp.tangent)
+def test_exit_ray_tangent_and_outside_guards(disc, ellipse, curvature_table):
+    # every body, at two boundary points: a boundary origin needs an
+    # inward direction, and an origin 0.5 outside fails whether its ray
+    # points toward the body, away from it or past it
+    bodies = [disc, ellipse, curvature_table("ellipse-2"),
+              curvature_table("ellipse-3-0.5")]
+    for body in bodies:
+        for s in (0.1, 0.6 * body.perimeter):
+            bp = point_at(body, s)
+            outside = bp.position - 0.5 * bp.normal
+            with pytest.raises(TangentRay):
+                exit_ray(body, bp.position, bp.tangent)
+            with pytest.raises(TangentRay):
+                exit_ray(body, bp.position, -bp.normal)
+            for direction in (bp.normal, -bp.normal, bp.tangent):
+                with pytest.raises(OutsideBody):
+                    exit_ray(body, outside, direction)
     with pytest.raises(OutsideBody):
         exit_ray(disc, np.array([2.0, 0.0]), np.array([-1.0, 0.0]))
 
 
-def test_exit_ray_boundary_membership_random(disc, ellipse):
-    # scalar engine: random interior origins and directions
+def test_exit_ray_boundary_membership_random(disc, ellipse, curvature_table):
+    # scalar engine: random interior origins and directions.  The disc's
+    # and the ellipse's hits lie on their closed-form curves |p| = r and
+    # (x/a)^2 + (y/b)^2 = 1; a table's hit is its boundary point at hit.s
     gen = stream(5, 1)
+    on_curve = {
+        "disc": lambda p: abs(math.hypot(*p) - disc.r),
+        "ellipse": lambda p: abs((p[0] / ellipse.a) ** 2
+                                 + (p[1] / ellipse.b) ** 2 - 1.0),
+    }
     for body in (disc, ellipse):
         for _ in range(2000):
             ang = gen.random() * 2.0 * math.pi
@@ -128,8 +148,22 @@ def test_exit_ray_boundary_membership_random(disc, ellipse):
             direction = np.array([math.cos(d_ang), math.sin(d_ang)])
             tau, hit = exit_ray(body, origin, direction)
             assert tau > 0.0
-            assert abs(body.gauge(origin + tau * direction)) < body.tol_geom
-            assert abs(body.gauge(hit.position)) < body.tol_geom
+            assert on_curve[body.variant](origin + tau * direction) \
+                < body.tol_geom
+            assert on_curve[body.variant](hit.position) < body.tol_geom
+    table = curvature_table("ellipse-2")
+    for _ in range(2000):
+        # an interior origin: a point of the chord between two boundary
+        # points
+        a, b = table.position_at(gen.random(2) * table.perimeter)
+        lam = 0.01 + 0.98 * gen.random()
+        origin = lam * a + (1.0 - lam) * b
+        d_ang = gen.random() * 2.0 * math.pi
+        direction = np.array([math.cos(d_ang), math.sin(d_ang)])
+        tau, hit = exit_ray(table, origin, direction)
+        assert tau > 0.0
+        assert np.hypot(*(origin + tau * direction
+                          - table.position_at(hit.s))) < 1e-9
 
 
 def test_exit_ray_boundary_membership_bulk(ellipse):
@@ -152,7 +186,8 @@ def test_chord_midpoints_interior(ellipse, rng):
         if np.hypot(*(p1 - p2)) < 1e-3:
             continue
         mid = 0.5 * (p1 + p2)
-        assert ellipse.gauge(mid) < -ellipse.tol_geom
+        assert (mid[0] / ellipse.a) ** 2 + (mid[1] / ellipse.b) ** 2 \
+            < 1.0 - ellipse.tol_geom
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +307,15 @@ def test_curvature_table_reconstructs_ellipse():
 
 
 def test_curvature_table_exit_ray_consistent():
+    # the table's arc length starts at the ellipse's vertex on the major
+    # axis, so its normal chord there is that axis: length 4, to the far
+    # vertex at half the perimeter
     s, k = _ellipse_curvature_table()
     body = CurvatureTable(s, k)
     bp = point_at(body, 0.0)
     tau, hit = exit_ray(body, bp.position, bp.normal)
-    assert tau > 0.0
-    assert abs(body.gauge(hit.position)) < 1e-6
+    assert abs(tau - 4.0) < 1e-6
+    assert abs(hit.s - 0.5 * body.perimeter) < 1e-6
 
 
 def test_curvature_table_rejects_non_closed():
@@ -323,13 +361,8 @@ def test_ellipse_arc_lookup_matches_cubic_spline_bits(ellipse):
         assert np.array_equal(_bits(ellipse.to_arc(t)), _bits(spline(t))), name
     assert np.isnan(ellipse.to_arc(np.array([0.5, np.nan]))[1])
     assert math.isnan(ellipse.to_arc(math.nan))
-    # one scalar: the same bits, and arc_of_point still returns a float
+    # one scalar: the same bits
     assert _bits(ellipse.to_arc(1.25)) == _bits(spline(1.25))
-    x, y = ellipse.position_at(1.0)
-    s = ellipse.arc_of_point([x, y])
-    assert type(s) is float
-    t = math.atan2(y / ellipse.b, x / ellipse.a) % (2.0 * math.pi)
-    assert s == float(spline(t))
 
 
 def test_ellipse_to_native_matches_spline_newton(ellipse):
@@ -379,7 +412,8 @@ def test_curvature_table_diameter_scan_matches_full_scan(a, n, shift):
         if d2.flat[k] > best:
             best, i, j = d2.flat[k], r + k // x.size, k % x.size
     assert _farthest_pair(sub[:, 0], sub[:, 1]) == (i, j)
-    assert body.diameter == _refine_diameter(body, sub[i], sub[j])
+    knots = body._s_dense[:: max(1, pts.shape[0] // 4096)]
+    assert body.diameter == _refine_diameter(body, knots[i], knots[j])
 
 
 # sha256 of each table's summary and of 4096 bounces, landings and flight

@@ -1,7 +1,8 @@
 """The bounce kernel of every body against its scalar references.
 
 ``ConvexBody.bounce`` (vectorised, native coordinates) must reproduce the
-scalar ``exit_ray`` (cartesian, located by ``arc_of_point``), and its
+scalar ``exit_ray`` (a cartesian solve from the origin's position; on the
+table a scan of the ray's line over the dense nodes), and its
 multi-bounce ``walk`` must be a chain of ``bounce`` calls, flight times
 included; on the ellipse up to rounding, its closed-form chord matching the
 turned normal and the general quadratic.  On every body an untimed walk
@@ -35,10 +36,11 @@ from convexbilliards.geometry import _horner, _horner_d, _mod_two_pi, _turn
 from convexbilliards.reflection import reflect
 
 # Tolerances on landing arc and flight time.  The table's bounce is a
-# fixed-iteration root on its dense x, y splines; its exit_ray is a bracketed
-# root of the radial gauge, an interpolant of the same nodes, with xtol =
-# 1e-10 * diameter, and a projection by arc_of_point (measured worst gap over
-# the 40 x 16 draws: 1e-10); the closed forms agree to rounding.
+# fixed-iteration root on its dense x, y splines; its exit_ray finds the
+# ray's line's crossings of the same splines by a scan of their nodes and
+# quadratic-model steps on each crossed cell's cubic (measured worst gap over
+# the 40 x 16 draws: 1.3e-15 in flight time, 8.9e-16 in arc); the closed
+# forms agree to rounding.
 TOL = {"disc": 1e-12, "ellipse": 1e-9, "table": 1e-9}
 # Relative tolerance of the Jacobian identity with central differences of
 # step 1e-5 (measured worst cases over 2000 draws: 5e-11 on the disc, 7e-10
@@ -76,6 +78,9 @@ def _draws(max_size):
                                                 ("ellipse", 40, 16),
                                                 ("table", 40, 16)])
 def test_bounce_matches_exit_ray(name, examples, size):
+    # the table's two solves share its x, y splines and nothing else;
+    # test_table_chord_matches_long_double_root and the Ellipse comparisons
+    # check the splines
     body = _body(name)
 
     @settings(max_examples=examples, deadline=None)
@@ -141,6 +146,30 @@ def test_table_grazing_exit_matches_ellipse():
         tau_ray = table.exit_ray(pt.position, reflect(pt, theta))[0]
         assert tau_t == pytest.approx(tau_e, rel=rtol)
         assert abs(tau_ray - tau_t) < TOL["table"]
+
+
+@pytest.mark.parametrize("kind", ["ellipse-2", "ellipse-3-0.5"])
+def test_table_exit_ray_grazing_chords(kind, curvature_table):
+    # Grazing rays: a launch from a boundary point within 1e-2 to 1e-7 rad
+    # of tangency, whose chord is as short as 1e-7 and then lies inside one
+    # dense cell, and a ray from 1e-7 inside the boundary along its
+    # tangent.  exit_ray must match the arc-length chord of bounce; the
+    # cartesian origin's rounding off the curve moves a chord 1e-7 long by
+    # up to 2e-9 of the diameter (1e-7 and more at the parent, which also
+    # raised TangentRay on some of these rays).
+    body = curvature_table(kind)
+    for s0 in np.linspace(0.0, body.perimeter, 13)[:-1] + 0.05:
+        pt = body.point_at(s0)
+        for k in range(2, 8):
+            for theta in (0.5 * np.pi - 10.0 ** -k, 10.0 ** -k - 0.5 * np.pi):
+                tau_ref = float(body.bounce(s0, theta)[1])
+                tau = body.exit_ray(pt.position, reflect(pt, theta))[0]
+                assert abs(tau - tau_ref) < 1e-8 * body.diameter
+        origin = pt.position + 1e-7 * pt.normal
+        tau, hit = body.exit_ray(origin, pt.tangent)
+        assert abs(tau - np.sqrt(2e-7 / body.curvature_at(s0))) < 1e-5
+        assert np.hypot(*(origin + tau * pt.tangent
+                          - body.position_at(hit.s))) < 1e-9
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-7])
@@ -327,7 +356,7 @@ def test_turn_matches_cos_and_sin():
 def test_ellipse_circle_root_is_the_general_root(a, b):
     # Ellipse._chord takes the unit circle's second root in closed form,
     # with o . u = -c (p ct^2 + q st^2), which assumes its origin o on the
-    # circle; _unit_chord solves the general quadratic from the same
+    # circle; the reference solves the general quadratic from the same
     # origins (cos t, sin t) along the unit normal turned by cos and sin.
     # That root's square root multiplies the origin's off-circle rounding,
     # about 1e-16, by 1 / |o . u|, so the comparison keeps to
@@ -344,7 +373,11 @@ def test_ellipse_circle_root_is_the_general_root(a, b):
     c, s = np.cos(theta), np.sin(theta)
     nx, ny = e._normal(ct, st)
     dx, dy = c * nx - s * ny, s * nx + c * ny
-    ref = e._unit_chord(ct, st, dx / a, dy / b)
+    # the general quadratic |o + tau u|^2 = 1, u = (dx / a, dy / b)
+    ux, uy = dx / a, dy / b
+    A, B = ux * ux + uy * uy, ct * ux + st * uy
+    C0 = ct * ct + st * st - 1.0
+    ref = (-B + np.sqrt(np.maximum(B * B - A * C0, 0.0))) / A
     assert np.abs(tau - ref).max() <= 1e-12 * e.diameter
     # the landing, on the ellipse, and its parameter angle
     gap = np.hypot(a * (cx - (ct + ref * dx / a)),

@@ -12,7 +12,9 @@ workload's table (a ``CurvatureTable`` of ``Ellipse(2, 1)`` curvature at
 * one ``bounce`` at 16 and 4096 chords, and on the table at 25 000 too
   (uniform starts, angles uniform on [-1.5, 1.5]);
 * an untimed ``walk`` of 12 rows of 25 000 chords, run to its end, on
-  angles drawn the same way.
+  angles drawn the same way;
+* one scalar ``exit_ray`` from the interior origin ``EXIT_ORIGIN`` along
+  ``EXIT_DIRECTION``.
 
 On the table it also times the workload's operation, ``run_chain_ensemble``
 of 16 chains x 4 bounces under ``uniform_half``, and the table build.
@@ -50,6 +52,7 @@ CHORDS = (16, 4096)
 TABLE_CHORDS = CHORDS + (25_000,)
 WALK_ROWS, WALK_CHORDS = 12, 25_000
 REPEATS = 7
+EXIT_ORIGIN, EXIT_DIRECTION = (0.3, 0.2), (0.6, 0.8)
 PROCESS_PARAMS = dict(eps=5e-4, beta=0.6, delta=0.4, zeta=0.5)
 PROCESS_STARTS = (((0.5, 0.1), (0.5, 1.0)), ((-0.5, -0.1), (-0.5, -1.0)))
 PROCESS_REPLICAS, PROCESS_T_MAX = 400, 12.0
@@ -76,6 +79,7 @@ def measure():
 
     out = {}
     gen = np.random.default_rng(21)
+    origin, direction = np.array(EXIT_ORIGIN), np.array(EXIT_DIRECTION)
     for name, b, chords in (("disc", geometry.Disc(1.0), CHORDS),
                             ("ellipse", ellipse, CHORDS),
                             ("table", body, TABLE_CHORDS)):
@@ -88,6 +92,8 @@ def measure():
         theta = gen.uniform(-1.5, 1.5, (WALK_ROWS, WALK_CHORDS))
         out[f"{name}_walk_{WALK_ROWS}x{WALK_CHORDS}_ms"] = 1e3 * _per_call(
             lambda: collections.deque(b.walk(u, theta), maxlen=0))
+        out[f"{name}_exit_ray_us"] = 1e6 * _per_call(
+            lambda: b.exit_ray(origin, direction))
 
     starts = gen.random(BATCH) * (0.125 * body.perimeter)
 
