@@ -41,7 +41,8 @@ import numpy as np
 from . import __version__, rng as rngmod
 from .coupling import couple_process_convex_batch, couple_process_disc_batch
 from .coupling.chains import couple_chains_batch
-from .dynamics import chord_times, run_chain, sample_process_at
+from .dynamics import (chord_times, guarded_angles, run_chain,
+                       sample_process_at)
 from .errors import BilliardError, ConfigError, HypothesisViolated, InvalidParams
 from .geometry import Disc, body_from_config, point_at, summarize
 from .rates import (
@@ -361,8 +362,8 @@ def _scenario_verify_lb(cfg, body, law, out, workers):
         level = prof["level"]
     else:  # t1
         summary = summarize(body)
-        th = law.sample(gen, n)
-        samples = chord_times(body, cfg.get("s0", 0.0), th)
+        samples = chord_times(body, cfg.get("s0", 0.0),
+                              guarded_angles(law, gen, n))
         window = (0.0, 2.0 / summary.curvature_max)
         level = summary.curvature_min * floor
     report = lb_check(samples, window, level * inflate)

@@ -8,10 +8,11 @@ with its bound curve:
 * ``convex_chain_rate``   -- boundary chain on a convex body
 * ``convex_process_rate`` -- continuous process on a convex body
 
-plus the numerical construction behind the convex pair-coupling window
-(``bisector_window_geometry``), the one map from a kind to its constructor
-(``build_for_kind``) and a deterministic grid search over the free slack
-parameters (``optimize_free_params``).
+plus the construction behind the convex pair-coupling window
+(``bisector_window_geometry``, on the body's ``exit_ray`` and ``bounce``),
+the one map from a kind to its constructor (``build_for_kind``) and a
+deterministic grid search over the free slack parameters
+(``optimize_free_params``).  The module imports no scipy.
 
 Block counts are computed by direct search on their defining conditions
 ("first block length whose landing/time window clears the threshold");
@@ -35,9 +36,9 @@ from .errors import (
     NoAdmissibleWindow,
     NonPositiveAlpha,
     NonPositiveP,
+    TangentRay,
 )
-from .geometry import (BodySummary, BoundaryPoint, ConvexBody,
-                       _sign_change_cells)
+from .geometry import BodySummary, BoundaryPoint, ConvexBody
 
 TWO_PI = 2.0 * math.pi
 
@@ -423,8 +424,6 @@ class BisectorWindows:
     eps: float               # half-width of the bisector landing patch
     eta_level: float
     grad_min: float          # smallest |d phi/ds| seen on the window grid
-    sign_x: float
-    sign_xt: float
 
 
 def _path_time(body, w_pos, s, t):
@@ -450,17 +449,23 @@ def _path_time_dds(body, w_pos, s, t):
 
 
 def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
-                             xt: BoundaryPoint, params: RateParams,
-                             _retry: bool = True) -> BisectorWindows:
+                             xt: BoundaryPoint,
+                             params: RateParams) -> BisectorWindows:
     """Construct the landing/time windows for the convex pair coupling.
 
-    Steps: locate the farther intersection of the perpendicular bisector of
-    (x, xt) with the boundary; find, for each start, the landing coordinate
-    where the path-time derivative vanishes; carve a landing interval
-    I_star of length h*eps/2 clear of those points; intersect the resulting
-    time windows.  Raises GeometryDegenerate when the bisector intersections
-    are equidistant (retrying once with the second point nudged along the
-    boundary) and NoAdmissibleWindow when no landing room remains.
+    Steps: the perpendicular bisector of (x, xt) meets the boundary where
+    the rays from the chord's midpoint along +-its unit normal exit
+    (``exit_ray``), and y_bar is the hit farther from the starts; a ray
+    that is tangent there (the midpoint within tol_geom of the boundary,
+    for a pair closer than about 1e-5 D) marks the near side.  By Fermat's
+    principle the two-leg path time from a start through y_bar is
+    stationary in the first landing where the second leg mirrors the chord
+    toward the start about the normal at y_bar, so both stationary landings
+    are one specular ``bounce`` from y_bar.  Then carve a landing interval
+    I_star of length h*eps/2 clear of those points and intersect the
+    resulting time windows.  Raises GeometryDegenerate when the bisector
+    hits are equidistant (after one more pass with the second point nudged
+    along the boundary) and NoAdmissibleWindow when no landing room remains.
     """
     beta, delta, eps = params.beta, params.delta, params.eps
     if beta is None or delta is None or eps is None:
@@ -479,47 +484,40 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     if h <= 0.0:
         raise InvalidParams("window slope floor h is non-positive; shrink eps")
 
-    d = x.position - xt.position
-    if float(np.hypot(d[0], d[1])) < body.tol_geom:
-        raise GeometryDegenerate("pair coupling needs two distinct points")
-
-    def dist_gap(s):
-        g = body.position_at(s)
-        return (np.hypot(g[..., 0] - x.position[0], g[..., 1] - x.position[1])
-                - np.hypot(g[..., 0] - xt.position[0], g[..., 1] - xt.position[1]))
-
-    from scipy.optimize import brentq
-    # intersections of the perpendicular bisector with the boundary; the
-    # scan grid is offset by an incommensurate fraction so symmetric roots
-    # do not land on grid points, and the wrap pair closes the circle
-    grid = np.linspace(0.0, P, 4097)[:-1] + P / 9973.0
-    diff = dist_gap(grid)
-    (cells,) = _sign_change_cells(diff, periodic=True)
-    ends = np.append(grid[1:], grid[0] + P)
-    roots = [grid[i] if diff[i] == 0.0
-             else brentq(dist_gap, grid[i], ends[i], xtol=1e-13 * P)
-             for i in cells]
-    roots = sorted(set(round(float(body.wrap(r)), 12) for r in roots))
-    if len(roots) < 2:
-        raise GeometryDegenerate("bisector intersections not found")
-    dists = [float(np.hypot(*(body.position_at(s) - x.position))) for s in roots]
-    order = np.argsort(dists)
-    if abs(dists[order[-1]] - dists[order[0]]) < 1e-9 * D:
-        if _retry:
-            nudged = body.point_at(xt.s + 1e-6 * P)
-            return bisector_window_geometry(body, x, nudged, params,
-                                            _retry=False)
+    for nudge in (0.0, 1e-6 * P):
+        if nudge:
+            xt = body.point_at(xt.s + nudge)
+        d = x.position - xt.position
+        length = float(np.hypot(d[0], d[1]))
+        if length < body.tol_geom:
+            raise GeometryDegenerate("pair coupling needs two distinct points")
+        centre = 0.5 * (x.position + xt.position)
+        normal = np.array([-d[1], d[0]]) / length
+        ends = []
+        for direction in (normal, -normal):
+            try:
+                y = body.exit_ray(centre, direction)[1]
+            except TangentRay:   # the midpoint lies on this side's boundary
+                ends.append((0.5 * length, None))
+                continue
+            ends.append((float(np.hypot(*(y.position - x.position))), y))
+        (near, _), (far, ybar) = sorted(ends, key=lambda e: e[0])
+        if far - near >= 1e-9 * D:
+            break
+    else:
         raise GeometryDegenerate("bisector intersections equidistant")
-    s_ybar = float(roots[order[-1]])
+    s_ybar = ybar.s
 
-    # landing coordinates where the path-time derivative vanishes at s_ybar
-    t_z = {tag: _find_stationary_landing(body, w.position, s_ybar, P)
-           for tag, w in (("x", x), ("xt", xt))}
+    # landing coordinates where the path-time derivative vanishes at s_ybar:
+    # the mirror images, about the normal there, of the chords to the starts
+    psi = np.array([body.chord_angle(w, ybar) for w in (x, xt)])
+    t_z_x, t_z_xt = body.wrap(body.to_arc(
+        body.bounce(body.to_native(s_ybar), -psi)[0])).tolist()
 
     # admissible landing region, then a centred interval of length h*eps/2
     target_len = 0.5 * h * eps
-    comp = _free_components(P, [(s_ybar, beta), (t_z["x"], delta),
-                                (t_z["xt"], delta)])
+    comp = _free_components(P, [(s_ybar, beta), (t_z_x, delta),
+                                (t_z_xt, delta)])
     comp = [(a, b) for a, b in comp if b - a > target_len]
     if not comp:
         raise NoAdmissibleWindow("no landing room outside the guard zones")
@@ -528,25 +526,19 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     I_star = (body.wrap(mid - 0.5 * target_len),
               body.wrap(mid - 0.5 * target_len) + target_len)
 
-    # window extrema; the path time is monotone in s on the bisector patch
+    # window extrema of both starts (axis 0); the path time is monotone in s
+    # on the bisector patch [s1, s2], rising where its mean slope at the
+    # middle of I_star is positive
     t_grid = np.linspace(I_star[0], I_star[1], 33)
     s1, s2 = s_ybar - eps, s_ybar + eps
-    s_grid = np.linspace(s1, s2, 33)
-
-    def extrema(w_pos):
-        sign = math.copysign(
-            1.0, float(np.mean(_path_time_dds(body, w_pos, s_grid,
-                                              0.5 * (I_star[0] + I_star[1])))))
-        lo_s, hi_s = (s1, s2) if sign > 0 else (s2, s1)
-        lo_vals = _path_time(body, w_pos, lo_s, t_grid)
-        hi_vals = _path_time(body, w_pos, hi_s, t_grid)
-        ss, tt = np.meshgrid(s_grid, t_grid, indexing="ij")
-        grads = np.abs(_path_time_dds(body, w_pos, ss.ravel(), tt.ravel()))
-        return (float(np.max(lo_vals)), float(np.min(hi_vals)), sign,
-                float(np.min(grads)))
-
-    r1, r2, sign_x, gmin_x = extrema(x.position)
-    rt1, rt2, sign_xt, gmin_xt = extrema(xt.position)
+    w_pos = np.stack([x.position, xt.position])[:, None, None]
+    grads = _path_time_dds(body, w_pos, np.linspace(s1, s2, 33)[:, None],
+                           t_grid)
+    ends = _path_time(body, w_pos, np.array([[s1], [s2]]), t_grid)
+    rising = (grads[:, :, 16].mean(axis=1) >= 0.0)[:, None]
+    (r1, rt1), (r2, rt2) = (
+        np.where(rising, ends[:, 0], ends[:, 1]).max(axis=1).tolist(),
+        np.where(rising, ends[:, 1], ends[:, 0]).min(axis=1).tolist())
     R1, R2 = max(r1, rt1), min(r2, rt2)
     if not (r1 < r2 and rt1 < rt2):
         raise DegenerateBound("window extrema inverted; geometry inconsistent")
@@ -557,23 +549,9 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     # eta carries the law floor squared; stored per unit floor^2 here and
     # scaled by the caller (convex_process_rate) which knows the law
     return BisectorWindows(
-        s_ybar=s_ybar, t_z_x=t_z["x"], t_z_xt=t_z["xt"], I_star=I_star,
+        s_ybar=s_ybar, t_z_x=t_z_x, t_z_xt=t_z_xt, I_star=I_star,
         r1=r1, r2=r2, rt1=rt1, rt2=rt2, R1=R1, R2=R2, h=h, M=M, eps=eps,
-        eta_level=0.5 * a_level, grad_min=min(gmin_x, gmin_xt),
-        sign_x=sign_x, sign_xt=sign_xt)
-
-
-def _find_stationary_landing(body, w_pos, s_ybar, P):
-    """Landing coordinate t != s_ybar where d/ds path time vanishes at s_ybar."""
-    ts = s_ybar + np.linspace(0.004, 0.996, 512) * P
-    vals = _path_time_dds(body, w_pos, np.full(ts.shape, s_ybar), ts)
-    (cells,) = _sign_change_cells(vals, periodic=False)
-    if not cells.size:
-        raise GeometryDegenerate("no stationary landing coordinate found")
-    i = cells[0]
-    f = lambda t: float(_path_time_dds(body, w_pos, s_ybar, t))
-    from scipy.optimize import brentq
-    return float(body.wrap(brentq(f, ts[i], ts[i + 1], xtol=1e-13 * P)))
+        eta_level=0.5 * a_level, grad_min=float(np.abs(grads).min()))
 
 
 def _free_components(P, guards):

@@ -639,6 +639,12 @@ DISC_IMPORT_GUARD_CONFIGS = [
                     rate={"kind": "disc_chain"}, n_max=5, replicas=20),
     _base_chain_cfg(scenario="couple_process", law=TU34, **DISC_PROCESS,
                     t_max=1e6, replicas=8),
+    # the convex certificate's bisector windows and the convex engine
+    _base_chain_cfg(scenario="couple_process", law="uniform_half",
+                    rate={"kind": "convex_process"},
+                    params={"zeta": 0.5, "eps": 5e-4, "beta": 0.6,
+                            "delta": 0.4},
+                    t_max=20.0, replicas=8),
     _base_chain_cfg(scenario="optimize_params", law=TU34,
                     rate={"kind": "disc_chain"},
                     grid={"eps": [0.2, PI / 4.0]}),
@@ -710,7 +716,7 @@ def _scipy_imports_outside_functions(tree):
 
 def test_package_imports_scipy_only_inside_functions():
     # a run loads each scipy routine only where a body, a table, a gate or
-    # a convex certificate calls it
+    # a reference integral calls it
     root = Path(convexbilliards.__file__).resolve().parent
     found = {str(path.relative_to(root)): lines
              for path in sorted(root.rglob("*.py"))

@@ -9,6 +9,7 @@ from convexbilliards.dynamics import (
     cell_kernel,
     chord_times,
     disc_step_exact,
+    guarded_angles,
     run_chain,
     run_chain_ensemble,
     sample_process_at,
@@ -132,6 +133,41 @@ def test_stationarity_uniform_short(cosine_law):
                               stream(11, 0))
     h = Histogram.from_samples(arcs[1:, 0], 100, 0.0, TWO_PI, periodic=True)
     assert tv_to_probs(h, np.full(100, 0.01)) < 0.03
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse-2", "ellipse-3-0.5",
+                                  "table"])
+def test_cosine_mean_free_path_is_cauchy(name, curvature_table, cosine_law,
+                                         uniform_half_law):
+    # Cauchy's mean-chord formula: under the cosine (Knudsen) law the chain
+    # started uniform in arc length is stationary, and its mean flight time
+    # is pi * area / perimeter on every convex body; uniform_half is not
+    # stationary there and misses it by far more than the noise
+    body, area = {
+        "disc": (Disc(1.0), math.pi),
+        "ellipse-2": (Ellipse(2.0, 1.0), 2.0 * math.pi),
+        "ellipse-3-0.5": (Ellipse(3.0, 0.5), 1.5 * math.pi),
+        "table": (curvature_table("ellipse-2"), None),
+    }[name]
+    if area is None:   # the shoelace formula on a fine boundary polygon
+        x, y = body.position_at(np.linspace(0.0, body.perimeter, 1 << 15,
+                                            endpoint=False)).T
+        area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    mean_path = math.pi * area / body.perimeter
+    chains, bounces = 200_000, 20
+    z = []
+    for k, law in enumerate((cosine_law, uniform_half_law)):
+        gen = stream(29, k)
+        u = body.to_native(gen.random(chains) * body.perimeter)
+        tau = np.empty((bounces, chains))
+        for _ in body.walk(u, guarded_angles(law, gen, (bounces, chains)),
+                           tau):
+            pass
+        means = tau.mean(axis=0)
+        z.append((means.mean() - mean_path)
+                 / (means.std(ddof=1) / math.sqrt(chains)))
+    assert abs(z[0]) < 4.0
+    assert abs(z[1]) > 40.0
 
 
 # ---------------------------------------------------------------------------

@@ -329,6 +329,51 @@ def test_bisector_windows_ellipse_pipeline(ellipse):
         0.5 * win.h * params.eps)
 
 
+def _window_pairs(body, n_random, seed):
+    """Random boundary pairs, then pairs 3e-9 D to 1e-2 D apart in arc."""
+    gen = np.random.default_rng(seed)
+    pairs = list(gen.random((n_random, 2)) * body.perimeter)
+    for sep in np.geomspace(3e-9, 1e-2, 12) * body.diameter:
+        a = gen.random() * body.perimeter
+        pairs += [(a, a + sep), (a + sep, a)]
+    return pairs
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse-1.1", "ellipse-2",
+                                  "table"])
+def test_bisector_windows_defining_properties(name, curvature_table):
+    # y_bar is equidistant from the starts, it is the farther of the
+    # bisector's two boundary points (found here from the sign changes of
+    # the distance gap on a fine grid), and each stationary landing zeroes
+    # the path time's derivative in the first landing; close pairs, whose
+    # chord midpoint lies within tol_geom of the boundary, get windows too
+    from convexbilliards.rates import _path_time_dds
+    body, params = {
+        "disc": (Disc(1.0), RateParams(eps=5e-4, beta=0.6, delta=0.4)),
+        "ellipse-1.1": (Ellipse(1.1, 1.0),
+                        RateParams(eps=5e-4, beta=0.6, delta=0.4)),
+        "ellipse-2": (Ellipse(2.0, 1.0), _ellipse_params()),
+        "table": (curvature_table("ellipse-2"), _ellipse_params()),
+    }[name]
+    P, D = body.perimeter, body.diameter
+    grid = (np.arange(1 << 16) + 0.5) * (P / (1 << 16))
+    g = body.position_at(grid)
+    for a, b in _window_pairs(body, 100, seed=27):
+        x, xt = point_at(body, a), point_at(body, b)
+        win = bisector_window_geometry(body, x, xt, params)
+        y = body.position_at(win.s_ybar)
+        assert abs(np.hypot(*(y - x.position))
+                   - np.hypot(*(y - xt.position))) <= 1e-14 * D
+        gap = (np.hypot(*(g - x.position).T)
+               - np.hypot(*(g - xt.position).T))
+        cells = np.flatnonzero(np.sign(gap) != np.sign(np.roll(gap, -1)))
+        far = cells[np.argmax(np.hypot(*(g[cells] - x.position).T))]
+        assert abs(math.remainder(win.s_ybar - grid[far], P)) <= P / (1 << 15)
+        for w, t_z in ((x, win.t_z_x), (xt, win.t_z_xt)):
+            assert abs(float(_path_time_dds(body, w.position, win.s_ybar,
+                                            t_z))) <= 1e-13
+
+
 def test_bisector_windows_param_guards(ellipse):
     x = point_at(ellipse, 0.0)
     xt = point_at(ellipse, 3.0)

@@ -14,7 +14,11 @@ workload's table (a ``CurvatureTable`` of ``Ellipse(2, 1)`` curvature at
 * an untimed ``walk`` of 12 rows of 25 000 chords, run to its end, on
   angles drawn the same way;
 * one scalar ``exit_ray`` from the interior origin ``EXIT_ORIGIN`` along
-  ``EXIT_DIRECTION``.
+  ``EXIT_DIRECTION``;
+* one scalar ``bisector_window_geometry`` for the boundary points at the
+  arcs ``WINDOW_ARCS``, at ``PROCESS_PARAMS`` on the disc and at
+  ``WINDOW_PARAMS`` on the others, where ``PROCESS_PARAMS`` leave no
+  positive window slope h.
 
 On the table it also times the workload's operation, ``run_chain_ensemble``
 of 16 chains x 4 bounces under ``uniform_half``, and the table build.
@@ -53,6 +57,8 @@ TABLE_CHORDS = CHORDS + (25_000,)
 WALK_ROWS, WALK_CHORDS = 12, 25_000
 REPEATS = 7
 EXIT_ORIGIN, EXIT_DIRECTION = (0.3, 0.2), (0.6, 0.8)
+WINDOW_ARCS = (0.5, 2.8)
+WINDOW_PARAMS = dict(eps=5e-4, beta=1.5, delta=1.2)
 PROCESS_PARAMS = dict(eps=5e-4, beta=0.6, delta=0.4, zeta=0.5)
 PROCESS_STARTS = (((0.5, 0.1), (0.5, 1.0)), ((-0.5, -0.1), (-0.5, -1.0)))
 PROCESS_REPLICAS, PROCESS_T_MAX = 400, 12.0
@@ -69,7 +75,7 @@ def _per_call(fn):
 
 
 def measure():
-    from convexbilliards import dynamics, geometry, reflection
+    from convexbilliards import dynamics, geometry, rates, reflection
 
     ellipse = geometry.Ellipse(2.0, 1.0)
     s = np.arange(ARC_SAMPLES) * (ellipse.perimeter / ARC_SAMPLES)
@@ -94,6 +100,11 @@ def measure():
             lambda: collections.deque(b.walk(u, theta), maxlen=0))
         out[f"{name}_exit_ray_us"] = 1e6 * _per_call(
             lambda: b.exit_ray(origin, direction))
+        x, xt = (geometry.point_at(b, a) for a in WINDOW_ARCS)
+        params = rates.RateParams(
+            **(PROCESS_PARAMS if name == "disc" else WINDOW_PARAMS))
+        out[f"{name}_window_us"] = 1e6 * _per_call(
+            lambda: rates.bisector_window_geometry(b, x, xt, params))
 
     starts = gen.random(BATCH) * (0.125 * body.perimeter)
 
