@@ -361,6 +361,12 @@ def _scenario_verify_lb(cfg, body, law, out, workers):
                   (prof["t_lo"], prof["t_hi"]))
         level = prof["level"]
     else:  # t1
+        # chord times near 0 need launches near tangency, so the level
+        # c * floor holds only for a floor on the whole half-circle
+        if width < math.pi:
+            raise HypothesisViolated(
+                f"t1 profile needs a floor on the full half-circle of launch"
+                f" angles; the certified width is {width:.6g}")
         summary = summarize(body)
         samples = chord_times(body, cfg.get("s0", 0.0),
                               guarded_angles(law, gen, n))

@@ -1,11 +1,15 @@
 """Coupling primitives: arc windows, residual thinning, outcome records.
 
 Every coupling in the package makes the same plateau step.  Both laws
-dominate ``level`` times Lebesgue measure on their windows, so with
-probability level * |overlap| one common value is drawn uniformly from the
-overlap and both sides take it; otherwise each side draws its residual law
-by thinning: a candidate from its full law is rejected with probability
-min(level / density, 1) where it lies in the overlap.  Marginals are
+dominate ``level`` times Lebesgue measure on their windows' overlap, and
+with probability level * |overlap| both sides take one common value,
+uniform on the overlap; otherwise each side draws its residual law.  The
+process couplings draw the common value directly and thin both residuals:
+a candidate from a side's full law is rejected with probability
+min(level / density, 1) where it lies in the overlap.  The chain coupling
+runs the step in rejection form: side a draws from its full law, the sides
+couple when that draw lies in the overlap and a uniform falls below
+level / density_a, and only side b thins a residual.  Marginals are
 preserved exactly and the probability of drawing equal values is at least
 the plateau mass (the maximal coupling with rejection of Thorisson,
 *Coupling, Stationarity, and Regeneration*, 2000; Jacob, O'Leary and

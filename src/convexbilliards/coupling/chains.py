@@ -4,23 +4,31 @@ The chains are coupled in blocks of n0 bounces, n0 taken from the
 certificate: one bounce when a single landing window exceeds half the
 boundary, n0 >= 2 otherwise.  At the start of a block every uncoupled pair
 makes one plateau attempt (``coupling.base``) on its landing position after
-the block:
+the block, in rejection form:
 
-* the windows are the arcs each chain reaches in n0 bounces with certified
-  launch angles, shrunk by the certificate's slack per extra bounce
-  (``_reach_window``);
+* chain a walks a free block of n0 plain bounces to x;
+* the overlap is that of the arcs each chain reaches in n0 bounces with
+  certified launch angles, shrunk by the certificate's slack per extra
+  bounce (``_reach_window``).  With certified one-bounce blocks a reach
+  window is the landing arc of launch angles in [-width/2, width/2], so x
+  lies on the overlap iff chain a's launch angle and chain b's launch angle
+  toward x both lie in that range, and no window is solved;
 * the level is the certificate's block-kernel floor per unit arc length.
   On a general body with blocks of two or more bounces, and on any body but
   a disc without a certificate, it is capped at 0.999 times the minimum of
   the block kernel over the overlap, which keeps the residual valid even
   where the printed kernel bound is optimistic;
-* the residual is n0 plain bounces, thinned on the block's landing density
-  at the block's end: ``landing_density`` for one bounce, and for longer
-  blocks the block table (``_BlockKernel``), the powers of the exact cell
-  kernel ``dynamics.cell_kernel`` read bilinearly between cell midpoints;
-* on success both chains land on one uniform point of the overlap, and a
-  block of two or more bounces fills in its inner bounces with a bridge
-  drawn cell by cell from the same powers.
+* the pair couples when x lies on the overlap and a uniform falls below
+  level / p_a(x), p_a chain a's block density: ``landing_density`` for one
+  bounce, and for longer blocks the block table (``_BlockKernel``), the
+  powers of the exact cell kernel ``dynamics.cell_kernel`` read bilinearly
+  between cell midpoints.  Where the level lies below p_a on the overlap
+  this happens with probability level * |overlap| and leaves x uniform on
+  the overlap, so the law is the plateau's;
+* on success chain b lands on x too, and a block of two or more bounces
+  fills in b's inner bounces with a bridge drawn cell by cell from the same
+  powers.  Otherwise chain a keeps its free block and chain b draws n0
+  plain bounces, thinned on level / p_b at the block's end on the overlap.
 
 After a success the chains share one stream and remain equal entry for
 entry.  ``couple_chains_batch`` advances many replica pairs in lockstep on
@@ -37,14 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import rng as rngmod
-from ..dynamics import _walk, cell_kernel, guarded_angles, landing_density
+from ..dynamics import (_walk, cell_kernel, guarded_angles, landing_density,
+                        launch_angle)
 from ..errors import HypothesisViolated, ResidualSamplingError
 from ..geometry import ConvexBody, Disc
 from ..parallel import map_jobs
 from ..rates import RateCertificate, disc_chain_rate
 from ..reflection import ReflectionLaw
-from .base import (CouplingOutcome, arc_overlap, draw_arcs, in_arcs,
-                   thin_residual)
+from .base import CouplingOutcome, arc_overlap, in_arcs, thin_residual
 
 # extreme launch angle of the reachable arc, clear of the tangency guard
 _REACH_LIMIT = 0.5 * math.pi - 1e-6
@@ -205,8 +213,7 @@ class _Pairs:
 
     def _block(self, step):
         """One block of n0 bounces after ``step`` bounces; yields them."""
-        body, blocks, rng = self.body, self.blocks, self.rng
-        n0, P = blocks.n0, body.perimeter
+        n0 = self.blocks.n0
         inner = np.empty((n0 - 1, 2, self.s.shape[1]))
         j = np.flatnonzero(self.coupled)
         for k in range(n0):
@@ -215,80 +222,105 @@ class _Pairs:
                 inner[k][:, j] = self.s[:, j]
         i = np.flatnonzero(~self.coupled)
         if i.size:
-            arc_lo, arc_len = arc_overlap(
-                *_reach_window(body, self.s[0, i], self.u[0, i], blocks.width,
-                               n0, blocks.eps),
-                *_reach_window(body, self.s[1, i], self.u[1, i], blocks.width,
-                               n0, blocks.eps), P)
-            level = np.full(i.size, blocks.level)
-            if blocks.kernel is not None and not isinstance(body, Disc):
-                # a disc's certified level is proven; elsewhere cap it
-                rows = tuple(blocks.kernel.block_rows(self.s[c, i],
-                                                      self.u[c, i])
-                             for c in (0, 1))
-                level = blocks.kernel.capped_level(level, rows, arc_lo,
-                                                   arc_len)
-            mass = level * (arc_len[0] + arc_len[1])
-            hit = rng.random(i.size) < mass
-            self.attempts += i.size
-            self.successes += int(hit.sum())
-            j2 = i[hit]
-            if j2.size:
-                target = draw_arcs(arc_lo.compress(hit, axis=1),
-                                   arc_len.compress(hit, axis=1),
-                                   rng.random(j2.size), P)
-                if n0 > 1:
-                    for c in (0, 1):
-                        inner[:, c, j2] = blocks.kernel.bridge(
-                            self.s[c, j2], target, rng)
-                self.s[:, j2] = target
-                self.u[:, j2] = body.to_native(self.s[0, j2])
-                self.coupled[j2] = True
-                self.index[j2] = step + n0
-            miss = ~hit
-            k = i[miss]
-            if k.size:
-                for c in (0, 1):
-                    inner[:, c, k] = self._residual(
-                        c, k, arc_lo.compress(miss, axis=1),
-                        arc_len.compress(miss, axis=1), level[miss]).T
+            self._attempt(step, i, inner)
         yield from inner
         yield self.s.copy()
 
-    def _residual(self, c, idx, arc_lo, arc_len, level):
-        """Residual blocks of chain ``c`` of the pairs ``idx``.
+    def _attempt(self, step, i, inner):
+        """One plateau attempt of the uncoupled pairs ``i`` over a block,
+        in rejection form; writes the inner landings into ``inner``.
 
-        Each candidate is n0 plain bounces, thinned by level / block
-        density where it ends on the plateau arcs.  Sets the chains' new
-        positions and returns the inner landings, shape (len(idx), n0 - 1).
+        Chain a walks a free block to x.  The pair couples when x lies on
+        the overlap and a uniform falls below level / p_a(x), p_a chain
+        a's block density: with probability level * |overlap|, and then x
+        is uniform on the overlap.  Chain b takes x and bridges its inner
+        landings; otherwise it draws its residual block, thinned on
+        level / p_b on the overlap.
         """
-        body, law, rng, n0 = self.body, self.law, self.rng, self.blocks.n0
-        s0, u0 = self.s[c, idx], self.u[c, idx]
-        # one-bounce blocks: the starts' frames, once for every round
-        frame0 = body.frame(u0) if n0 == 1 else None
+        body, law, blocks, rng = self.body, self.law, self.blocks, self.rng
+        n0 = blocks.n0
+        s0, u0 = self.s[:, i], self.u[:, i]
+        level, inside, frames = self._plateau(s0, u0)
 
-        def propose(rows):
+        def block(c, rows):
+            """Free blocks of chain ``c`` of the pairs ``rows``: landings
+            (n0, len(rows)), final native coordinates, whether each ends
+            on the overlap, and its block density there."""
+            theta = guarded_angles(law, rng, (n0, rows.size))
             path = np.empty((n0, rows.size))
-            u = _walk(body, u0[rows],
-                      guarded_angles(law, rng, (n0, rows.size)), path)
-            path = path.T
-            member = in_arcs(path[:, -1], arc_lo.take(rows, axis=1),
-                             arc_len.take(rows, axis=1), body.perimeter)
-            if frame0 is None:
-                dens = self.blocks.kernel.density(s0[rows], path[:, -1])
-            else:
+            u = _walk(body, u0[c, rows], theta, path)
+            if n0 == 1:
+                end = body.frame(u)
                 dens = landing_density(body, law,
-                                       tuple(f[rows] for f in frame0),
-                                       body.frame(u))
-            reject = np.where(
-                member,
-                np.minimum(level[rows] / np.maximum(dens, 1e-300), 1.0), 0.0)
-            return (path, u), reject
+                                       tuple(f[rows] for f in frames[c]), end)
+            else:
+                end = None
+                dens = blocks.kernel.density(s0[c, rows], path[-1])
+            return path, u, inside(c, rows, theta, path[-1], end), dens
 
-        path, u = thin_residual(idx.size, propose, rng)
-        self.s[c, idx] = path[:, -1]
-        self.u[c, idx] = u
-        return path[:, :-1]
+        path, u, member, dens = block(0, np.arange(i.size))
+        hit = member & (rng.random(i.size) * dens < level)
+        self.attempts += i.size
+        self.successes += int(hit.sum())
+        self.s[0, i], self.u[0, i] = path[-1], u
+        inner[:, 0, i] = path[:-1]
+        j = i[hit]
+        if j.size:
+            if n0 > 1:
+                inner[:, 1, j] = blocks.kernel.bridge(
+                    s0[1, hit], path[-1, hit], rng)
+            self.s[1, j], self.u[1, j] = path[-1, hit], u[hit]
+            self.coupled[j] = True
+            self.index[j] = step + n0
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            def propose(rows):
+                path, u, member, dens = block(1, miss[rows])
+                reject = np.where(member, np.minimum(
+                    level[miss[rows]] / np.maximum(dens, 1e-300), 1.0), 0.0)
+                return (path.T, u), reject
+
+            path, u = thin_residual(miss.size, propose, rng)
+            k = i[miss]
+            self.s[1, k], self.u[1, k] = path[:, -1], u
+            inner[:, 1, k] = path[:, :-1].T
+
+    def _plateau(self, s, u):
+        """Plateau of pairs started at arcs ``s`` (native ``u``), both of
+        shape (2, pairs): the level per pair, the overlap test
+        ``inside(c, rows, theta, s_end, frame_end)`` of chain ``c``'s
+        blocks, and the starts' frames for one-bounce blocks."""
+        body, blocks = self.body, self.blocks
+        frames = ([body.frame(u[c]) for c in (0, 1)] if blocks.n0 == 1
+                  else None)
+        level = np.full(s.shape[1], blocks.level)
+        if blocks.kernel is None:
+            # certified one-bounce blocks: a start's reach window is the
+            # landing arc of launch angles in [-half, half], so a landing is
+            # on the overlap iff its own launch angle and the other start's
+            # launch angle toward it both lie there
+            half = min(0.5 * blocks.width, _REACH_LIMIT)
+
+            def inside(c, rows, theta, s_end, end):
+                other = tuple(f[rows] for f in frames[1 - c])
+                return ((np.abs(theta[0]) <= half)
+                        & (np.abs(launch_angle(other, end)) <= half))
+            return level, inside, frames
+        P = body.perimeter
+        arc_lo, arc_len = arc_overlap(
+            *_reach_window(body, s[0], u[0], blocks.width, blocks.n0,
+                           blocks.eps),
+            *_reach_window(body, s[1], u[1], blocks.width, blocks.n0,
+                           blocks.eps), P)
+        if not isinstance(body, Disc):
+            # a disc's certified level is proven; elsewhere cap it
+            rows = tuple(blocks.kernel.block_rows(s[c], u[c]) for c in (0, 1))
+            level = blocks.kernel.capped_level(level, rows, arc_lo, arc_len)
+
+        def inside(c, rows, theta, s_end, end):
+            return in_arcs(s_end, arc_lo.take(rows, axis=1),
+                           arc_len.take(rows, axis=1), P)
+        return level, inside, frames
 
 
 def _reach_window(body, s, u, width, n0, eps):

@@ -25,6 +25,8 @@ provides
 * chord flight times from one boundary point (``chord_times``),
 * the closed-form polar recursion on discs (``disc_step_exact``), an
   independent oracle for the disc kernel and for ``exit_ray``,
+* the launch angle of the chord from a boundary frame toward a point
+  (``launch_angle``),
 * the one-step landing density, the transition density built on it
   (``transition_density`` / ``transition_density_row``) and its row
   integral, and the exact cell kernel (``cell_kernel``): the one-step
@@ -213,6 +215,15 @@ def chord_times(body: ConvexBody, s0: float, thetas) -> np.ndarray:
     return body.bounce(body.to_native(s0), thetas)[1]
 
 
+def launch_angle(x, q):
+    """Launch angle at the frame x = (x, y, nx, ny) of the chord toward the
+    point q = (qx, qy, ...): the angle from the inward normal to the chord,
+    counterclockwise positive; broadcasts over arrays."""
+    px, py, nx, ny = x
+    dx, dy = q[0] - px, q[1] - py
+    return np.arctan2(nx * dy - ny * dx, dx * nx + dy * ny)
+
+
 def landing_density(body: ConvexBody, law: ReflectionLaw, x, y):
     """One-step chain density from frame x to frame y per unit arc length.
 
@@ -305,12 +316,10 @@ def cell_kernel(body: ConvexBody, law: ReflectionLaw,
     """
     ds = body.perimeter / n_cells
     edges = np.arange(n_cells) * ds
-    mx, my, nx, ny = (c[:, None] for c in
-                      body.frame(body.to_native(edges + 0.5 * ds)))
-    ex, ey = body.frame(body.to_native(edges))[:2]
-    dx, dy = ex - mx, ey - my
+    mid = tuple(c[:, None] for c in
+                body.frame(body.to_native(edges + 0.5 * ds)))
     # G[i, j]: the CDF of the launch angle from midpoint i toward edge j
-    G = law.cdf(np.arctan2(nx * dy - ny * dx, dx * nx + dy * ny))
+    G = law.cdf(launch_angle(mid, body.frame(body.to_native(edges))))
     K = np.roll(G, -1, axis=1) - G
     K[np.diag_indices(n_cells)] += (law.cdf(0.5 * math.pi)
                                     - law.cdf(-0.5 * math.pi))

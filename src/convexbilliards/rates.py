@@ -521,7 +521,11 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     comp = [(a, b) for a, b in comp if b - a > target_len]
     if not comp:
         raise NoAdmissibleWindow("no landing room outside the guard zones")
-    a, b = max(comp, key=lambda ab: ab[1] - ab[0])
+    # the longest arc; among arcs tied with it to rounding (the disc's two
+    # mirror-image arcs), the first counterclockwise after s_ybar
+    longest = max(b - a for a, b in comp)
+    a, b = min((ab for ab in comp if ab[1] - ab[0] >= longest - 1e-12 * P),
+               key=lambda ab: (ab[0] - s_ybar) % P)
     mid = 0.5 * (a + b)
     I_star = (body.wrap(mid - 0.5 * target_len),
               body.wrap(mid - 0.5 * target_len) + target_len)

@@ -232,6 +232,24 @@ def test_verify_lb_positive_exit_0(tmp_path):
     assert main(["run", "--config", path, "--out", str(tmp_path / "pos")]) == 0
 
 
+@pytest.mark.parametrize("body", [{"disc": {"r": 1.3}}, ELLIPSE],
+                         ids=["disc", "ellipse"])
+@pytest.mark.parametrize("law,code", [(TU34, 2), ("uniform_half", 0)],
+                         ids=["truncated", "uniform_half"])
+def test_verify_lb_t1_needs_full_width(tmp_path, capsys, body, law, code):
+    # the t1 level needs launches near tangency: a law certified on a
+    # narrower window is outside the profile's hypothesis (exit 2), and
+    # the full half-circle law passes
+    cfg = _base_chain_cfg(scenario="verify_lb", seed=13, body=body, law=law,
+                          lb_profile="t1", replicas=20_000, s0=0.4)
+    del cfg["n_max"]
+    path = _write(tmp_path, "cfg.json", cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) \
+        == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("hypothesis violation:")
+
+
 def test_write_csv_golden_bytes(tmp_path):
     row = [7, np.int64(-3), True, np.bool_(False), 0.5, np.float64(2.25),
            -1.0, math.nan, math.inf, -0.0, 1e-300, 0.1]
@@ -409,8 +427,10 @@ def test_dominance_artifacts_golden(tmp_path, name, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_couple_chains_ellipse_outcomes_golden(tmp_path, workers):
-    # the chain-coupling-ellipse config: one-bounce blocks, whose residual
-    # walks are one bounce each, so their bytes stay fixed
+    # the chain-coupling-ellipse config: one-bounce blocks, whose first
+    # chain's free bounce decides each attempt (the rejection form) and
+    # whose second chain's residual walks are one bounce each, so their
+    # bytes stay fixed for any worker count
     import hashlib
     cfg = _base_chain_cfg(
         scenario="couple_chains", seed=17, body={"ellipse": {"a": 2.0,
@@ -423,7 +443,7 @@ def test_couple_chains_ellipse_outcomes_golden(tmp_path, workers):
     assert main(["run", "--config", path, "--out", str(out),
                  "--workers", str(workers)]) == 0
     assert hashlib.sha256((out / "outcomes.csv").read_bytes()).hexdigest() \
-        == "ea0c97feb6ebce9899c624316a89274a628f3526b23f089ecbe7a56ccef621cd"
+        == "9a686c989b41ba339ee75a0b65308b705a28866017b8739465b13a248385bb0b"
 
 
 # sha256 of the artifacts below, recorded before the tick loop dropped its

@@ -391,9 +391,10 @@ def _one_bounce_case(name):
 @given(fa=st.floats(0.0, 1.0, exclude_max=True),
        fb=st.floats(0.0, 1.0, exclude_max=True))
 def test_one_bounce_level_below_landing_density(name, fa, fb):
-    # with one-bounce blocks the residual thins on the exact landing
-    # density, which must dominate the certified level on the overlap of
-    # the two reach windows
+    # with one-bounce blocks a pair couples with probability level over
+    # the exact landing density, and the residual thins on it, so that
+    # density must dominate the certified level on the overlap of the two
+    # reach windows
     body, law, cert = _one_bounce_case(name)
     blocks = chains._blocks(body, law, cert)
     assert blocks.n0 == 1 and blocks.kernel is None
@@ -409,6 +410,60 @@ def test_one_bounce_level_below_landing_density(name, fa, fb):
     for k in (0, 1):
         dens = landing_density(body, law, body.frame(u[k]), land)
         assert np.all(blocks.level <= dens * (1.0 + 1e-9))
+
+
+# (_one_bounce_case name, pairs) of the one-block plateau oracle, None for
+# a two-bounce disc block certificate; the general bodies' plateau masses
+# are about 1.5e-2 at these starts
+PLATEAU_CASES = {
+    "disc": ("disc", 20_000),
+    "ellipse": ("ellipse", 200_000),
+    "table": ("table", 200_000),
+    "disc-blocks": (None, 20_000),
+}
+
+
+@pytest.mark.parametrize("name", PLATEAU_CASES)
+def test_plateau_attempt_matches_reach_window_overlap(name):
+    # After one block from fixed starts, a pair couples with probability
+    # level * |overlap| and its common landing is uniform on the overlap.
+    # The overlap comes from the reach windows' endpoints, which the
+    # one-bounce engine never solves: it tests launch angles instead.
+    from scipy.stats import chi2 as chi2_dist
+    case, n = PLATEAU_CASES[name]
+    if case is None:
+        body, law = Disc(1.0), ReflectionLaw.truncated_uniform(0.5 * PI)
+        cert = disc_chain_rate(0.5 * PI, 2.0 / PI, eps=PI / 8.0)
+    else:
+        body, law, cert = _one_bounce_case(case)
+    blocks = chains._blocks(body, law, cert)
+    assert (blocks.kernel is None) == (blocks.n0 == 1)
+    P = body.perimeter
+    s = body.wrap(np.array([0.0, 0.5 * P]))
+    u = body.to_native(s)
+    arc_lo, arc_len = arc_overlap(*(
+        np.ravel(w) for c in (0, 1) for w in chains._reach_window(
+            body, s[c], u[c], blocks.width, blocks.n0, blocks.eps)), P)
+    mass = blocks.level * float(arc_len.sum())
+    res = couple_chains_batch(body, law, s[0], s[1], cert, blocks.n0, n,
+                              seed=109)
+    assert res.attempts == n
+    k = int(res.coupled.sum())
+    assert res.successes == k
+    assert abs(k - n * mass) <= 4.0 * math.sqrt(n * mass * (1.0 - mass))
+    x = res.final_a[res.coupled]
+    assert np.array_equal(x, res.final_b[res.coupled])
+    # position along the overlap, its first piece then its second
+    tol = 1e-9 * P
+    off = np.mod(x[None] - arc_lo + tol, P) - tol
+    on = off <= arc_len + tol
+    assert np.all(on[0] | on[1])
+    pos = np.where(on[0], off[0], arc_len[0] + off[1]).clip(0.0, P)
+    bins = 20
+    counts = np.bincount(np.minimum(
+        (pos / arc_len.sum() * bins).astype(int), bins - 1), minlength=bins)
+    stat = float(np.sum((counts - k / bins) ** 2 / (k / bins)))
+    assert chi2_dist.sf(stat, bins - 1) > 1e-3
 
 
 # ---------------------------------------------------------------------------

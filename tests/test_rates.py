@@ -374,6 +374,28 @@ def test_bisector_windows_defining_properties(name, curvature_table):
                                             t_z))) <= 1e-13
 
 
+def test_bisector_windows_disc_rotation_invariant(disc):
+    # the disc's two free landing arcs are mirror images of equal length;
+    # the tie rule picks the first after s_ybar, so rotating both starts
+    # rotates every window arc and keeps every time field
+    params = RateParams(eps=5e-4, beta=0.6, delta=0.4)
+    gen = np.random.default_rng(28)
+    P = disc.perimeter
+    for a, b, phi in gen.random((500, 3)) * P:
+        w0, w1 = (bisector_window_geometry(
+            disc, point_at(disc, a + r), point_at(disc, b + r), params)
+            for r in (0.0, phi))
+        for f in ("s_ybar", "t_z_x", "t_z_xt"):
+            assert abs(math.remainder(getattr(w1, f) - getattr(w0, f) - phi,
+                                      P)) <= 1e-11 * P, f
+        for k in (0, 1):
+            assert abs(math.remainder(w1.I_star[k] - w0.I_star[k] - phi,
+                                      P)) <= 1e-11 * P
+        for f in ("r1", "r2", "rt1", "rt2", "R1", "R2", "grad_min"):
+            assert getattr(w1, f) == pytest.approx(getattr(w0, f), rel=0.0,
+                                                   abs=1e-11), f
+
+
 def test_bisector_windows_param_guards(ellipse):
     x = point_at(ellipse, 0.0)
     xt = point_at(ellipse, 3.0)

@@ -1,5 +1,5 @@
 """In-process layer timings of every body's bounce kernel and of the
-convex process coupling.
+chain and convex process couplings.
 
 Run from anywhere, naming the ``src`` directory of the checkout to time::
 
@@ -29,6 +29,14 @@ certificate at ``PROCESS_PARAMS`` for boundary points 0 and pi, the starts
 ``PROCESS_STARTS``, ``PROCESS_REPLICAS`` replica pairs to ``PROCESS_T_MAX``.
 Stage one succeeds there about once in eight attempts, so a run draws
 stage one's common blocks and builds stage two's bisector windows.
+
+It times one ``couple_chains_batch`` run on ``Ellipse(2, 1)`` under
+``uniform_half`` from arcs 0 and P/2, ``CHAIN_PAIRS`` pairs x
+``CHAIN_STEPS`` steps at seed ``CHAIN_SEED``, for each certificate of
+``CHAIN_CERTS``: the ``chain-coupling-ellipse`` workload's one-bounce
+``convex_chain`` certificate (width 2.8, floor 1/pi), and a two-bounce one
+(width 2.0, floor 1/pi, eps 0.1), whose blocks thin on the block table and
+bridge their inner bounce.
 
 Each figure is the median over ``REPEATS`` timeit repeats of the mean
 time per call.  Only the package under ``--src`` is imported, so two
@@ -63,6 +71,9 @@ PROCESS_PARAMS = dict(eps=5e-4, beta=0.6, delta=0.4, zeta=0.5)
 PROCESS_STARTS = (((0.5, 0.1), (0.5, 1.0)), ((-0.5, -0.1), (-0.5, -1.0)))
 PROCESS_REPLICAS, PROCESS_T_MAX = 400, 12.0
 PROCESS_SEEDS = (5, 6, 7)
+CHAIN_PAIRS, CHAIN_STEPS, CHAIN_SEED = 1500, 12, 5
+CHAIN_CERTS = {"n0_1": dict(width=2.8, floor=1.0 / np.pi),
+               "n0_2": dict(width=2.0, floor=1.0 / np.pi, eps=0.1)}
 
 
 def _per_call(fn):
@@ -115,8 +126,23 @@ def measure():
     out[f"table_ensemble_{BATCH}x{STEPS}_us"] = 1e6 * _per_call(operation)
     out["table_build_ms"] = 1e3 * _per_call(
         lambda: geometry.CurvatureTable(s, kappa))
+    out.update(_chain_coupling(ellipse, law))
     out.update(_convex_process())
     return {k: round(v, 2) for k, v in out.items()}
+
+
+def _chain_coupling(body, law):
+    from convexbilliards import rates
+    from convexbilliards.coupling import couple_chains_batch
+
+    out = {}
+    for name, inputs in CHAIN_CERTS.items():
+        cert = rates.convex_chain_rate(body.summarize(), **inputs)
+        out[f"chain_coupling_{name}_{CHAIN_PAIRS}x{CHAIN_STEPS}_ms"] = \
+            1e3 * _per_call(lambda: couple_chains_batch(
+                body, law, 0.0, 0.5 * body.perimeter, cert, CHAIN_STEPS,
+                CHAIN_PAIRS, CHAIN_SEED))
+    return out
 
 
 def _convex_process():
