@@ -1,19 +1,19 @@
 """Coupling primitives: arc windows, residual thinning, outcome records.
 
-Every coupling in the package makes the same plateau step.  Both laws
-dominate ``level`` times Lebesgue measure on their windows' overlap, and
-with probability level * |overlap| both sides take one common value,
-uniform on the overlap; otherwise each side draws its residual law.  The
-process couplings draw the common value directly and thin both residuals:
-a candidate from a side's full law is rejected with probability
-min(level / density, 1) where it lies in the overlap.  The chain coupling
-runs the step in rejection form: side a draws from its full law, the sides
-couple when that draw lies in the overlap and a uniform falls below
-level / density_a, and only side b thins a residual.  Marginals are
-preserved exactly and the probability of drawing equal values is at least
-the plateau mass (the maximal coupling with rejection of Thorisson,
-*Coupling, Stationarity, and Regeneration*, 2000; Jacob, O'Leary and
-Atchade, JRSSB 2020).
+Every coupling in the package splits the two sides' laws p_a and p_b
+into a common part q <= min(p_a, p_b), drawn once for both sides, and a
+residual p - q for each side.  A side thins its residual from its full
+law: it rejects a candidate y iff a uniform U has U p(y) < q(y).  The
+process couplings take q to be the plateau ``level`` times the indicator
+of their windows' overlap, which both laws dominate: with probability
+level * |overlap| both sides take one common value, uniform on the
+overlap, and otherwise both thin.  The chain coupling runs the step in
+rejection form on q = min(level * 1_overlap, p_a, p_b): side a draws x
+from its full law, the sides couple iff U p_a(x) < q(x), and only side b
+thins.  Either way both marginals are preserved exactly and the sides are
+equal with probability the integral of q; q = min(p_a, p_b) is the
+maximal coupling (Thorisson, *Coupling, Stationarity, and Regeneration*,
+2000; Jacob, O'Leary and Atchade, JRSSB 2020).
 
 A window is an arc ``(lo, length)`` of arrays on a circle of period P,
 with ``lo`` in any unwrapped coordinate.  An overlap is two such arcs
@@ -86,9 +86,11 @@ def thin_residual(n, propose, rng: np.random.Generator):
 
     Each round ``propose(rows)`` draws one candidate for every pending row
     (``rows`` index 0..n-1) and returns ``(fields, reject)``: a tuple of
-    new arrays whose first axis runs over ``rows``, and the candidates'
-    rejection probabilities, ``where(member, min(level / density, 1), 0)``.
-    One uniform per pending row then keeps or rejects each candidate.
+    new arrays whose first axis runs over ``rows``, and ``reject(w)``,
+    which maps one uniform per pending row to the mask of candidates it
+    rejects.  A candidate y at density p(y) under a common part q is
+    rejected iff w p(y) < q(y), which keeps the residual p - q; a caller
+    that knows its rejection probabilities passes ``lambda w: w < prob``.
     Returns the kept fields, with first axis 0..n-1.
     """
     rows = np.arange(n)
@@ -101,16 +103,17 @@ def thin_residual(n, propose, rng: np.random.Generator):
                 f" {MAX_REJECTS} rounds")
         rounds += 1
         fields, reject = propose(rows)
-        acc = rng.random(rows.size) >= reject
+        rejected = reject(rng.random(rows.size))
         if kept is None:
             # the first round proposes for every row; later rounds
             # overwrite the rows it rejected
             kept = fields
         else:
+            acc = ~rejected
             done = rows[acc]
             for k, f in zip(kept, fields):
                 k[done] = f[acc]
-        rows = rows[~acc]
+        rows = rows[rejected]
     return kept
 
 

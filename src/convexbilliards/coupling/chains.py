@@ -3,32 +3,32 @@
 The chains are coupled in blocks of n0 bounces, n0 taken from the
 certificate: one bounce when a single landing window exceeds half the
 boundary, n0 >= 2 otherwise.  At the start of a block every uncoupled pair
-makes one plateau attempt (``coupling.base``) on its landing position after
-the block, in rejection form:
+makes one rejection step (``coupling.base``) on the common part
 
-* chain a walks a free block of n0 plain bounces to x;
+    q = min(level * 1_overlap, p_a, p_b)
+
+of the chains' block densities: ``landing_density`` for one bounce, and
+for longer blocks the block table (``_BlockKernel``), the powers of the
+exact cell kernel ``dynamics.cell_kernel`` read bilinearly between cell
+midpoints.  Chain a walks a free block to x, and the pair couples iff a
+uniform U has U p_a(x) < q(x), which has probability the integral of q.
+Chain b then lands on x too, bridging its inner bounces cell by cell from
+the same powers; otherwise it walks free blocks to y until one has
+U p_b(y) >= q(y), which draws its residual p_b - q.  Each test reads the
+other chain's density only where the level alone would pass it.
+
+The certificate fixes the cap level * 1_overlap:
+
 * the overlap is that of the arcs each chain reaches in n0 bounces with
   certified launch angles, shrunk by the certificate's slack per extra
-  bounce (``_reach_window``).  With certified one-bounce blocks a reach
-  window is the landing arc of launch angles in [-width/2, width/2], so x
-  lies on the overlap iff chain a's launch angle and chain b's launch angle
-  toward x both lie in that range, and no window is solved;
+  bounce (``_reach_window``).  With one-bounce blocks x lies on it iff
+  chain a's launch angle and chain b's launch angle toward x both lie in
+  [-width/2, width/2], so no window is solved;
 * the level is the certificate's block-kernel floor per unit arc length.
-  On a general body with blocks of two or more bounces, and on any body but
-  a disc without a certificate, it is capped at 0.999 times the minimum of
-  the block kernel over the overlap, which keeps the residual valid even
-  where the printed kernel bound is optimistic;
-* the pair couples when x lies on the overlap and a uniform falls below
-  level / p_a(x), p_a chain a's block density: ``landing_density`` for one
-  bounce, and for longer blocks the block table (``_BlockKernel``), the
-  powers of the exact cell kernel ``dynamics.cell_kernel`` read bilinearly
-  between cell midpoints.  Where the level lies below p_a on the overlap
-  this happens with probability level * |overlap| and leaves x uniform on
-  the overlap, so the law is the plateau's;
-* on success chain b lands on x too, and a block of two or more bounces
-  fills in b's inner bounces with a bridge drawn cell by cell from the same
-  powers.  Otherwise chain a keeps its free block and chain b draws n0
-  plain bounces, thinned on level / p_b at the block's end on the overlap.
+  With certified one-bounce blocks, and on a disc, it lies below both
+  densities on the overlap, so q is the paper's plateau;
+* without a certificate the level is infinite on the whole circle, and
+  q = min(p_a, p_b) is the maximal coupling.
 
 After a success the chains share one stream and remain equal entry for
 entry.  ``couple_chains_batch`` advances many replica pairs in lockstep on
@@ -48,9 +48,9 @@ from .. import rng as rngmod
 from ..dynamics import (_walk, cell_kernel, guarded_angles, landing_density,
                         launch_angle)
 from ..errors import HypothesisViolated, ResidualSamplingError
-from ..geometry import ConvexBody, Disc
+from ..geometry import TWO_PI, ConvexBody, Disc
 from ..parallel import map_jobs
-from ..rates import RateCertificate, disc_chain_rate
+from ..rates import RateCertificate
 from ..reflection import ReflectionLaw
 from .base import CouplingOutcome, arc_overlap, in_arcs, thin_residual
 
@@ -113,12 +113,11 @@ def couple_chains(body: ConvexBody, law: ReflectionLaw, s0: float, s0_b: float,
                   rng: np.random.Generator) -> CouplingOutcome:
     """Couple two chains; evolve to n_max bounces regardless of success.
 
-    The certificate fixes the block length and the certified plateau.  With
-    ``cert=None`` a disc builds ``disc_chain_rate`` from the law's
-    certified floor (slack width/2 when width <= pi/2), and any other body
-    couples in one-bounce blocks on the numerically certified plateau, so a
-    full-width law still couples where the printed kernel floor would
-    vanish.  Trajectories of both chains are recorded per bounce.
+    The certificate fixes the block length and the plateau that caps the
+    common part.  With ``cert=None`` every body couples in one-bounce
+    blocks on the maximal coupling of the two landing laws, so a full-width
+    law still couples where the printed kernel floor would vanish.
+    Trajectories of both chains are recorded per bounce.
     """
     pairs = _Pairs(body, law, _blocks(body, law, cert),
                    body.wrap(np.array([float(s0), float(s0_b)])), 1, rng)
@@ -141,22 +140,19 @@ class _Blocks:
     n0: int
     width: float     # certified launch-angle window
     eps: float       # arc-length slack per extra bounce of a window
-    level: float     # plateau level per unit arc length; inf: numeric only
-    kernel: _BlockKernel | None = None   # n0 >= 2, or a numeric level
+    level: float     # per unit arc length; inf caps nothing
+    kernel: _BlockKernel | None = None   # the block table when n0 >= 2
 
 
 def _blocks(body, law, cert) -> _Blocks:
-    if cert is not None and (cert.axis != "step" or (
-            cert.kind == "disc_chain" and not isinstance(body, Disc))):
+    if cert is None:
+        # no cap: one-bounce blocks on an infinite level over the whole
+        # circle, so the common part is min(p_a, p_b)
+        return _Blocks(1, TWO_PI, 0.0, math.inf)
+    if cert.axis != "step" or (cert.kind == "disc_chain"
+                               and not isinstance(body, Disc)):
         raise HypothesisViolated(f"a {cert.kind} certificate cannot couple"
                                  f" chains on a {type(body).__name__}")
-    if cert is None and isinstance(body, Disc):
-        fc = law.certify_floor()
-        eps = 0.5 * fc.width if fc.width <= 0.5 * math.pi else None
-        cert = disc_chain_rate(fc.width, fc.floor, eps)
-    if cert is None:
-        return _Blocks(1, law.certify_floor().width, 0.0, math.inf,
-                       kernel=_cached_tables(body, law, 1))
     width, n0 = cert.inputs["width"], cert.constants["n0"]
     eps = cert.inputs.get("eps", 0.0)
     kernel = _cached_tables(body, law, n0) if n0 > 1 else None
@@ -227,39 +223,38 @@ class _Pairs:
         yield self.s.copy()
 
     def _attempt(self, step, i, inner):
-        """One plateau attempt of the uncoupled pairs ``i`` over a block,
-        in rejection form; writes the inner landings into ``inner``.
-
-        Chain a walks a free block to x.  The pair couples when x lies on
-        the overlap and a uniform falls below level / p_a(x), p_a chain
-        a's block density: with probability level * |overlap|, and then x
-        is uniform on the overlap.  Chain b takes x and bridges its inner
-        landings; otherwise it draws its residual block, thinned on
-        level / p_b on the overlap.
-        """
-        body, law, blocks, rng = self.body, self.law, self.blocks, self.rng
-        n0 = blocks.n0
+        """One rejection step of the uncoupled pairs ``i`` over a block on
+        the common part q (module docstring); writes the inner landings
+        into ``inner``."""
+        body, law, rng = self.body, self.law, self.rng
+        n0, level = self.blocks.n0, self.blocks.level
         s0, u0 = self.s[:, i], self.u[:, i]
-        level, inside, frames = self._plateau(s0, u0)
+        inside, density = self._plateau(s0, u0)
 
         def block(c, rows):
             """Free blocks of chain ``c`` of the pairs ``rows``: landings
-            (n0, len(rows)), final native coordinates, whether each ends
-            on the overlap, and its block density there."""
+            (n0, len(rows)), final native coordinates, and ``below(w)``,
+            whether w p_c < q at each block's end for uniforms ``w``."""
             theta = guarded_angles(law, rng, (n0, rows.size))
             path = np.empty((n0, rows.size))
             u = _walk(body, u0[c, rows], theta, path)
-            if n0 == 1:
-                end = body.frame(u)
-                dens = landing_density(body, law,
-                                       tuple(f[rows] for f in frames[c]), end)
-            else:
-                end = None
-                dens = blocks.kernel.density(s0[c, rows], path[-1])
-            return path, u, inside(c, rows, theta, path[-1], end), dens
+            s_end = path[-1]
+            end = body.frame(u) if n0 == 1 else None
 
-        path, u, member, dens = block(0, np.arange(i.size))
-        hit = member & (rng.random(i.size) * dens < level)
+            def below(w):
+                wp = w * density(c, rows, s_end, end)
+                hit = inside(c, rows, theta, s_end, end) & (wp < level)
+                # the other chain's density only where the level passes
+                k = np.flatnonzero(hit)
+                if k.size:
+                    hit[k] = wp[k] < density(
+                        1 - c, rows[k], s_end[k],
+                        None if end is None else tuple(e[k] for e in end))
+                return hit
+            return path, u, below
+
+        path, u, below = block(0, np.arange(i.size))
+        hit = below(rng.random(i.size))
         self.attempts += i.size
         self.successes += int(hit.sum())
         self.s[0, i], self.u[0, i] = path[-1], u
@@ -267,7 +262,7 @@ class _Pairs:
         j = i[hit]
         if j.size:
             if n0 > 1:
-                inner[:, 1, j] = blocks.kernel.bridge(
+                inner[:, 1, j] = self.blocks.kernel.bridge(
                     s0[1, hit], path[-1, hit], rng)
             self.s[1, j], self.u[1, j] = path[-1, hit], u[hit]
             self.coupled[j] = True
@@ -275,10 +270,8 @@ class _Pairs:
         miss = np.flatnonzero(~hit)
         if miss.size:
             def propose(rows):
-                path, u, member, dens = block(1, miss[rows])
-                reject = np.where(member, np.minimum(
-                    level[miss[rows]] / np.maximum(dens, 1e-300), 1.0), 0.0)
-                return (path.T, u), reject
+                path, u, below = block(1, miss[rows])
+                return (path.T, u), below
 
             path, u = thin_residual(miss.size, propose, rng)
             k = i[miss]
@@ -286,41 +279,47 @@ class _Pairs:
             inner[:, 1, k] = path[:, :-1].T
 
     def _plateau(self, s, u):
-        """Plateau of pairs started at arcs ``s`` (native ``u``), both of
-        shape (2, pairs): the level per pair, the overlap test
-        ``inside(c, rows, theta, s_end, frame_end)`` of chain ``c``'s
-        blocks, and the starts' frames for one-bounce blocks."""
-        body, blocks = self.body, self.blocks
-        frames = ([body.frame(u[c]) for c in (0, 1)] if blocks.n0 == 1
-                  else None)
-        level = np.full(s.shape[1], blocks.level)
-        if blocks.kernel is None:
-            # certified one-bounce blocks: a start's reach window is the
-            # landing arc of launch angles in [-half, half], so a landing is
-            # on the overlap iff its own launch angle and the other start's
-            # launch angle toward it both lie there
-            half = min(0.5 * blocks.width, _REACH_LIMIT)
+        """The overlap test ``inside(c, rows, theta, s_end, end)`` and the
+        block density ``density(c, rows, s_end, end)`` of blocks of chain
+        ``c`` of the pairs ``rows``, for pairs started at arcs ``s``
+        (native ``u``), both of shape (2, pairs).  A block launched at
+        angles ``theta`` ends at arcs ``s_end``, and one-bounce blocks at
+        the frames ``end`` (None for longer blocks)."""
+        body, law, blocks = self.body, self.law, self.blocks
+        if blocks.n0 == 1:
+            # a start's reach window is the landing arc of launch angles in
+            # [-half, half], so a landing is on the overlap iff its own
+            # launch angle and the other start's launch angle toward it
+            # both lie there; no chord is launched at +-half, so no
+            # tangency clip is needed, and half = pi passes every landing
+            frames = [body.frame(u[c]) for c in (0, 1)]
+            half = 0.5 * blocks.width
+
+            def at(c, rows):
+                return tuple(f[rows] for f in frames[c])
 
             def inside(c, rows, theta, s_end, end):
-                other = tuple(f[rows] for f in frames[1 - c])
                 return ((np.abs(theta[0]) <= half)
-                        & (np.abs(launch_angle(other, end)) <= half))
-            return level, inside, frames
+                        & (np.abs(launch_angle(at(1 - c, rows), end))
+                           <= half))
+
+            def density(c, rows, s_end, end):
+                return landing_density(body, law, at(c, rows), end)
+            return inside, density
         P = body.perimeter
         arc_lo, arc_len = arc_overlap(
             *_reach_window(body, s[0], u[0], blocks.width, blocks.n0,
                            blocks.eps),
             *_reach_window(body, s[1], u[1], blocks.width, blocks.n0,
                            blocks.eps), P)
-        if not isinstance(body, Disc):
-            # a disc's certified level is proven; elsewhere cap it
-            rows = tuple(blocks.kernel.block_rows(s[c], u[c]) for c in (0, 1))
-            level = blocks.kernel.capped_level(level, rows, arc_lo, arc_len)
 
         def inside(c, rows, theta, s_end, end):
             return in_arcs(s_end, arc_lo.take(rows, axis=1),
                            arc_len.take(rows, axis=1), P)
-        return level, inside, frames
+
+        def density(c, rows, s_end, end):
+            return blocks.kernel.density(s[c, rows], s_end)
+        return inside, density
 
 
 def _reach_window(body, s, u, width, n0, eps):
@@ -357,35 +356,33 @@ def _reach_window(body, s, u, width, n0, eps):
 # ---------------------------------------------------------------------------
 
 class _BlockKernel:
-    """Block kernels of up to n0 bounces on equal arc cells.
+    """Block kernels of n0 >= 2 bounces on equal arc cells.
 
     ``P[k - 1]`` holds the k-bounce masses between the cells' midpoints,
     the k-th power of the exact one-step ``cell_kernel``; the block's
-    density per unit arc length is read off ``P[n0 - 1] / ds`` between
-    midpoints.  One-bounce blocks read exact landing densities instead.
+    density per unit arc length, p_a and p_b of the common part, is read
+    off ``P[n0 - 1] / ds`` bilinearly between midpoints, and the same
+    powers draw the bridge of a coupled chain's inner landings.
     """
 
     def __init__(self, body: ConvexBody, law: ReflectionLaw, n0: int,
                  n_cells: int = 512):
         self.body = body
-        self.law = law
         self.n0 = n0
-        self.nodes = (np.arange(n_cells) + 0.5) * body.perimeter / n_cells
-        self.frames = body.frame(body.to_native(self.nodes))
+        self.n_cells = n_cells
         self.ds = body.perimeter / n_cells
-        if n0 > 1:
-            self.P = [cell_kernel(body, law, n_cells)]
-            for _ in range(1, n0):
-                self.P.append(self.P[-1] @ self.P[0])
-            self.block = self.P[-1] / self.ds
+        self.P = [cell_kernel(body, law, n_cells)]
+        for _ in range(1, n0):
+            self.P.append(self.P[-1] @ self.P[0])
+        self.block = self.P[-1] / self.ds
 
     def _between(self, s):
         """Cells (i0, i0 + 1) of the midpoints around arcs ``s`` and the
         weight of the upper one."""
         pos = np.mod(s, self.body.perimeter) / self.ds - 0.5
         lo = np.floor(pos)
-        i0 = lo.astype(np.intp) % self.nodes.size
-        return i0, (i0 + 1) % self.nodes.size, pos - lo
+        i0 = lo.astype(np.intp) % self.n_cells
+        return i0, (i0 + 1) % self.n_cells, pos - lo
 
     def density(self, s0, s) -> np.ndarray:
         """Block density from each arc in ``s0`` to its arc in ``s``,
@@ -396,26 +393,6 @@ class _BlockKernel:
         return ((1.0 - f) * ((1.0 - g) * B[i0, j0] + g * B[i0, j1])
                 + f * ((1.0 - g) * B[i1, j0] + g * B[i1, j1]))
 
-    def block_rows(self, s, u) -> np.ndarray:
-        """Block density from each start (arc ``s``, native ``u``) to every
-        midpoint, shape (len(s), cells): the exact landing density for one
-        bounce, rows of the block table between midpoints otherwise."""
-        if self.n0 == 1:
-            x = tuple(c[:, None] for c in self.body.frame(u))
-            return landing_density(self.body, self.law, x, self.frames)
-        i0, i1, f = self._between(s)
-        f = f[:, None]
-        return (1.0 - f) * self.block[i0] + f * self.block[i1]
-
-    def capped_level(self, level, rows, arc_lo, arc_len):
-        """``level`` capped at 0.999 times the smaller block row's minimum
-        over the overlap; zero where the overlap holds no midpoint."""
-        inside = in_arcs(self.nodes, arc_lo[..., None], arc_len[..., None],
-                         self.body.perimeter)
-        low = np.where(inside, np.minimum(*rows), np.inf).min(axis=1)
-        return np.where(inside.any(axis=1),
-                        np.minimum(level, 0.999 * low), 0.0)
-
     def bridge(self, s, target, rng) -> np.ndarray:
         """Inner landings of blocks from arcs ``s`` that end at arcs
         ``target``, shape (n0 - 1, len(s)).
@@ -424,7 +401,7 @@ class _BlockKernel:
         previous cell times the column of the bounces left into the
         target's cell, then a uniform offset inside it.
         """
-        N = self.nodes.size
+        N = self.n_cells
         i = np.floor(self.body.wrap(s) / self.ds).astype(np.intp) % N
         j = np.floor(self.body.wrap(target) / self.ds).astype(np.intp) % N
         out = np.empty((self.n0 - 1, i.size))

@@ -70,7 +70,7 @@ def _slice_times(total, n: int, w: float, rng: np.random.Generator):
     def propose(rows):
         cuts = np.sort(rng.random((rows.size, n - 1)), axis=1) * t[rows]
         tau = np.diff(cuts, axis=1, prepend=0.0, append=t[rows])
-        return (tau,), (tau.max(axis=1) > w).astype(float)
+        return (tau,), lambda _: tau.max(axis=1) > w
 
     (tau,) = thin_residual(total.size, propose, rng)
     return np.where(flip[:, None], w - tau, tau)
@@ -201,7 +201,7 @@ class _ConvexProcesses(_Processes):
             reject = np.zeros(rows.size)
             reject[m] = np.minimum(self.level1 / np.maximum(box, 1e-300)
                                    / np.maximum(hop, 1e-300).prod(axis=0), 1.0)
-            return (s.T, u, T), reject
+            return (s.T, u, T), lambda w: w < reject
 
         s, u, T = thin_residual(f.size, propose, rng)
         self.land(f, u, lambda: s.T)
@@ -274,7 +274,7 @@ class _ConvexProcesses(_Processes):
                          1e-12))
                 reject[m] = np.minimum(eta[rows[m]] / np.maximum(q, 1e-300),
                                        1.0)
-            return (s.T, u, T), reject
+            return (s.T, u, T), lambda w: w < reject
 
         s, u, T = thin_residual(f.size, propose, rng)
         self.land(f, u, lambda: s.T)
@@ -308,10 +308,11 @@ def _bridge_roots(body, w_pos, s1, s2, t_land, u_time):
     prescribed two-leg times, one per row of ``w_pos``: unique as the path
     time is strictly monotone there, and bracketed by the window extrema."""
     # Newton's f > 0 at s1 where the path time falls through the patch
-    sign = np.where(_path_time_dds(body, w_pos, s1, t_land) < 0.0, 1.0, -1.0)
+    gt = body.position_at(t_land)
+    sign = np.where(_path_time_dds(body, w_pos, s1, gt=gt) < 0.0, 1.0, -1.0)
 
     def newton(s):
-        g = _path_time(body, w_pos, s, t_land) - u_time
-        return sign * g, g / _path_time_dds(body, w_pos, s, t_land)
+        g = _path_time(body, w_pos, s, gt=gt) - u_time
+        return sign * g, g / _path_time_dds(body, w_pos, s, gt=gt)
 
     return body.wrap(_safeguarded_newton(newton, s1, s2, _BRIDGE_NEWTON))

@@ -236,7 +236,7 @@ class _DiscProcesses(_Processes):
                              left=0.0, right=0.0) / (2.0 * r)
             reject = np.where(inw, np.minimum(delta / np.maximum(dens, 1e-300),
                                               1.0), 0.0)
-            return (th1, th2, T), reject
+            return (th1, th2, T), lambda w: w < reject
 
         th1, th2, T = thin_residual(f.size, propose, rng)
         self.land2(f, u0, th1, np.mod(u0 + TWO_PI + 2.0 * (th1 + th2), TWO_PI))
@@ -286,7 +286,7 @@ class _DiscProcesses(_Processes):
                 np.minimum(level2 * 4.0 * r * np.cos(m) * np.abs(np.sin(dd))
                            / np.maximum(dens[0] * dens[1], 1e-300), 1.0),
                 0.0)
-            return (th1, T, phip), reject
+            return (th1, T, phip), lambda w: w < reject
 
         th1, T, phip = thin_residual(f.size, propose, rng)
         self.land2(f, u0, th1, phip)

@@ -426,22 +426,22 @@ class BisectorWindows:
     grad_min: float          # smallest |d phi/ds| seen on the window grid
 
 
-def _path_time(body, w_pos, s, t):
-    """Two-leg path time |w - g(s)| + |g(s) - g(t)| (vectorised in s or t)."""
+def _path_time(body, w_pos, s, t=None, gt=None):
+    """Two-leg path time |w - g(s)| + |g(s) - g(t)| (vectorised in s or t);
+    a caller that has the points ``gt`` = g(t) passes them in place of t."""
     gs = body.position_at(s)
-    gt = body.position_at(t)
     d1 = gs - w_pos
-    d2 = gs - gt
+    d2 = gs - (body.position_at(t) if gt is None else gt)
     return np.hypot(d1[..., 0], d1[..., 1]) + np.hypot(d2[..., 0], d2[..., 1])
 
 
-def _path_time_dds(body, w_pos, s, t):
-    """Derivative of the path time in the first-leg landing coordinate s."""
+def _path_time_dds(body, w_pos, s, t=None, gt=None):
+    """Derivative of the path time in the first-leg landing coordinate s;
+    ``gt`` as for ``_path_time``."""
     x, y, nx, ny = body.frame(body.to_native(s))   # tangent (ny, -nx)
     gs = np.stack([x, y], axis=-1)
-    gt = body.position_at(t)
     d1 = gs - w_pos
-    d2 = gs - gt
+    d2 = gs - (body.position_at(t) if gt is None else gt)
     n1 = np.hypot(d1[..., 0], d1[..., 1])
     n2 = np.hypot(d2[..., 0], d2[..., 1])
     e = d1 / n1[..., None] + d2 / np.where(n2 > 0, n2, 1.0)[..., None]
@@ -533,12 +533,12 @@ def bisector_window_geometry(body: ConvexBody, x: BoundaryPoint,
     # window extrema of both starts (axis 0); the path time is monotone in s
     # on the bisector patch [s1, s2], rising where its mean slope at the
     # middle of I_star is positive
-    t_grid = np.linspace(I_star[0], I_star[1], 33)
+    g_grid = body.position_at(np.linspace(I_star[0], I_star[1], 33))
     s1, s2 = s_ybar - eps, s_ybar + eps
     w_pos = np.stack([x.position, xt.position])[:, None, None]
     grads = _path_time_dds(body, w_pos, np.linspace(s1, s2, 33)[:, None],
-                           t_grid)
-    ends = _path_time(body, w_pos, np.array([[s1], [s2]]), t_grid)
+                           gt=g_grid)
+    ends = _path_time(body, w_pos, np.array([[s1], [s2]]), gt=g_grid)
     rising = (grads[:, :, 16].mean(axis=1) >= 0.0)[:, None]
     (r1, rt1), (r2, rt2) = (
         np.where(rising, ends[:, 0], ends[:, 1]).max(axis=1).tolist(),

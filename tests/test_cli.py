@@ -324,7 +324,7 @@ def test_residual_cap_exit_1(tmp_path, monkeypatch, capsys):
     def always_reject(n, propose, rng):
         def rejecting(rows):
             fields, _ = propose(rows)
-            return fields, np.ones(rows.size)
+            return fields, lambda w: np.ones(w.size, bool)
         return real(n, rejecting, rng)
 
     monkeypatch.setattr(chains, "thin_residual", always_reject)

@@ -35,8 +35,8 @@ from convexbilliards.coupling.process_convex import (
     _slice_times,
     box_slice_volume,
 )
-from convexbilliards.dynamics import (chord_times, landing_density,
-                                     run_chain_ensemble)
+from convexbilliards.dynamics import (cell_kernel, chord_times,
+                                     landing_density, run_chain_ensemble)
 from convexbilliards.rates import (
     RateParams,
     bisector_window_geometry,
@@ -75,7 +75,7 @@ def test_thinning_residual_marginal(rng):
     def propose(rows):
         x = P * rng.random(rows.size)
         member = in_arcs(x, arc_lo, arc_len, P)
-        return (x,), np.where(member, min(level / dens, 1.0), 0.0)
+        return (x,), lambda w: member & (w * dens < level)
 
     (vals[~hit],) = thin_residual(int((~hit).sum()), propose, rng)
     h = Histogram.from_samples(vals, 20, 0.0, P)
@@ -91,7 +91,7 @@ def test_thinning_cap_raises(rng, monkeypatch):
     monkeypatch.setattr(base, "MAX_REJECTS", 200)
 
     def always_reject(rows):
-        return (rng.random(rows.size),), np.ones(rows.size)
+        return (rng.random(rows.size),), lambda w: np.ones(w.size, bool)
 
     with pytest.raises(ResidualSamplingError, match="rejection cap"):
         thin_residual(5, always_reject, rng)
@@ -296,8 +296,12 @@ def test_batch_engine_rejects_certificates_it_cannot_run(disc, ellipse,
             couple_chains_batch(body, tu34_law, 0.0, 1.0, cert, 2, 4, seed=0)
 
 
-def test_batch_engine_marginal_ellipse(ellipse, uniform_half_law):
-    cert = convex_chain_rate(summarize(ellipse), 2.8, 1.0 / PI)
+@pytest.mark.parametrize("certified", [True, False],
+                         ids=["certified", "None"])
+def test_batch_engine_marginal_ellipse(ellipse, uniform_half_law, certified):
+    # without a certificate every block is the maximal coupling
+    cert = (convex_chain_rate(summarize(ellipse), 2.8, 1.0 / PI)
+            if certified else None)
     res = couple_chains_batch(ellipse, uniform_half_law, 0.0,
                               0.5 * ellipse.perimeter, cert, 12, 20_000,
                               seed=45)
@@ -317,6 +321,24 @@ def test_batch_engine_marginal_ellipse(ellipse, uniform_half_law):
     h4 = Histogram.from_samples(plain_b, 60, 0.0, ellipse.perimeter,
                                 periodic=True)
     assert two_sample_chi2(h3, h4)[1] > 1e-3
+
+
+@pytest.mark.parametrize("steps", [1, 6])
+def test_batch_engine_marginal_disc_without_certificate(disc, tu34_law,
+                                                        steps):
+    # a disc without a certificate runs the maximal coupling of the
+    # landing laws like any other body: both final marginals are plain
+    # chains, after one step and once most pairs have coupled
+    n = 20_000
+    res = couple_chains_batch(disc, tu34_law, 0.0, PI, None, steps, n,
+                              seed=51)
+    assert res.attempts > 0
+    for final, s0, seed in ((res.final_a, 0.0, 52), (res.final_b, PI, 53)):
+        plain = run_chain_ensemble(disc, tu34_law, np.full(n, s0), steps,
+                                   stream(seed, 0))[steps]
+        h1 = Histogram.from_samples(final, 60, 0.0, TWO_PI, periodic=True)
+        h2 = Histogram.from_samples(plain, 60, 0.0, TWO_PI, periodic=True)
+        assert two_sample_chi2(h1, h2)[1] > 1e-3
 
 
 @pytest.mark.parametrize("steps", [3, 12])
@@ -412,14 +434,26 @@ def test_one_bounce_level_below_landing_density(name, fa, fb):
         assert np.all(blocks.level <= dens * (1.0 + 1e-9))
 
 
-# (_one_bounce_case name, pairs) of the one-block plateau oracle, None for
-# a two-bounce disc block certificate; the general bodies' plateau masses
-# are about 1.5e-2 at these starts
+@functools.lru_cache(maxsize=None)
+def _block_case(name):
+    """(body, law, two-bounce certificate) of a block plateau check."""
+    if name == "disc":
+        return (Disc(1.0), ReflectionLaw.truncated_uniform(0.5 * PI),
+                disc_chain_rate(0.5 * PI, 2.0 / PI, eps=PI / 8.0))
+    body = Ellipse(2.0, 1.0)
+    return (body, ReflectionLaw.uniform_half(),
+            convex_chain_rate(summarize(body), 2.0, 1.0 / PI, eps=0.1))
+
+
+# (case builder, its name, pairs) of the one-block plateau oracle; the
+# general bodies' one-bounce plateau masses are about 1.5e-2 at these
+# starts, the two-bounce ellipse's 1.1e-3
 PLATEAU_CASES = {
-    "disc": ("disc", 20_000),
-    "ellipse": ("ellipse", 200_000),
-    "table": ("table", 200_000),
-    "disc-blocks": (None, 20_000),
+    "disc": (_one_bounce_case, "disc", 20_000),
+    "ellipse": (_one_bounce_case, "ellipse", 200_000),
+    "table": (_one_bounce_case, "table", 200_000),
+    "disc-blocks": (_block_case, "disc", 20_000),
+    "ellipse-blocks": (_block_case, "ellipse", 200_000),
 }
 
 
@@ -430,12 +464,8 @@ def test_plateau_attempt_matches_reach_window_overlap(name):
     # The overlap comes from the reach windows' endpoints, which the
     # one-bounce engine never solves: it tests launch angles instead.
     from scipy.stats import chi2 as chi2_dist
-    case, n = PLATEAU_CASES[name]
-    if case is None:
-        body, law = Disc(1.0), ReflectionLaw.truncated_uniform(0.5 * PI)
-        cert = disc_chain_rate(0.5 * PI, 2.0 / PI, eps=PI / 8.0)
-    else:
-        body, law, cert = _one_bounce_case(case)
+    make, case, n = PLATEAU_CASES[name]
+    body, law, cert = make(case)
     blocks = chains._blocks(body, law, cert)
     assert (blocks.kernel is None) == (blocks.n0 == 1)
     P = body.perimeter
@@ -464,6 +494,32 @@ def test_plateau_attempt_matches_reach_window_overlap(name):
         (pos / arc_len.sum() * bins).astype(int), bins - 1), minlength=bins)
     stat = float(np.sum((counts - k / bins) ** 2 / (k / bins)))
     assert chi2_dist.sf(stat, bins - 1) > 1e-3
+
+
+@pytest.mark.parametrize("name", ["disc", "ellipse", "table"])
+def test_maximal_coupling_one_step_matches_exact_tv(name, monkeypatch):
+    # Without a certificate a block is the maximal coupling of the two
+    # landing laws, so after one step a pair is apart with probability
+    # exactly their total variation.  The oracle is the binned TV of the
+    # cell_kernel rows of cells 0 and N/2, started from those midpoints,
+    # with N doubled until it settles; binning can only lower a TV.  Chain
+    # b's residual keeps a proposal with probability TV on average, so a
+    # cap of 100 rounds is never reached (0.67^100 < 1e-17 a row) and a
+    # residual that rejects too much fails at once.
+    monkeypatch.setattr(base, "MAX_REJECTS", 100)
+    body, law, _ = _one_bounce_case(name)
+    N, tv = 256, None
+    while True:
+        K = cell_kernel(body, law, N)
+        new = 0.5 * float(np.abs(K[0] - K[N // 2]).sum())
+        if tv is not None and abs(new - tv) < 1e-4:
+            break
+        N, tv = 2 * N, new
+    P, n = body.perimeter, 100_000
+    res = couple_chains_batch(body, law, 0.5 * P / N, (N // 2 + 0.5) * P / N,
+                              None, 1, n, seed=110)
+    apart = n - int(res.coupled.sum())
+    assert abs(apart - n * new) <= 4.0 * math.sqrt(n * new * (1.0 - new))
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ It times one ``couple_chains_batch`` run on ``Ellipse(2, 1)`` under
 ``uniform_half`` from arcs 0 and P/2, ``CHAIN_PAIRS`` pairs x
 ``CHAIN_STEPS`` steps at seed ``CHAIN_SEED``, for each certificate of
 ``CHAIN_CERTS``: the ``chain-coupling-ellipse`` workload's one-bounce
-``convex_chain`` certificate (width 2.8, floor 1/pi), and a two-bounce one
-(width 2.0, floor 1/pi, eps 0.1), whose blocks thin on the block table and
-bridge their inner bounce.
+``convex_chain`` certificate (width 2.8, floor 1/pi), a two-bounce one
+(width 2.0, floor 1/pi, eps 0.1), whose blocks read the block table and
+bridge their inner bounce, and no certificate (``none``), the maximal
+coupling of the one-bounce landing laws.
 
 Each figure is the median over ``REPEATS`` timeit repeats of the mean
 time per call.  Only the package under ``--src`` is imported, so two
@@ -73,7 +74,8 @@ PROCESS_REPLICAS, PROCESS_T_MAX = 400, 12.0
 PROCESS_SEEDS = (5, 6, 7)
 CHAIN_PAIRS, CHAIN_STEPS, CHAIN_SEED = 1500, 12, 5
 CHAIN_CERTS = {"n0_1": dict(width=2.8, floor=1.0 / np.pi),
-               "n0_2": dict(width=2.0, floor=1.0 / np.pi, eps=0.1)}
+               "n0_2": dict(width=2.0, floor=1.0 / np.pi, eps=0.1),
+               "none": None}
 
 
 def _per_call(fn):
@@ -137,7 +139,8 @@ def _chain_coupling(body, law):
 
     out = {}
     for name, inputs in CHAIN_CERTS.items():
-        cert = rates.convex_chain_rate(body.summarize(), **inputs)
+        cert = (None if inputs is None
+                else rates.convex_chain_rate(body.summarize(), **inputs))
         out[f"chain_coupling_{name}_{CHAIN_PAIRS}x{CHAIN_STEPS}_ms"] = \
             1e3 * _per_call(lambda: couple_chains_batch(
                 body, law, 0.0, 0.5 * body.perimeter, cert, CHAIN_STEPS,
